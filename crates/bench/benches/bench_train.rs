@@ -17,6 +17,13 @@
 //! saying *honestly* that the gate did not run (rather than a green
 //! checkmark earned on a box where the claim is untestable).
 //!
+//! The `dense_backward/*`, `wgrad/*` and `plan_build/*` rows time the pieces
+//! of one dense FF-INT8 step at the paper's 2000-wide shape that ISSUE 13
+//! changed — full vs parameter-only backward, allocate-then-add vs
+//! epilogue-accumulated weight gradient, one weight-plan build — with the
+//! core count (`step_kernels/nproc`) beside them, since all of them shard
+//! across worker threads.
+//!
 //! Running with `--bench` (what `cargo bench` passes) writes a
 //! `BENCH_train.json` baseline into `crates/bench/`.
 
@@ -26,7 +33,10 @@ use ff_data::{synthetic_mnist, Dataset, SyntheticConfig};
 use ff_dist::protocol::TrainMsg;
 use ff_dist::{Coordinator, CoordinatorConfig, PipelineSession, Worker};
 use ff_models::small_mlp;
-use ff_nn::Sequential;
+use ff_nn::{Dense, ForwardMode, Layer, Sequential};
+use ff_quant::{
+    int8_matmul_at_b_planned, int8_matmul_at_b_planned_accumulate, QGemmPlan, QuantTensor, Rounding,
+};
 use ff_serve::{MetricsRegistry, TraceSettings};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -160,6 +170,63 @@ fn bench_train(c: &mut Criterion) {
                  time-slice; measured {speedup:.2}x recorded, 1.3x threshold not enforced"
             );
         }
+    }
+}
+
+/// The per-step pieces of one 2000 → 2000 dense FF-INT8 layer at batch 32.
+fn bench_step_kernels(c: &mut Criterion) {
+    let width = if c.measuring() { HIDDEN[0] } else { 64 };
+    let mut rng = StdRng::seed_from_u64(13);
+    let input = ff_tensor::init::uniform(&[32, width], -1.0, 1.0, &mut rng);
+    let grad = ff_tensor::init::randn(&[32, width], 0.0, 0.01, &mut rng);
+
+    let mut layer = Dense::new(width, width, true, &mut rng);
+    let mode = ForwardMode::Int8(Rounding::StochasticSeeded(17));
+    layer.forward(&input, mode).expect("forward");
+    let mut group = c.benchmark_group("dense_backward");
+    group.bench_function("full", |b| {
+        b.iter(|| layer.backward(&grad).expect("backward"));
+    });
+    group.bench_function("params_only", |b| {
+        b.iter(|| layer.backward_params_only(&grad).expect("backward"));
+    });
+    group.finish();
+
+    let q_grad = QuantTensor::quantize(&grad, Rounding::Nearest);
+    let q_input = QuantTensor::quantize(&input, Rounding::Nearest);
+    let mut input_plan = QGemmPlan::from_quant(q_input, 0).expect("input plan");
+    let mut accumulator = ff_tensor::Tensor::zeros(&[width, width]);
+    let mut group = c.benchmark_group("wgrad");
+    group.bench_function("alloc_add", |b| {
+        b.iter(|| {
+            let gw = int8_matmul_at_b_planned(&q_grad, &mut input_plan).expect("wgrad");
+            accumulator.add_assign(&gw).expect("add");
+        });
+    });
+    group.bench_function("accumulate", |b| {
+        b.iter(|| {
+            int8_matmul_at_b_planned_accumulate(&q_grad, &mut input_plan, accumulator.data_mut())
+                .expect("wgrad");
+        });
+    });
+    group.finish();
+
+    let weight = ff_tensor::init::kaiming_normal(&[width, width], width, &mut rng);
+    let mut group = c.benchmark_group("plan_build");
+    group.bench_function(format!("{width}x{width}"), |b| {
+        b.iter(|| {
+            let mut plan = QGemmPlan::from_tensor(&weight, 0).expect("weight plan");
+            plan.packed_as_b_transposed();
+            plan
+        });
+    });
+    group.finish();
+
+    if c.measuring() {
+        let cores = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1);
+        c.record_metric("step_kernels/nproc", cores as f64);
     }
 }
 
@@ -349,6 +416,7 @@ fn bench_dist_trace_overhead(c: &mut Criterion) {
 criterion::criterion_group!(
     benches,
     bench_train,
+    bench_step_kernels,
     bench_train_cluster,
     bench_dist_trace_overhead
 );

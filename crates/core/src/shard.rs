@@ -31,6 +31,11 @@
 //! - Reduction is **order-fixed**: the coordinator accumulates shard
 //!   gradients with [`reduce_shard_grads`] in ascending shard index, never
 //!   in arrival order.
+//! - Input gradients exist only for the look-ahead relay:
+//!   [`accumulate_ff_pass`] asks a layer for one (`Layer::backward`) only
+//!   when `λ > 0` and a layer sits upstream; every other backward call is
+//!   `Layer::backward_params_only`, which accumulates bit-identical
+//!   parameter gradients and skips the dead product.
 //! - [`ff_stage_pass`] and [`step_layers`] are the layer-stage analogues
 //!   used by pipeline parallelism: each stage replays exactly the
 //!   per-layer operation sequence of the sequential trainer (forward,
@@ -379,37 +384,34 @@ pub fn accumulate_ff_pass(
     // Backward sweep from the last unit to the first. `relay` carries
     // λ-weighted gradients of *later* units' losses w.r.t. the current
     // layer's output (Eq. 4); it is empty in vanilla FF mode (λ = 0).
+    // An input gradient is computed only where the relay consumes it: never
+    // at layer 0, and nowhere when λ = 0 — FF has no backward chain to pay
+    // for, so those layers take the parameter-only backward.
     let mut relay: Option<Tensor> = None;
     let layers = net.layers_mut();
     for i in (0..layer_count).rev() {
         let own = own_grads[i].take();
         let incoming_relay = relay.take();
+        let relays_onward = lambda > 0.0 && i > 0;
         match (own, incoming_relay) {
+            (Some(own_grad), maybe_relay) if relays_onward => {
+                let mut r = layers[i].backward(&own_grad)?.scale(lambda);
+                if let Some(incoming) = maybe_relay {
+                    r.add_assign(&layers[i].backward(&incoming)?)?;
+                }
+                relay = Some(r);
+            }
             (Some(own_grad), maybe_relay) => {
-                let d_own = layers[i].backward(&own_grad)?;
-                let d_relay = match maybe_relay {
-                    Some(r) => Some(layers[i].backward(&r)?),
-                    None => None,
-                };
-                relay = if lambda > 0.0 && i > 0 {
-                    let mut r = d_own.scale(lambda);
-                    if let Some(dr) = d_relay {
-                        r.add_assign(&dr)?;
-                    }
-                    Some(r)
-                } else {
-                    None
-                };
+                layers[i].backward_params_only(&own_grad)?;
+                if let Some(incoming) = maybe_relay {
+                    layers[i].backward_params_only(&incoming)?;
+                }
             }
-            (None, Some(r)) => {
-                // Parameter-free layer: relay the gradient through its
-                // backward pass unchanged.
-                let d = layers[i].backward(&r)?;
-                relay = if i > 0 { Some(d) } else { None };
-            }
-            (None, None) => {
-                relay = None;
-            }
+            // Parameter-free layer: relay the gradient through its backward
+            // pass unchanged.
+            (None, Some(r)) if i > 0 => relay = Some(layers[i].backward(&r)?),
+            (None, Some(r)) => layers[i].backward_params_only(&r)?,
+            (None, None) => {}
         }
     }
     Ok(total_loss)
@@ -472,9 +474,10 @@ pub fn ff_stage_pass(
         let grad_flat = goodness_gradient(&flat, &dg);
         own_grads.push(Some(grad_flat.reshape(output.shape())?));
     }
+    // λ = 0: no stage consumes an input gradient.
     for i in (0..layers.len()).rev() {
         if let Some(own_grad) = own_grads[i].take() {
-            layers[i].backward(&own_grad)?;
+            layers[i].backward_params_only(&own_grad)?;
         }
     }
     Ok((total_loss, x))

@@ -1,0 +1,264 @@
+//! Golden bit-identity gate for the FF-INT8 training step.
+//!
+//! Every case trains a small fixed-seed FF-INT8 model for a few steps and
+//! compares the per-step loss bits and an FNV-1a checksum over every
+//! parameter's bit pattern against pinned constants. The constants were
+//! recorded from the commit *before* the dead-dgrad / accumulate-epilogue /
+//! blocked-dgrad / one-pass-plan kernels landed, so "bit-identical to the
+//! previous kernels" is an executable gate: any change to rounding streams,
+//! accumulation order or epilogue arithmetic moves a constant.
+//!
+//! To re-record after an *intended* numeric change, run
+//! `cargo test -p ff-core --test golden -- --nocapture` and copy the printed
+//! `observed` lines.
+
+use ff_core::shard::{ff_stage_pass, step_layers, PassMode};
+use ff_core::{
+    first_layer_is_dense, Algorithm, AnyOptimizer, FfLossKind, FfTrainer, Precision,
+    SessionControl, SessionStatus, TrainEvent, TrainOptions, TrainSession,
+};
+use ff_data::{synthetic_cifar10, synthetic_mnist, Dataset, SyntheticConfig};
+use ff_models::{small_cnn, small_mlp, SmallModelConfig};
+use ff_nn::Sequential;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use std::cell::RefCell;
+use std::rc::Rc;
+
+/// FNV-1a over the bit patterns of every parameter, in parameter order.
+fn weight_checksum(net: &mut Sequential) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+    for param in net.params_mut() {
+        for value in param.value.data() {
+            hash = (hash ^ u64::from(value.to_bits())).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    hash
+}
+
+fn dataset(conv: bool, rows: usize) -> (Dataset, Dataset) {
+    let config = SyntheticConfig {
+        train_size: rows,
+        test_size: 8,
+        noise_std: 0.2,
+        max_shift: 0,
+        seed: 31,
+    };
+    if conv {
+        synthetic_cifar10(&config)
+    } else {
+        synthetic_mnist(&config)
+    }
+}
+
+fn mlp(hidden: &[usize]) -> Sequential {
+    small_mlp(784, hidden, 10, &mut StdRng::seed_from_u64(5))
+}
+
+fn cnn() -> Sequential {
+    let config = SmallModelConfig {
+        input_channels: 3,
+        input_hw: 32,
+        base_channels: 4,
+        stages: 2,
+        num_classes: 10,
+    };
+    small_cnn(&config, &mut StdRng::seed_from_u64(6))
+}
+
+fn options(batch: usize, lambda: f32, shards: usize) -> TrainOptions {
+    TrainOptions {
+        epochs: 1,
+        batch_size: batch,
+        lambda_init: lambda,
+        seed: 77,
+        grad_shards: shards,
+        ..TrainOptions::default()
+    }
+}
+
+/// Steps a `TrainSession` `steps` times; returns the loss bits of each step
+/// and the final weight checksum.
+fn session_run(
+    mut net: Sequential,
+    conv: bool,
+    steps: usize,
+    options: &TrainOptions,
+) -> (Vec<u32>, u64) {
+    let (train_set, test_set) = dataset(conv, steps * options.batch_size + options.batch_size);
+    let losses: Rc<RefCell<Vec<u32>>> = Rc::default();
+    {
+        let algorithm = Algorithm::FfInt8 {
+            lookahead: options.lambda_init > 0.0,
+        };
+        let mut session =
+            TrainSession::new(&mut net, &train_set, &test_set, algorithm, options).unwrap();
+        let sink = Rc::clone(&losses);
+        session.on_event(move |event| {
+            if let TrainEvent::StepEnd { loss, .. } = event {
+                sink.borrow_mut().push(loss.to_bits());
+            }
+            SessionControl::Continue
+        });
+        for _ in 0..steps {
+            assert_eq!(session.step().unwrap(), SessionStatus::Running);
+        }
+    }
+    let losses = losses.borrow().clone();
+    (losses, weight_checksum(&mut net))
+}
+
+/// The layer-pipeline decomposition at λ = 0: per batch, each contiguous
+/// stage runs `ff_stage_pass` for the positive then the negative side and
+/// steps its own layers, exactly as `ff-dist`'s stage threads do.
+fn pipeline_run(steps: usize, stage_sizes: &[usize]) -> (Vec<u32>, u64) {
+    let options = options(16, 0.0, 1);
+    let (train_set, _) = dataset(false, steps * options.batch_size);
+    let mut net = mlp(&[40, 24]);
+    let mut trainer = FfTrainer::new(Precision::Int8, false, options.clone());
+    trainer.ensure_optimizers(net.len());
+    let mut optimizers: Vec<AnyOptimizer> = std::mem::take(trainer.optimizers_mut());
+    let dense_first = first_layer_is_dense(&net);
+    let mut losses = Vec::new();
+    for step in 0..steps {
+        let rows: Vec<usize> =
+            (step * options.batch_size..(step + 1) * options.batch_size).collect();
+        let images = train_set.images().select_rows(&rows).unwrap();
+        let labels: Vec<usize> = rows.iter().map(|&i| train_set.labels()[i]).collect();
+        let prepared = trainer
+            .prepare_batch(&images, &labels, 10, dense_first)
+            .unwrap();
+        let pos_pass = PassMode::from_seed(Precision::Int8, prepared.pos_seed);
+        let neg_pass = PassMode::from_seed(Precision::Int8, prepared.neg_seed);
+        let (mut pos, mut neg) = (prepared.pos, prepared.neg);
+        let mut loss = 0.0f32;
+        let mut first = 0;
+        for &size in stage_sizes {
+            let layers = &mut net.layers_mut()[first..first + size];
+            let (loss_pos, pos_out) = ff_stage_pass(
+                layers,
+                first,
+                &pos,
+                FfLossKind::Positive,
+                options.theta,
+                pos_pass,
+                options.batch_size,
+            )
+            .unwrap();
+            let (loss_neg, neg_out) = ff_stage_pass(
+                layers,
+                first,
+                &neg,
+                FfLossKind::Negative,
+                options.theta,
+                neg_pass,
+                options.batch_size,
+            )
+            .unwrap();
+            step_layers(layers, &mut optimizers[first..first + size]);
+            loss += loss_pos;
+            loss += loss_neg;
+            (pos, neg) = (pos_out, neg_out);
+            first += size;
+        }
+        losses.push(loss.to_bits());
+    }
+    (losses, weight_checksum(&mut net))
+}
+
+fn check(name: &str, observed: (Vec<u32>, u64), golden_losses: &[u32], golden_checksum: u64) {
+    let hex: Vec<String> = observed.0.iter().map(|b| format!("{b:#010x}")).collect();
+    println!(
+        "observed {name}: losses [{}] checksum {:#018x}",
+        hex.join(", "),
+        observed.1
+    );
+    assert_eq!(observed.0, golden_losses, "{name}: loss bits moved");
+    assert_eq!(
+        observed.1, golden_checksum,
+        "{name}: weight checksum moved ({:#018x} vs golden {golden_checksum:#018x})",
+        observed.1
+    );
+}
+
+#[test]
+fn dense_lambda_zero_one_shard() {
+    check(
+        "dense λ=0 shards=1",
+        session_run(mlp(&[48, 40]), false, 3, &options(16, 0.0, 1)),
+        &[0x40d0f9e8, 0x40d0ab18, 0x40cf81ca],
+        0xff6b_4aad_a735_00f7,
+    );
+}
+
+#[test]
+fn dense_lookahead_one_shard() {
+    check(
+        "dense λ=0.02 shards=1",
+        session_run(mlp(&[48, 40]), false, 3, &options(16, 0.02, 1)),
+        &[0x40d0f9e8, 0x40d0a626, 0x40cf7155],
+        0x4eb6_b09b_c564_13ae,
+    );
+}
+
+#[test]
+fn dense_lambda_zero_two_shards() {
+    check(
+        "dense λ=0 shards=2",
+        session_run(mlp(&[48, 40]), false, 3, &options(16, 0.0, 2)),
+        &[0x40d0f9ef, 0x40d0a98d, 0x40cf807d],
+        0x3ebe_63f2_9109_c62b,
+    );
+}
+
+#[test]
+fn dense_lookahead_two_shards() {
+    check(
+        "dense λ=0.02 shards=2",
+        session_run(mlp(&[48, 40]), false, 3, &options(16, 0.02, 2)),
+        &[0x40d0f9ef, 0x40d0a6f2, 0x40cf71ce],
+        0x652c_b58e_a07d_f506,
+    );
+}
+
+/// Hidden width 640: the second layer's `[640, 640]` weight is large enough
+/// that its live input-gradient product takes the cache-blocked loop.
+#[test]
+fn dense_wide_lookahead() {
+    check(
+        "dense 640 λ=0.02 shards=1",
+        session_run(mlp(&[640, 640]), false, 2, &options(32, 0.02, 1)),
+        &[0x40d1c77a, 0x40d1b5a0],
+        0x7103_c4b2_93a0_9dfd,
+    );
+}
+
+#[test]
+fn conv_lookahead_one_shard() {
+    check(
+        "conv λ=0.02 shards=1",
+        session_run(cnn(), true, 2, &options(4, 0.02, 1)),
+        &[0x40d7dce7, 0x40d7c19b],
+        0x4e1b_8d2b_eef7_8415,
+    );
+}
+
+#[test]
+fn conv_lambda_zero_two_shards() {
+    check(
+        "conv λ=0 shards=2",
+        session_run(cnn(), true, 2, &options(4, 0.0, 2)),
+        &[0x40d7dcfd, 0x40d7c1a0],
+        0xa646_0900_941d_906d,
+    );
+}
+
+#[test]
+fn pipeline_stage_pass() {
+    check(
+        "pipeline [1,2]",
+        pipeline_run(3, &[1, 2]),
+        &[0x40cfebd5, 0x40cf4120, 0x40ccec62],
+        0x9f1e_548f_5a5d_7374,
+    );
+}

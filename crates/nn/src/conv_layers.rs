@@ -2,7 +2,7 @@
 
 use crate::layer::{ForwardMode, Layer, ParamRefMut};
 use crate::{NnError, Result};
-use ff_quant::plan::{int8_matmul_a_bt_planned, int8_matmul_at_b_planned, QGemmPlan};
+use ff_quant::plan::{int8_matmul_a_bt_planned, int8_matmul_at_b_planned_accumulate, QGemmPlan};
 use ff_quant::QuantTensor;
 use ff_tensor::conv::{col2im, im2col, ConvGeometry};
 use ff_tensor::{init, linalg, Tensor};
@@ -17,7 +17,9 @@ use rand::Rng;
 /// and packed once into a cached [`QGemmPlan`] and reused by every im2col
 /// GEMM until an optimizer bumps the layer's parameter version; the
 /// quantized im2col column matrix of the latest forward is wrapped in a plan
-/// for the backward weight-gradient GEMM.
+/// for the backward weight-gradient GEMM — the only copy of the columns an
+/// INT8 step retains (the FP32 column matrix is kept for the FP32 backward
+/// alone).
 ///
 /// # Examples
 ///
@@ -52,6 +54,8 @@ pub struct Conv2d {
     weight_plan: Option<QGemmPlan>,
     /// How many times the weight plan has been (re)built.
     weight_plan_builds: u64,
+    /// im2col columns of the latest FP32 forward (`None` after an INT8
+    /// forward, whose backward reads `cols_plan` instead).
     cached_cols: Option<Tensor>,
     /// Quantized im2col columns of the latest INT8 forward, wrapped in a
     /// plan so the backward `gW` GEMM packs them at most once per step.
@@ -151,6 +155,67 @@ impl Conv2d {
         ])?)
     }
 
+    /// The one backward body: accumulates `gW`/`gb` and, when asked, returns
+    /// the input gradient. Skipping it drops the weight-matrix copy, the
+    /// `grad · W` column product and `col2im` — the call counter, the
+    /// gradient quantization and both parameter gradients are the same
+    /// either way.
+    fn backward_impl(
+        &mut self,
+        grad_output: &Tensor,
+        want_input_grad: bool,
+    ) -> Result<Option<Tensor>> {
+        const MISSING: NnError = NnError::MissingForwardState { layer: "conv2d" };
+        self.backward_calls = self.backward_calls.wrapping_add(1);
+        let input_shape = self.cached_input_shape.clone().ok_or(MISSING)?;
+        let (n, c, h, w) = (
+            input_shape[0],
+            input_shape[1],
+            input_shape[2],
+            input_shape[3],
+        );
+        let (oh, ow) = self.cached_output_hw;
+        let grad_post = match &self.cached_mask {
+            Some(mask) => grad_output.mul_elem(mask)?,
+            None => grad_output.clone(),
+        };
+        let grad_rows = self.nchw_to_rows(&grad_post, n, oh, ow);
+        // INT8 only: the gradient rows after their round trip through the
+        // quantizer, which is what the input-gradient product reads there.
+        let requantized = match self.last_mode {
+            ForwardMode::Fp32 => {
+                let cols = self.cached_cols.as_ref().ok_or(MISSING)?;
+                // gW = grad_rowsᵀ · cols → [oc, ic·kh·kw], the flat layout
+                // of `grad_weight`. An fp32 sum folded term by term into a
+                // non-zero accumulator would round differently, so this path
+                // keeps its temporary.
+                let gw = linalg::matmul_at_b(&grad_rows, cols)?;
+                self.grad_weight
+                    .add_assign(&gw.reshape(self.grad_weight.shape())?)?;
+                None
+            }
+            ForwardMode::Int8(rounding) => {
+                let cols_plan = self.cols_plan.as_mut().ok_or(MISSING)?;
+                let salt = SALT_BACKWARD_GRAD.wrapping_add(self.backward_calls.wrapping_mul(0x100));
+                let q_grad = QuantTensor::quantize_seeded(&grad_rows, rounding, salt);
+                // Added onto the accumulator inside the GEMM epilogue.
+                int8_matmul_at_b_planned_accumulate(
+                    &q_grad,
+                    cols_plan,
+                    self.grad_weight.data_mut(),
+                )?;
+                want_input_grad.then(|| q_grad.dequantize())
+            }
+        };
+        self.grad_bias.add_assign(&grad_rows.sum_axis0())?;
+        if !want_input_grad {
+            return Ok(None);
+        }
+        let dgrad_rows = requantized.as_ref().unwrap_or(&grad_rows);
+        let grad_cols = linalg::matmul(dgrad_rows, &self.weight_matrix()?)?;
+        Ok(Some(col2im(&grad_cols, n, c, h, w, self.geom)?))
+    }
+
     /// Reorders `[n·oh·ow, oc]` rows into `[n, oc, oh, ow]`.
     fn rows_to_nchw(&self, rows: &Tensor, n: usize, oh: usize, ow: usize) -> Tensor {
         let oc = self.out_channels;
@@ -223,7 +288,14 @@ impl Layer for Conv2d {
             ForwardMode::Fp32 => {
                 self.cols_plan = None;
                 let weight_mat = self.weight_matrix()?;
-                linalg::matmul_a_bt_fused(&cols, &weight_mat, Some(&self.bias), self.fused_relu)?
+                let out = linalg::matmul_a_bt_fused(
+                    &cols,
+                    &weight_mat,
+                    Some(&self.bias),
+                    self.fused_relu,
+                )?;
+                self.cached_cols = Some(cols);
+                out
             }
             ForwardMode::Int8(rounding) => {
                 let q_cols = QuantTensor::quantize_seeded(&cols, rounding, SALT_FORWARD_COLS);
@@ -243,7 +315,6 @@ impl Layer for Conv2d {
             }
         };
         let out = self.rows_to_nchw(&rows, n, oh, ow);
-        self.cached_cols = Some(cols);
         self.backward_calls = 0;
         self.cached_input_shape = Some(input.shape().to_vec());
         self.cached_output_hw = (oh, ow);
@@ -252,57 +323,12 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        self.backward_calls = self.backward_calls.wrapping_add(1);
-        let cols = self
-            .cached_cols
-            .as_ref()
-            .ok_or(NnError::MissingForwardState { layer: "conv2d" })?;
-        let input_shape = self
-            .cached_input_shape
-            .clone()
-            .ok_or(NnError::MissingForwardState { layer: "conv2d" })?;
-        let (n, c, h, w) = (
-            input_shape[0],
-            input_shape[1],
-            input_shape[2],
-            input_shape[3],
-        );
-        let (oh, ow) = self.cached_output_hw;
-        let grad_post = match &self.cached_mask {
-            Some(mask) => grad_output.mul_elem(mask)?,
-            None => grad_output.clone(),
-        };
-        let grad_rows = self.nchw_to_rows(&grad_post, n, oh, ow);
-        let weight_mat = self.weight_matrix()?;
-        let (gw_mat, grad_cols) = match self.last_mode {
-            ForwardMode::Fp32 => {
-                // gW = grad_rowsᵀ · cols  → [oc, ic·kh·kw]
-                let gw = linalg::matmul_at_b(&grad_rows, cols)?;
-                let gc = linalg::matmul(&grad_rows, &weight_mat)?;
-                (gw, gc)
-            }
-            ForwardMode::Int8(rounding) => {
-                let salt = SALT_BACKWARD_GRAD.wrapping_add(self.backward_calls.wrapping_mul(0x100));
-                let q_grad = QuantTensor::quantize_seeded(&grad_rows, rounding, salt);
-                let cols_plan = self
-                    .cols_plan
-                    .as_mut()
-                    .ok_or(NnError::MissingForwardState { layer: "conv2d" })?;
-                let gw = int8_matmul_at_b_planned(&q_grad, cols_plan)?;
-                let gc = linalg::matmul(&q_grad.dequantize(), &weight_mat)?;
-                (gw, gc)
-            }
-        };
-        let gw = gw_mat.reshape(&[
-            self.out_channels,
-            self.in_channels,
-            self.geom.kh,
-            self.geom.kw,
-        ])?;
-        self.grad_weight.add_assign(&gw)?;
-        self.grad_bias.add_assign(&grad_rows.sum_axis0())?;
-        let grad_input = col2im(&grad_cols, n, c, h, w, self.geom)?;
-        Ok(grad_input)
+        let grad_input = self.backward_impl(grad_output, true)?;
+        Ok(grad_input.expect("input gradient was requested"))
+    }
+
+    fn backward_params_only(&mut self, grad_output: &Tensor) -> Result<()> {
+        self.backward_impl(grad_output, false).map(drop)
     }
 
     fn params_mut(&mut self) -> Vec<ParamRefMut<'_>> {
@@ -489,6 +515,27 @@ mod tests {
             conv.cols_plan.is_none(),
             "switching to Fp32 must drop the quantized column plan"
         );
+        conv.backward(&Tensor::ones(&[1, 2, 5, 5])).unwrap();
+    }
+
+    #[test]
+    fn backward_params_only_matches_backward_on_parameter_gradients() {
+        let x = init::uniform(&[2, 2, 6, 6], -1.0, 1.0, &mut rng());
+        let g1 = init::uniform(&[2, 3, 3, 3], -1.0, 1.0, &mut rng());
+        let g2 = init::uniform(&[2, 3, 3, 3], -0.1, 0.1, &mut rng());
+        let conv = Conv2d::new(2, 3, 3, 2, 1, true, &mut rng()).unwrap();
+        crate::layer::assert_params_only_matches_backward(&conv, &x, &[&g1, &g2]);
+    }
+
+    #[test]
+    fn int8_forward_retains_no_fp32_columns() {
+        let mut conv = Conv2d::new(1, 2, 3, 1, 1, false, &mut rng()).unwrap();
+        let x = init::uniform(&[1, 1, 5, 5], -1.0, 1.0, &mut rng());
+        conv.forward(&x, ForwardMode::Fp32).unwrap();
+        assert!(conv.cached_cols.is_some());
+        conv.forward(&x, ForwardMode::Int8(Rounding::Nearest))
+            .unwrap();
+        assert!(conv.cached_cols.is_none(), "INT8 keeps only the plan");
         conv.backward(&Tensor::ones(&[1, 2, 5, 5])).unwrap();
     }
 

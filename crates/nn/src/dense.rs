@@ -2,7 +2,7 @@
 
 use crate::layer::{ForwardMode, Layer, ParamRefMut};
 use crate::{NnError, Result};
-use ff_quant::plan::{int8_matmul_a_bt_planned, int8_matmul_at_b_planned, QGemmPlan};
+use ff_quant::plan::{int8_matmul_a_bt_planned, int8_matmul_at_b_planned_accumulate, QGemmPlan};
 use ff_quant::QuantTensor;
 use ff_tensor::{init, linalg, Tensor};
 use rand::Rng;
@@ -29,6 +29,8 @@ const SALT_BACKWARD_GRAD: u64 = 0xD2;
 /// version. The quantized input of the most recent INT8 forward is likewise
 /// wrapped in a plan so the backward weight-gradient GEMM — which the
 /// look-ahead scheme runs twice per step — packs the input at most once.
+/// That plan is the only forward state an INT8 step retains: the FP32 input
+/// is kept for the FP32 backward alone.
 ///
 /// # Examples
 ///
@@ -64,6 +66,8 @@ pub struct Dense {
     /// How many times the weight plan has been (re)built — exposed for tests
     /// asserting the cache is neither stale nor rebuilt needlessly.
     weight_plan_builds: u64,
+    /// Input of the latest FP32 forward (`None` after an INT8 forward, whose
+    /// backward reads `input_plan` instead).
     cached_input: Option<Tensor>,
     /// Quantized input of the latest INT8 forward, wrapped in a plan so the
     /// backward `gW` GEMM packs it at most once per step.
@@ -176,6 +180,59 @@ impl Dense {
         Ok(())
     }
 
+    /// The one backward body: accumulates `gW`/`gb` and, when asked, returns
+    /// the input gradient. Skipping it drops the `grad · W` product only —
+    /// the call counter, the gradient quantization and both parameter
+    /// gradients are the same either way.
+    fn backward_impl(
+        &mut self,
+        grad_output: &Tensor,
+        want_input_grad: bool,
+    ) -> Result<Option<Tensor>> {
+        const MISSING: NnError = NnError::MissingForwardState { layer: "dense" };
+        self.backward_calls = self.backward_calls.wrapping_add(1);
+        let salt = self.backward_salt();
+        let grad_pre = match &self.cached_mask {
+            Some(mask) => grad_output.mul_elem(mask)?,
+            None => grad_output.clone(),
+        };
+        // Parameter gradients. In INT8 mode both operands of the gW GEMM are
+        // quantized, matching the paper's dataflow (Fig. 4) — and the input
+        // gradient reads the gradient after its round trip through the
+        // quantizer (`requantized`).
+        let requantized = match self.last_mode {
+            ForwardMode::Fp32 => {
+                let input = self.cached_input.as_ref().ok_or(MISSING)?;
+                // An fp32 sum folded term by term into a non-zero accumulator
+                // would round differently, so this path keeps its temporary.
+                let gw = linalg::matmul_at_b(&grad_pre, input)?;
+                self.grad_weight.add_assign(&gw)?;
+                None
+            }
+            ForwardMode::Int8(rounding) => {
+                let input_plan = self.input_plan.as_mut().ok_or(MISSING)?;
+                let q_grad = QuantTensor::quantize_seeded(&grad_pre, rounding, salt);
+                // gW[o, i] += Σ_batch gY[b, o] · A[b, i] — an INT8 GEMM with i32
+                // accumulation over the quantized gradient and the forward
+                // pass's cached input plan (packed once, reused by the second
+                // look-ahead backward), added onto the accumulator inside
+                // the GEMM epilogue.
+                int8_matmul_at_b_planned_accumulate(
+                    &q_grad,
+                    input_plan,
+                    self.grad_weight.data_mut(),
+                )?;
+                want_input_grad.then(|| q_grad.dequantize())
+            }
+        };
+        self.grad_bias.add_assign(&grad_pre.sum_axis0())?;
+        if !want_input_grad {
+            return Ok(None);
+        }
+        let dgrad = requantized.as_ref().unwrap_or(&grad_pre);
+        Ok(Some(linalg::matmul(dgrad, &self.weight)?))
+    }
+
     fn check_input(&self, input: &Tensor) -> Result<()> {
         if input.ndim() != 2 || input.shape()[1] != self.in_features {
             return Err(NnError::InvalidInput {
@@ -212,6 +269,7 @@ impl Layer for Dense {
         let (out, mask) = match mode {
             ForwardMode::Fp32 => {
                 self.input_plan = None;
+                self.cached_input = Some(input.clone());
                 linalg::matmul_a_bt_fused(input, &self.weight, Some(&self.bias), self.fused_relu)?
             }
             ForwardMode::Int8(rounding) => {
@@ -231,49 +289,18 @@ impl Layer for Dense {
                 out
             }
         };
-        self.cached_input = Some(input.clone());
         self.cached_mask = mask;
         self.backward_calls = 0;
         Ok(out)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        self.backward_calls = self.backward_calls.wrapping_add(1);
-        let input = self
-            .cached_input
-            .as_ref()
-            .ok_or(NnError::MissingForwardState { layer: "dense" })?;
-        let grad_pre = match &self.cached_mask {
-            Some(mask) => grad_output.mul_elem(mask)?,
-            None => grad_output.clone(),
-        };
-        // Parameter gradients. In INT8 mode both operands of the gW GEMM are
-        // quantized, matching the paper's dataflow (Fig. 4).
-        let (gw, grad_input) = match self.last_mode {
-            ForwardMode::Fp32 => {
-                let gw = linalg::matmul_at_b(&grad_pre, input)?;
-                let gi = linalg::matmul(&grad_pre, &self.weight)?;
-                (gw, gi)
-            }
-            ForwardMode::Int8(rounding) => {
-                let q_grad =
-                    QuantTensor::quantize_seeded(&grad_pre, rounding, self.backward_salt());
-                let input_plan = self
-                    .input_plan
-                    .as_mut()
-                    .ok_or(NnError::MissingForwardState { layer: "dense" })?;
-                // gW[o, i] = Σ_batch gY[b, o] · A[b, i] — an INT8 GEMM with i32
-                // accumulation over the quantized gradient and the forward
-                // pass's cached input plan (packed once, reused by the second
-                // look-ahead backward).
-                let gw = int8_matmul_at_b_planned(&q_grad, input_plan)?;
-                let gi = linalg::matmul(&q_grad.dequantize(), &self.weight)?;
-                (gw, gi)
-            }
-        };
-        self.grad_weight.add_assign(&gw)?;
-        self.grad_bias.add_assign(&grad_pre.sum_axis0())?;
-        Ok(grad_input)
+        let grad_input = self.backward_impl(grad_output, true)?;
+        Ok(grad_input.expect("input gradient was requested"))
+    }
+
+    fn backward_params_only(&mut self, grad_output: &Tensor) -> Result<()> {
+        self.backward_impl(grad_output, false).map(drop)
     }
 
     fn params_mut(&mut self) -> Vec<ParamRefMut<'_>> {
@@ -587,6 +614,28 @@ mod tests {
         let plan = ff_quant::QGemmPlan::from_tensor(layer.weight(), 0).unwrap();
         assert_eq!(w1.codes(), plan.quant().codes());
         assert_eq!(w1.scale(), plan.scale());
+    }
+
+    #[test]
+    fn backward_params_only_matches_backward_on_parameter_gradients() {
+        let x = init::uniform(&[5, 12], -1.0, 1.0, &mut rng());
+        let g1 = init::uniform(&[5, 7], -1.0, 1.0, &mut rng());
+        let g2 = init::uniform(&[5, 7], -0.1, 0.1, &mut rng());
+        let layer = Dense::new(12, 7, true, &mut rng());
+        crate::layer::assert_params_only_matches_backward(&layer, &x, &[&g1, &g2]);
+    }
+
+    #[test]
+    fn int8_forward_retains_no_fp32_input() {
+        let mut layer = Dense::new(6, 3, false, &mut rng());
+        let x = init::uniform(&[2, 6], -1.0, 1.0, &mut rng());
+        layer.forward(&x, ForwardMode::Fp32).unwrap();
+        assert!(layer.cached_input.is_some());
+        layer
+            .forward(&x, ForwardMode::Int8(Rounding::Nearest))
+            .unwrap();
+        assert!(layer.cached_input.is_none(), "INT8 keeps only the plan");
+        layer.backward(&Tensor::ones(&[2, 3])).unwrap();
     }
 
     #[test]

@@ -122,6 +122,23 @@ pub trait Layer: Send {
     /// output shape.
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor>;
 
+    /// [`Layer::backward`] for callers that drop the input gradient:
+    /// accumulates exactly the same parameter gradients (and advances any
+    /// per-call state, such as seeded rounding streams, identically) but may
+    /// skip computing the gradient w.r.t. the layer input.
+    ///
+    /// Forward-Forward training needs this for every layer whose input
+    /// gradient nobody consumes — all of them without look-ahead, the first
+    /// one always. The default just discards what `backward` returns;
+    /// layers whose input-gradient product is expensive override it.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Layer::backward`].
+    fn backward_params_only(&mut self, grad_output: &Tensor) -> Result<()> {
+        self.backward(grad_output).map(drop)
+    }
+
     /// Mutable access to every parameter/gradient pair of the layer.
     fn params_mut(&mut self) -> Vec<ParamRefMut<'_>> {
         Vec::new()
@@ -154,6 +171,47 @@ pub trait Layer: Send {
     fn snapshot(&self) -> Option<LayerSnapshot> {
         None
     }
+}
+
+/// Test helper shared by the layers that override
+/// [`Layer::backward_params_only`]: in FP32 and in seeded INT8, after one
+/// forward, feeds `grads` to `backward` on one clone and to
+/// `backward_params_only` on another and requires bit-identical parameter
+/// gradients after every call. Several `grads` model the look-ahead relay:
+/// later calls draw from the next seeded rounding stream and accumulate onto
+/// a non-zero gradient. Also checks the missing-forward error.
+#[cfg(test)]
+pub(crate) fn assert_params_only_matches_backward<L: Layer + Clone>(
+    fresh: &L,
+    input: &Tensor,
+    grads: &[&Tensor],
+) {
+    fn grad_bits(layer: &mut impl Layer) -> Vec<Vec<u32>> {
+        let params = layer.params_mut();
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect();
+        params.iter().map(|p| bits(p.grad)).collect()
+    }
+    for mode in [
+        ForwardMode::Fp32,
+        ForwardMode::Int8(Rounding::StochasticSeeded(9)),
+    ] {
+        let mut full = fresh.clone();
+        full.forward(input, mode).unwrap();
+        let mut params_only = full.clone();
+        for grad in grads {
+            full.backward(grad).unwrap();
+            params_only.backward_params_only(grad).unwrap();
+            assert_eq!(
+                grad_bits(&mut full),
+                grad_bits(&mut params_only),
+                "{mode:?}"
+            );
+        }
+    }
+    assert!(matches!(
+        fresh.clone().backward_params_only(grads[0]),
+        Err(crate::NnError::MissingForwardState { .. })
+    ));
 }
 
 #[cfg(test)]

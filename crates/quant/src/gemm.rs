@@ -56,7 +56,11 @@
 //! output tile is still cache-hot, optionally fused with a per-column bias
 //! add and ReLU (+ gradient-mask capture) via [`int8_matmul_a_bt_fused`] —
 //! the hook the dense/conv layers use to avoid separate bias/activation
-//! passes over the output.
+//! passes over the output. For gradient accumulators the epilogue also has
+//! an **accumulate mode** ([`int8_gemm_prepacked_accumulate`]): `out += acc ·
+//! scale` straight into the caller's buffer, bit-identical to storing the
+//! product and adding it afterwards but without the temporary or the second
+//! pass.
 
 use crate::pack::{PackSource, PackedA, PackedB, KC, MC, MR, NC, NR};
 use crate::{QuantTensor, Result};
@@ -189,6 +193,7 @@ pub fn int8_gemm_prepacked(
         scale: ScaleSpec::Uniform(scale),
         bias,
         relu,
+        accumulate: false,
     };
     int8_gemm_prepacked_inner(packed_a, packed_b, &epilogue, relu, threads)
 }
@@ -230,8 +235,42 @@ pub fn int8_gemm_prepacked_rowscale(
         },
         bias,
         relu,
+        accumulate: false,
     };
     Ok(int8_gemm_prepacked_inner(packed_a, packed_b, &epilogue, false, threads)?.0)
+}
+
+/// [`int8_gemm_prepacked`] in **accumulate mode**: the epilogue adds each
+/// dequantized element into `out` (`out[i, j] += acc · scale`) instead of
+/// storing it, so a gradient accumulator receives the product without a
+/// temporary `m × n` tensor or a second pass over it.
+///
+/// Per element this is the same two roundings — the `acc · scale` product,
+/// then the add — as [`int8_gemm_prepacked`] followed by
+/// `Tensor::add_assign`, hence bit-identical to that sequence.
+///
+/// `out` is read as the row-major `m × n` product; only its length is
+/// checked, so a higher-rank accumulator with the same flat layout (a conv
+/// weight gradient `[oc, ic, kh, kw]`) can be passed as is.
+///
+/// # Errors
+///
+/// Returns a shape error when the operands' packed depths disagree or `out`
+/// does not hold `m · n` elements.
+pub fn int8_gemm_prepacked_accumulate(
+    packed_a: &PackedA,
+    packed_b: &PackedB,
+    scale: f32,
+    out: &mut [f32],
+    threads: Option<usize>,
+) -> Result<()> {
+    let epilogue = Epilogue {
+        scale: ScaleSpec::Uniform(scale),
+        bias: None,
+        relu: false,
+        accumulate: true,
+    };
+    int8_gemm_prepacked_into(packed_a, packed_b, &epilogue, out, None, threads)
 }
 
 fn int8_gemm_prepacked_inner(
@@ -241,12 +280,48 @@ fn int8_gemm_prepacked_inner(
     want_mask: bool,
     threads: Option<usize>,
 ) -> Result<(Tensor, Option<Tensor>)> {
+    let (m, n) = (packed_a.m, packed_b.n);
+    let mut out = vec![0.0f32; m * n];
+    let mut mask = want_mask.then(|| vec![0.0f32; m * n]);
+    int8_gemm_prepacked_into(
+        packed_a,
+        packed_b,
+        epilogue,
+        &mut out,
+        mask.as_deref_mut(),
+        threads,
+    )?;
+    let out = Tensor::from_vec(&[m, n], out)?;
+    let mask = mask
+        .map(|mask| Tensor::from_vec(&[m, n], mask))
+        .transpose()?;
+    Ok((out, mask))
+}
+
+/// The one engine driver: validates shapes, shards `out` (and `mask`) into
+/// row panels and runs [`gemm_worker`] on each. `out` is overwritten or
+/// accumulated into as the epilogue says.
+fn int8_gemm_prepacked_into(
+    packed_a: &PackedA,
+    packed_b: &PackedB,
+    epilogue: &Epilogue<'_>,
+    out: &mut [f32],
+    mask: Option<&mut [f32]>,
+    threads: Option<usize>,
+) -> Result<()> {
     let (m, k, n) = (packed_a.m, packed_a.k, packed_b.n);
     if packed_a.k != packed_b.k {
         return Err(TensorError::ShapeMismatch {
             left: vec![m, packed_a.k],
             right: vec![packed_b.k, n],
             op: "int8_gemm_prepacked",
+        });
+    }
+    if out.len() != m * n {
+        return Err(TensorError::ShapeMismatch {
+            left: vec![out.len()],
+            right: vec![m, n],
+            op: "int8_gemm_prepacked output",
         });
     }
     if let Some(bias) = epilogue.bias {
@@ -259,16 +334,9 @@ fn int8_gemm_prepacked_inner(
         }
     }
     let threads = threads.unwrap_or_else(|| worker_count(m * n * k, m.div_ceil(MR)));
-    let mut out = vec![0.0f32; m * n];
-    let mut mask = if want_mask {
-        vec![0.0f32; m * n]
-    } else {
-        Vec::new()
-    };
-    let mask_slice = if want_mask { Some(&mut mask[..]) } else { None };
     shard_rows(
-        &mut out,
-        mask_slice,
+        out,
+        mask,
         n.max(1),
         MR,
         threads,
@@ -282,14 +350,7 @@ fn int8_gemm_prepacked_inner(
                 epilogue,
             );
         },
-    )?;
-    let out = Tensor::from_vec(&[m, n], out)?;
-    let mask = if want_mask {
-        Some(Tensor::from_vec(&[m, n], mask)?)
-    } else {
-        None
-    };
-    Ok((out, mask))
+    )
 }
 
 /// How the epilogue dequantizes `i32` accumulators into `f32` output.
@@ -316,12 +377,16 @@ impl ScaleSpec<'_> {
 }
 
 /// The fused post-GEMM pass: dequantization scale(s), optional per-column
-/// bias, optional ReLU clamp.
+/// bias, optional ReLU clamp — stored into the output, or (without bias and
+/// ReLU) added onto it.
 #[derive(Debug, Clone, Copy)]
 struct Epilogue<'a> {
     scale: ScaleSpec<'a>,
     bias: Option<&'a Tensor>,
     relu: bool,
+    /// `out += acc · scale` instead of `out = …`; only built by
+    /// [`int8_gemm_prepacked_accumulate`], which sets neither bias nor ReLU.
+    accumulate: bool,
 }
 
 /// Runs the blocked kernel for one thread's panel of output rows.
@@ -395,6 +460,12 @@ fn gemm_worker(
                 let scale = epilogue.scale.for_row(first_row + row);
                 let out_row = &mut panel[row * n + jc..row * n + jc + nc_real];
                 match bias {
+                    // Accumulate mode carries neither bias nor ReLU.
+                    None if epilogue.accumulate => {
+                        for (o, &acc) in out_row.iter_mut().zip(acc_row) {
+                            *o += acc as f32 * scale;
+                        }
+                    }
                     Some(bias) => {
                         let bias_seg = &bias[jc..jc + nc_real];
                         for ((o, &acc), &bj) in out_row.iter_mut().zip(acc_row).zip(bias_seg) {

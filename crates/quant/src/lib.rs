@@ -59,12 +59,13 @@ pub mod plan;
 pub mod stats;
 
 pub use gemm::{
-    int8_gemm, int8_gemm_op_count, int8_gemm_prepacked, int8_gemm_prepacked_rowscale, int8_matmul,
-    int8_matmul_a_bt, int8_matmul_a_bt_fused, int8_matmul_at_b, GemmVariant,
+    int8_gemm, int8_gemm_op_count, int8_gemm_prepacked, int8_gemm_prepacked_accumulate,
+    int8_gemm_prepacked_rowscale, int8_matmul, int8_matmul_a_bt, int8_matmul_a_bt_fused,
+    int8_matmul_at_b, GemmVariant,
 };
 pub use plan::{
     int8_matmul_a_bt_planned, int8_matmul_a_bt_shared_rows, int8_matmul_at_b_planned,
-    int8_matmul_planned, QGemmPlan, SharedGemmPlan,
+    int8_matmul_at_b_planned_accumulate, int8_matmul_planned, QGemmPlan, SharedGemmPlan,
 };
 pub use qtensor::{QuantTensor, RowQuantTensor};
 pub use suq::{

@@ -34,6 +34,8 @@
 //! only changes the gather indices, after which the engine runs one single
 //! micro-kernel for every variant.
 
+use ff_tensor::par::{shard_rows, worker_count};
+
 /// Rows per A micro-panel (micro-kernel tile height).
 pub const MR: usize = 2;
 
@@ -50,6 +52,11 @@ pub const KC: usize = 256;
 /// Column-block size: columns of `C` (and of the packed `B` panel) per
 /// outermost block. Must be a multiple of [`NR`].
 pub const NC: usize = 256;
+
+/// Depths packed per pass over a strip's source rows by the transposed `B`
+/// packer (even, so blocks hold whole pairs): `128 × NR` `i16`s are 16 KiB
+/// of destination.
+const TRANSPOSE_DEPTH_BLOCK: usize = 128;
 
 /// How a packed operand's source buffer is laid out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -197,16 +204,32 @@ impl PackedB {
                 }
             }
             PackSource::Transposed => {
-                for t in 0..strips {
-                    let base = t * k2 * 2 * NR;
-                    let cols = NR.min(n - t * NR);
-                    for jr in 0..cols {
-                        let src_row = &codes[(t * NR + jr) * k..(t * NR + jr + 1) * k];
-                        for (p, &v) in src_row.iter().enumerate() {
-                            data[base + (p / 2) * 2 * NR + (p % 2) * NR + jr] = v as i16;
+                // Strips are disjoint destination ranges, so they shard across
+                // workers like GEMM row panels. Within a strip the depth is
+                // walked in blocks: a source row scatters with a stride of
+                // one `NR`-wide row per element, and a block of
+                // `TRANSPOSE_DEPTH_BLOCK` depths keeps the destination span
+                // L1-resident while all `NR` source rows fill it.
+                // (`max(1)`: with `k == 0` there is nothing to pack and no
+                // strip length to shard by.)
+                let strip_len = (k2 * 2 * NR).max(1);
+                let threads = worker_count(k * n, strips);
+                shard_rows(&mut data, None, strip_len, 1, threads, |first, panel, _| {
+                    for (t, dst) in panel.chunks_mut(strip_len).enumerate() {
+                        let first_col = (first + t) * NR;
+                        let cols = NR.min(n - first_col);
+                        for p0 in (0..k).step_by(TRANSPOSE_DEPTH_BLOCK) {
+                            let p1 = (p0 + TRANSPOSE_DEPTH_BLOCK).min(k);
+                            for jr in 0..cols {
+                                let src_row = &codes[(first_col + jr) * k..][p0..p1];
+                                for (p, &v) in (p0..p1).zip(src_row) {
+                                    dst[(p / 2) * 2 * NR + (p % 2) * NR + jr] = v as i16;
+                                }
+                            }
                         }
                     }
-                }
+                })
+                .expect("packed B storage is whole strips");
             }
         }
         PackedB {
@@ -316,18 +339,30 @@ mod tests {
 
     #[test]
     fn packed_b_transposed_matches_row_major_of_transpose() {
-        let (k, n) = (5, 66);
-        // `stored` is [n, k]; logical B̂ is its transpose [k, n].
-        let stored = sample_codes(n * k);
-        let mut logical = vec![0i8; k * n];
-        for j in 0..n {
-            for p in 0..k {
-                logical[p * n + j] = stored[j * k + p];
+        // Depths below, at, just above and well above the transposed
+        // packer's depth block, with a ragged last strip; the last shape is
+        // large enough to shard strips across worker threads.
+        for (k, n) in [
+            (5, 66),
+            (TRANSPOSE_DEPTH_BLOCK - 1, 70),
+            (TRANSPOSE_DEPTH_BLOCK, 64),
+            (TRANSPOSE_DEPTH_BLOCK + 1, 130),
+            (3 * TRANSPOSE_DEPTH_BLOCK + 7, 65),
+            (2100, 520),
+            (0, 3),
+        ] {
+            // `stored` is [n, k]; logical B̂ is its transpose [k, n].
+            let stored = sample_codes(n * k);
+            let mut logical = vec![0i8; k * n];
+            for j in 0..n {
+                for p in 0..k {
+                    logical[p * n + j] = stored[j * k + p];
+                }
             }
+            let via_transpose = PackedB::pack(&stored, k, n, PackSource::Transposed);
+            let via_row_major = PackedB::pack(&logical, k, n, PackSource::RowMajor);
+            assert!(via_transpose.data == via_row_major.data, "k={k} n={n}");
         }
-        let via_transpose = PackedB::pack(&stored, k, n, PackSource::Transposed);
-        let via_row_major = PackedB::pack(&logical, k, n, PackSource::RowMajor);
-        assert_eq!(via_transpose.data, via_row_major.data);
     }
 
     #[test]

@@ -29,7 +29,9 @@
 //! a dense layer's weight plan pays the `[n,k]`-transposed B packing once
 //! per optimizer step instead of once per forward, and an input plan built
 //! during the forward pass serves both look-ahead backward calls without
-//! repacking.
+//! repacking. Those backward calls add their weight gradient onto the
+//! layer's accumulator inside the GEMM epilogue
+//! ([`int8_matmul_at_b_planned_accumulate`]).
 //!
 //! # Invalidation
 //!
@@ -85,7 +87,9 @@
 //! # }
 //! ```
 
-use crate::gemm::{int8_gemm_prepacked, int8_gemm_prepacked_rowscale};
+use crate::gemm::{
+    int8_gemm_prepacked, int8_gemm_prepacked_accumulate, int8_gemm_prepacked_rowscale,
+};
 use crate::pack::{PackSource, PackedA, PackedB};
 use crate::{QuantTensor, Result, Rounding, RowQuantTensor};
 use ff_tensor::{Tensor, TensorError};
@@ -435,10 +439,47 @@ pub fn int8_matmul_a_bt_planned(
 /// the look-ahead scheme backpropagates through each layer twice per step,
 /// so the second call gets the input packing for free.
 ///
+/// Layers accumulating into an existing gradient use
+/// [`int8_matmul_at_b_planned_accumulate`] instead, which skips the
+/// temporary this function returns.
+///
 /// # Errors
 ///
 /// Returns rank/shape errors when the operands are not conformable.
 pub fn int8_matmul_at_b_planned(a: &QuantTensor, plan: &mut QGemmPlan) -> Result<Tensor> {
+    let (packed_a, packed_b, scale) = at_b_operands(a, plan)?;
+    Ok(int8_gemm_prepacked(&packed_a, packed_b, scale, None, false, None)?.0)
+}
+
+/// [`int8_matmul_at_b_planned`] in accumulate mode: adds `aᵀ × plan` into
+/// `out` inside the GEMM epilogue (`out[i, j] += acc · scale`) — how the
+/// dense/conv layers add a backward call's weight gradient onto their
+/// accumulator with no temporary and no second pass.
+///
+/// `out` is read as the row-major `[m, n]` product; see
+/// [`crate::gemm::int8_gemm_prepacked_accumulate`] for the bit-identity
+/// contract.
+///
+/// # Errors
+///
+/// Returns rank/shape errors when the operands are not conformable or `out`
+/// does not hold `m · n` elements.
+pub fn int8_matmul_at_b_planned_accumulate(
+    a: &QuantTensor,
+    plan: &mut QGemmPlan,
+    out: &mut [f32],
+) -> Result<()> {
+    let (packed_a, packed_b, scale) = at_b_operands(a, plan)?;
+    int8_gemm_prepacked_accumulate(&packed_a, packed_b, scale, out, None)
+}
+
+/// Validates and packs the operands of `aᵀ × plan`: the per-call transposed
+/// `A` panels, the plan's cached row-major `B` panels, and the combined
+/// dequantization scale.
+fn at_b_operands<'p>(
+    a: &QuantTensor,
+    plan: &'p mut QGemmPlan,
+) -> Result<(PackedA, &'p PackedB, f32)> {
     let (ka, m) = check_operand_rank2(a, "int8_matmul_at_b_planned")?;
     let kb = plan.shape()[0];
     if ka != kb {
@@ -450,7 +491,7 @@ pub fn int8_matmul_at_b_planned(a: &QuantTensor, plan: &mut QGemmPlan) -> Result
     }
     let packed_a = PackedA::pack(a.codes(), m, ka, PackSource::Transposed);
     let scale = a.scale() * plan.scale();
-    Ok(int8_gemm_prepacked(&packed_a, plan.packed_as_b(), scale, None, false, None)?.0)
+    Ok((packed_a, plan.packed_as_b(), scale))
 }
 
 /// `a [m, k] × plan` where the plan wraps a `[k, n]` tensor — the planned

@@ -2,8 +2,11 @@
 //! the per-row variant [`RowQuantTensor`] used by batching-invariant
 //! inference.
 
-use crate::suq::{compute_scale, quantize_slice, QuantConfig, Rounding, QMAX, QMIN};
+use crate::suq::{
+    compute_scale, quantize_nearest_into, quantize_value, QuantConfig, Rounding, QMAX, QMIN,
+};
 use crate::Result;
+use ff_tensor::par::{shard_rows, worker_count};
 use ff_tensor::{Tensor, TensorError};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -55,30 +58,61 @@ impl QuantTensor {
     /// [`Rounding::Nearest`] ignores the salt entirely, and plain
     /// [`Rounding::Stochastic`] keeps its historical thread-local draws.
     pub fn quantize_seeded(tensor: &Tensor, rounding: Rounding, site_salt: u64) -> Self {
+        let stochastic = QuantConfig::new(Rounding::Stochastic);
         match rounding.derive(site_salt) {
+            Rounding::Nearest => Self::quantize_nearest(tensor, None),
             Rounding::StochasticSeeded(seed) => {
                 use rand::SeedableRng;
                 let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-                Self::quantize_with_rng(tensor, QuantConfig::new(Rounding::Stochastic), &mut rng)
+                Self::quantize_with_rng(tensor, stochastic, &mut rng)
             }
-            other => {
-                let mut rng = rand::thread_rng();
-                Self::quantize_with_rng(tensor, QuantConfig::new(other), &mut rng)
+            Rounding::Stochastic => {
+                Self::quantize_with_rng(tensor, stochastic, &mut rand::thread_rng())
             }
         }
     }
 
     /// Quantizes with an explicit configuration (rounding mode and optional
-    /// clipping threshold) and RNG.
+    /// clipping threshold) and RNG. [`Rounding::Nearest`] never draws from
+    /// `rng`.
     pub fn quantize_with_rng<R: Rng + ?Sized>(
         tensor: &Tensor,
         config: QuantConfig,
         rng: &mut R,
     ) -> Self {
+        if config.rounding == Rounding::Nearest {
+            return Self::quantize_nearest(tensor, config.clip);
+        }
         let clip = config.clip.unwrap_or_else(|| tensor.max_abs());
         let scale = compute_scale(clip);
-        let clipped: Vec<f32> = tensor.data().iter().map(|v| v.clamp(-clip, clip)).collect();
-        let codes = quantize_slice(&clipped, scale, config.rounding, rng);
+        // Stochastic draws are one sequential stream, so this path stays a
+        // serial per-element loop.
+        let codes = tensor
+            .data()
+            .iter()
+            .map(|&v| quantize_value(v.clamp(-clip, clip), scale, config.rounding, rng))
+            .collect();
+        QuantTensor {
+            shape: tensor.shape().to_vec(),
+            codes,
+            scale,
+        }
+    }
+
+    /// Deterministic nearest rounding in one pass over the tensor: no
+    /// clipped copy, no RNG, element ranges sharded across worker threads
+    /// (each code depends on its own element only, so the split cannot
+    /// change a code).
+    fn quantize_nearest(tensor: &Tensor, clip: Option<f32>) -> Self {
+        let clip = clip.unwrap_or_else(|| tensor.max_abs());
+        let scale = compute_scale(clip);
+        let values = tensor.data();
+        let mut codes = vec![0i8; values.len()];
+        let threads = worker_count(values.len(), values.len());
+        shard_rows(&mut codes, None, 1, 1, threads, |first, panel, _| {
+            quantize_nearest_into(&values[first..first + panel.len()], clip, scale, panel);
+        })
+        .expect("a unit row width divides every length");
         QuantTensor {
             shape: tensor.shape().to_vec(),
             codes,
@@ -360,6 +394,68 @@ mod tests {
         let q = QuantTensor::quantize_with_rng(&t, QuantConfig::default(), &mut rng());
         assert!(q.quantization_mse(&Tensor::ones(&[4])).is_err());
         assert!(q.quantization_mse(&t).unwrap() < 1e-4);
+    }
+
+    #[test]
+    fn nearest_fast_path_matches_quantize_value_on_adversarial_values() {
+        // Exact ties in both directions, the ±clip edges, the largest value
+        // below one half (where `x + 0.5` would round the wrong way),
+        // signed zeros, subnormals, non-finite values — then enough filler
+        // to cross the multi-thread sharding threshold.
+        let scale = compute_scale(1.0);
+        let mut data = vec![
+            0.0,
+            -0.0,
+            0.5 * scale,
+            -0.5 * scale,
+            1.5 * scale,
+            -1.5 * scale,
+            2.5 * scale,
+            126.5 * scale,
+            -126.5 * scale,
+            0.499_999_97 * scale,
+            -0.499_999_97 * scale,
+            0.499_999_97,
+            1.0,
+            -1.0,
+            1.000_000_1,
+            -1.000_000_1,
+            7.0,
+            -7.0,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            f32::MIN_POSITIVE / 4.0,
+            1e-45,
+            -1e-45,
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+        ];
+        data.extend(
+            (0..(1usize << 20) + 77).map(|i| ((i * 2_654_435_761) % 4001) as f32 / 2000.0 - 1.0),
+        );
+        let t = Tensor::from_vec(&[data.len()], data).unwrap();
+        for clip in [Some(1.0f32), Some(0.3), None] {
+            let config = QuantConfig::new(Rounding::Nearest).with_clip(clip);
+            let q = QuantTensor::quantize_with_rng(&t, config, &mut rng());
+            let clip = clip.unwrap_or_else(|| t.max_abs());
+            assert_eq!(q.scale().to_bits(), compute_scale(clip).to_bits());
+            for (i, (&code, &v)) in q.codes().iter().zip(t.data()).enumerate() {
+                let expected = quantize_value(
+                    v.clamp(-clip, clip),
+                    q.scale(),
+                    Rounding::Nearest,
+                    &mut rng(),
+                );
+                assert_eq!(code, expected, "element {i} = {v:e}, clip {clip}");
+            }
+        }
+        // The seeded entry point takes the same path and never needs an RNG.
+        let finite = Tensor::from_vec(&[4], vec![0.5, -0.25, 0.125, 1.0]).unwrap();
+        assert_eq!(
+            QuantTensor::quantize_seeded(&finite, Rounding::Nearest, 3),
+            QuantTensor::quantize_with_rng(&finite, QuantConfig::default(), &mut rng())
+        );
     }
 
     #[test]

@@ -140,6 +140,30 @@ pub fn quantize_value<R: Rng + ?Sized>(
     rounded.clamp(QMIN as f32, QMAX as f32) as i8
 }
 
+/// Nearest-rounding quantization of a whole slice: `codes[i]` is exactly
+/// `quantize_value(values[i].clamp(-clip, clip), scale, Rounding::Nearest, _)`
+/// — the same clamp, divide, `round` (ties away from zero) and clamp per
+/// element — written as one straight loop with no RNG and no per-element
+/// mode dispatch so it vectorizes.
+pub(crate) fn quantize_nearest_into(values: &[f32], clip: f32, scale: f32, codes: &mut [i8]) {
+    // `f32 as i8` is a saturating cast LLVM scalarises. After the clamp the
+    // value is an integer in [−127, 127] (or NaN), so adding 1.5·2²³ is
+    // exact and leaves that integer in the low mantissa bits: subtracting
+    // the bias's bit pattern converts it with plain integer lanes. NaN maps
+    // to 0, as the saturating cast does.
+    const BIAS: f32 = 12_582_912.0; // 1.5 · 2^23
+    for (code, &v) in codes.iter_mut().zip(values) {
+        let x = v.clamp(-clip, clip) / scale;
+        let rounded = x.round().clamp(QMIN as f32, QMAX as f32);
+        let biased = (rounded + BIAS).to_bits() as i32;
+        *code = if rounded.is_nan() {
+            0
+        } else {
+            biased.wrapping_sub(BIAS.to_bits() as i32) as i8
+        };
+    }
+}
+
 /// Converts a quantized value back to its real approximation.
 pub fn dequantize_value(q: i8, scale: f32) -> f32 {
     q as f32 * scale

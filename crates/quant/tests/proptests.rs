@@ -8,11 +8,13 @@
 //! `ff_quant::gemm::reference` **bit-exactly**.
 
 use ff_quant::gemm::reference;
+use ff_quant::pack::{PackSource, PackedA, PackedB};
 use ff_quant::{
-    compute_scale, int8_gemm, int8_matmul, int8_matmul_a_bt, int8_matmul_a_bt_fused,
-    int8_matmul_a_bt_planned, int8_matmul_a_bt_shared_rows, int8_matmul_at_b,
-    int8_matmul_at_b_planned, int8_matmul_planned, GemmVariant, QGemmPlan, QuantConfig,
-    QuantTensor, Rounding, RowQuantTensor, SharedGemmPlan,
+    compute_scale, int8_gemm, int8_gemm_prepacked, int8_gemm_prepacked_accumulate, int8_matmul,
+    int8_matmul_a_bt, int8_matmul_a_bt_fused, int8_matmul_a_bt_planned,
+    int8_matmul_a_bt_shared_rows, int8_matmul_at_b, int8_matmul_at_b_planned,
+    int8_matmul_at_b_planned_accumulate, int8_matmul_planned, quantize_value, GemmVariant,
+    QGemmPlan, QuantConfig, QuantTensor, Rounding, RowQuantTensor, SharedGemmPlan,
 };
 use ff_tensor::{linalg, Tensor};
 use proptest::prelude::*;
@@ -23,6 +25,10 @@ fn random_quant(shape: &[usize], seed: u64) -> QuantTensor {
     let mut rng = StdRng::seed_from_u64(seed);
     let t = ff_tensor::init::uniform(shape, -1.0, 1.0, &mut rng);
     QuantTensor::quantize_with_rng(&t, QuantConfig::new(Rounding::Nearest), &mut rng)
+}
+
+fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
 }
 
 fn tensor_strategy(max_len: usize) -> impl Strategy<Value = Tensor> {
@@ -175,6 +181,85 @@ proptest! {
         let packed = int8_matmul_at_b(&qat, &qb).unwrap();
         let naive = reference::int8_matmul_at_b(&qat, &qb).unwrap();
         prop_assert_eq!(packed.data(), naive.data());
+    }
+
+    // ---- accumulate epilogue vs store-then-add ---------------------------
+
+    #[test]
+    fn accumulate_epilogue_matches_store_then_add_bit_exactly(
+        m in 1usize..80, k in 0usize..40, n in 1usize..300, threads in 1usize..=4, seed in 0u64..1000
+    ) {
+        // m crosses MC = 64 and odd MR strips, n crosses NR = 64 and
+        // NC = 256, k is odd, even or zero, and explicit thread counts split
+        // the accumulator into several MR-aligned panels.
+        let qa = random_quant(&[m, k], seed);
+        let qb = random_quant(&[k, n], seed ^ 0xACC0);
+        let packed_a = PackedA::pack(qa.codes(), m, k, PackSource::RowMajor);
+        let packed_b = PackedB::pack(qb.codes(), k, n, PackSource::RowMajor);
+        let scale = qa.scale() * qb.scale();
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x1217);
+        let initial = ff_tensor::init::uniform(&[m, n], -0.01, 0.01, &mut rng);
+
+        let (product, _) =
+            int8_gemm_prepacked(&packed_a, &packed_b, scale, None, false, Some(threads)).unwrap();
+        let mut expected = initial.clone();
+        expected.add_assign(&product).unwrap();
+
+        let mut accumulated = initial;
+        int8_gemm_prepacked_accumulate(
+            &packed_a,
+            &packed_b,
+            scale,
+            accumulated.data_mut(),
+            Some(threads),
+        )
+        .unwrap();
+        prop_assert_eq!(bits(accumulated.data()), bits(expected.data()));
+    }
+
+    #[test]
+    fn planned_at_b_accumulate_matches_alloc_then_add_across_calls(
+        m in 1usize..40, k in 1usize..40, n in 1usize..90, seed in 0u64..1000
+    ) {
+        // Two backward calls onto one accumulator through one input plan,
+        // as the look-ahead relay makes: the second starts from a non-zero
+        // accumulator and reuses the plan's cached B panels.
+        let q_input = random_quant(&[k, n], seed);
+        let mut plan_add = QGemmPlan::from_quant(q_input.clone(), 0).unwrap();
+        let mut plan_acc = QGemmPlan::from_quant(q_input, 0).unwrap();
+        let mut expected = Tensor::zeros(&[m, n]);
+        let mut accumulated = Tensor::zeros(&[m, n]);
+        for call in 0..2u64 {
+            let q_grad = random_quant(&[k, m], seed ^ (0x6AAD + call));
+            let gw = int8_matmul_at_b_planned(&q_grad, &mut plan_add).unwrap();
+            expected.add_assign(&gw).unwrap();
+            int8_matmul_at_b_planned_accumulate(&q_grad, &mut plan_acc, accumulated.data_mut())
+                .unwrap();
+            prop_assert_eq!(bits(accumulated.data()), bits(expected.data()));
+        }
+        // A wrong-sized accumulator is rejected, not written past.
+        let q_grad = random_quant(&[k, m], seed);
+        let mut short = vec![0.0f32; m * n - 1];
+        prop_assert!(
+            int8_matmul_at_b_planned_accumulate(&q_grad, &mut plan_acc, &mut short).is_err()
+        );
+    }
+
+    // ---- one-pass nearest quantize vs the per-element definition ----------
+
+    #[test]
+    fn nearest_quantize_matches_quantize_value_per_element(
+        t in tensor_strategy(200), clip_on in 0usize..2, clip in 0.0f32..150.0
+    ) {
+        let config = QuantConfig::new(Rounding::Nearest).with_clip((clip_on == 1).then_some(clip));
+        let mut rng = StdRng::seed_from_u64(0);
+        let q = QuantTensor::quantize_with_rng(&t, config, &mut rng);
+        let clip = config.clip.unwrap_or_else(|| t.max_abs());
+        prop_assert_eq!(q.scale().to_bits(), compute_scale(clip).to_bits());
+        for (&code, &v) in q.codes().iter().zip(t.data()) {
+            let expected = quantize_value(v.clamp(-clip, clip), q.scale(), Rounding::Nearest, &mut rng);
+            prop_assert_eq!(code, expected);
+        }
     }
 
     // ---- cached plans vs per-call quantize+pack ---------------------------

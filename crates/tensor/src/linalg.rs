@@ -66,7 +66,46 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     Tensor::from_vec(&[m, n], out)
 }
 
+/// `k·n` (elements of `B`) above which [`serial_matmul`] cache-blocks: a `B`
+/// this large (≥ 1 MiB) no longer stays resident in a per-core L2 between
+/// output rows, so the plain loop re-streams all of it from the outer cache
+/// levels once per row.
+const BLOCKED_MIN_B_ELEMS: usize = 1 << 18;
+/// Output rows per block: one `B` row segment is reused across this many rows.
+const ROW_BLOCK: usize = 16;
+/// Output columns per block: a `ROW_BLOCK × COL_BLOCK` f32 out tile is 16 KiB
+/// and stays L1-resident while `p` sweeps the whole depth.
+const COL_BLOCK: usize = 256;
+
+/// `out[m, n] += a[m, k] · b[k, n]`, skipping zero `a` elements.
+///
+/// Every output element accumulates its `p = 0..k` terms in ascending `p`
+/// in both loops below, so the blocked and the plain loop (and any row
+/// sharding above them) are bit-identical.
 fn serial_matmul(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+    if m > 1 && k * n >= BLOCKED_MIN_B_ELEMS {
+        // Large `B`: stream it once per row *block* instead of once per row.
+        for i0 in (0..m).step_by(ROW_BLOCK) {
+            let i1 = (i0 + ROW_BLOCK).min(m);
+            for j0 in (0..n).step_by(COL_BLOCK) {
+                let j1 = (j0 + COL_BLOCK).min(n);
+                for p in 0..k {
+                    let b_seg = &b[p * n + j0..p * n + j1];
+                    for i in i0..i1 {
+                        let a_ip = a[i * k + p];
+                        if a_ip == 0.0 {
+                            continue;
+                        }
+                        let out_seg = &mut out[i * n + j0..i * n + j1];
+                        for (o, &b_pj) in out_seg.iter_mut().zip(b_seg) {
+                            *o += a_ip * b_pj;
+                        }
+                    }
+                }
+            }
+        }
+        return;
+    }
     for i in 0..m {
         let a_row = &a[i * k..(i + 1) * k];
         let out_row = &mut out[i * n..(i + 1) * n];

@@ -162,9 +162,25 @@ impl Tensor {
         }
     }
 
-    /// Largest absolute value (0 for an empty tensor).
+    /// Largest absolute value (0 for an empty tensor); NaNs are ignored.
     pub fn max_abs(&self) -> f32 {
-        self.data().iter().fold(0.0f32, |m, &x| m.max(x.abs()))
+        // Independent running maxima per lane let the reduction vectorize; a
+        // single serial `fold` is a loop-carried dependency LLVM must keep
+        // scalar. `max` over non-negative values is order-independent and
+        // `f32::max` drops NaN operands, so the result equals the serial fold.
+        const LANES: usize = 16;
+        let mut lanes = [0.0f32; LANES];
+        let mut chunks = self.data().chunks_exact(LANES);
+        for chunk in chunks.by_ref() {
+            for (m, &x) in lanes.iter_mut().zip(chunk) {
+                *m = m.max(x.abs());
+            }
+        }
+        chunks
+            .remainder()
+            .iter()
+            .chain(&lanes)
+            .fold(0.0f32, |m, &x| m.max(x.abs()))
     }
 
     /// Minimum element value.
@@ -346,6 +362,20 @@ mod tests {
         assert_eq!(a.max_value(), 6.0);
         let expected = (1f32 + 4. + 9. + 16. + 25. + 36.).sqrt();
         assert!((a.frobenius_norm() - expected).abs() < 1e-5);
+    }
+
+    #[test]
+    fn max_abs_matches_serial_fold_and_ignores_nan() {
+        for len in [0usize, 1, 15, 16, 17, 100] {
+            let mut data: Vec<f32> = (0..len).map(|i| ((i * 37) % 23) as f32 - 11.5).collect();
+            if len > 3 {
+                data[3] = f32::NAN;
+                data[len - 1] = -0.0;
+            }
+            let serial = data.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
+            let t = Tensor::from_vec(&[len], data).unwrap();
+            assert_eq!(t.max_abs().to_bits(), serial.to_bits(), "len {len}");
+        }
     }
 
     #[test]

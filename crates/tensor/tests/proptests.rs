@@ -93,6 +93,44 @@ proptest! {
         }
     }
 
+    // ---- cache-blocked matmul vs the plain ikj loop -------------------------
+
+    #[test]
+    fn matmul_matches_plain_ikj_loop_on_both_sides_of_the_size_gate(
+        m in 1usize..40, shape in 0usize..6, keep_percent in 0usize..=100, seed in 0u64..500
+    ) {
+        use rand::{Rng, SeedableRng};
+        // `k·n` below, exactly at and above the 2^18-element gate that
+        // switches `matmul` to its cache-blocked loop; n both a multiple of
+        // the column block and ragged; m = 1 (never blocked), below, at and
+        // above the 16-row block, and large enough to shard across threads.
+        let (k, n) = [(17, 33), (511, 512), (512, 512), (300, 900), (1030, 257), (256, 1024)][shape];
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut a = ff_tensor::init::uniform(&[m, k], -1.0, 1.0, &mut rng);
+        // Sparsity from all-zero to dense: the zero-skip must not reorder.
+        for v in a.data_mut() {
+            if rng.gen_range(0..100) >= keep_percent {
+                *v = 0.0;
+            }
+        }
+        let b = ff_tensor::init::uniform(&[k, n], -1.0, 1.0, &mut rng);
+        let mut plain = vec![0.0f32; m * n];
+        for i in 0..m {
+            for p in 0..k {
+                let a_ip = a.data()[i * k + p];
+                if a_ip == 0.0 {
+                    continue;
+                }
+                for j in 0..n {
+                    plain[i * n + j] += a_ip * b.data()[p * n + j];
+                }
+            }
+        }
+        let got = linalg::matmul(&a, &b).unwrap();
+        let bits = |values: &[f32]| values.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        prop_assert_eq!(bits(got.data()), bits(&plain));
+    }
+
     // ---- parallel/fused fp32 kernels vs explicit-transpose reference ------
 
     #[test]

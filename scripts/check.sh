@@ -3,7 +3,8 @@
 #
 # Usage:
 #   scripts/check.sh          # fmt --check, clippy -D warnings, doc -D warnings,
-#                             # release build, tests (incl. doc-tests)
+#                             # release build (workspace + ff_bench), tests
+#                             # (incl. doc-tests)
 #   scripts/check.sh --fast   # skip the release build (lints + debug tests only)
 #
 # This wraps the tier-1 verify flow from ROADMAP.md (`cargo build --release &&
@@ -29,6 +30,14 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 if [[ "$fast" -eq 0 ]]; then
     echo "==> cargo build --release"
     cargo build --release
+fi
+
+if [[ "$fast" -eq 0 ]]; then
+    # The benchmark harness is a stand-alone package (own manifest, own lock
+    # file) that calls the crates' public API; building it here makes a
+    # public-API break fail this gate instead of the benchmark driver.
+    echo "==> cargo build --release --offline --manifest-path ff_bench/Cargo.toml"
+    cargo build --release --offline --manifest-path ff_bench/Cargo.toml
 fi
 
 echo "==> cargo test -q"
