@@ -8,7 +8,9 @@
 //! - `gemm`: fp32 vs naive-INT8 vs packed-INT8 at square sizes (the
 //!   acceptance gate is packed ≥ 2× naive at 256³ and above);
 //! - `gemm_paper_shapes`: the shapes the paper's workloads actually run —
-//!   the MNIST dense layer (784→2000) and an im2col'd 3×3 conv;
+//!   the MNIST dense layer (784→2000), an im2col'd 3×3×32 conv and the
+//!   16-channel first conv of a CIFAR-sized net (`k = 27`, `n = 16`: one
+//!   16-wide strip, where the kernel is call- and epilogue-bound);
 //! - `gemm_threads`: 1/2/4/8-worker sweeps of the packed engine;
 //! - `gemm_train_step`: one INT8 dense training step (input quantize,
 //!   forward GEMM, gradient quantize, gW GEMM) with per-step weight
@@ -64,11 +66,13 @@ fn bench_gemm(c: &mut Criterion) {
 fn bench_paper_shapes(c: &mut Criterion) {
     let mut group = c.benchmark_group("gemm_paper_shapes");
     group.sample_size(10);
-    // (label, m, k, n): batch-64 MNIST dense 784→2000 (paper's MLP layer) and
-    // an im2col'd 3×3×32 conv over a 16×16 feature map (m = oh·ow·batch).
+    // (label, m, k, n): batch-64 MNIST dense 784→2000 (paper's MLP layer),
+    // an im2col'd 3×3×32 conv over a 16×16 feature map (m = oh·ow·batch),
+    // and a 3→16-channel first conv over 32×32 images at batch 32.
     let shapes: &[(&str, usize, usize, usize)] = &[
         ("mnist_dense_784x2000", 64, 784, 2000),
         ("im2col_conv3x3x32", 1024, 288, 32),
+        ("im2col_first_conv3x3x16", 32 * 32 * 32, 27, 16),
     ];
     for &(label, m, k, n) in shapes {
         let (qa, qb) = quant_pair(m, k, n, 2);

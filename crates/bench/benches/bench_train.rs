@@ -20,20 +20,29 @@
 //! The `dense_backward/*`, `wgrad/*` and `plan_build/*` rows time the pieces
 //! of one dense FF-INT8 step at the paper's 2000-wide shape that ISSUE 13
 //! changed — full vs parameter-only backward, allocate-then-add vs
-//! epilogue-accumulated weight gradient, one weight-plan build — with the
-//! core count (`step_kernels/nproc`) beside them, since all of them shard
-//! across worker threads.
+//! epilogue-accumulated weight gradient, one weight-plan build — and the
+//! `conv_backward/*` and `quantize/stochastic_seeded_4M` rows the pieces of
+//! a conv step that ISSUE 15 changed (the second `small_cnn` convolution at
+//! batch 32, whose backward folds a live input gradient; one seeded
+//! stochastic quantization of 4 Mi elements). The core count
+//! (`step_kernels/nproc`) is recorded beside them, since all but the
+//! quantizer shard across worker threads.
+//! `step_kernels/{dense,conv}_minor_faults_per_step` count the pages a
+//! whole training step touches for the first time (`/proc/self/stat`; off
+//! Linux `step_kernels/minor_faults_skipped = 1` says the count was not
+//! taken) — fresh activation-sized temporaries show up here before they
+//! show up in a timer.
 //!
 //! Running with `--bench` (what `cargo bench` passes) writes a
 //! `BENCH_train.json` baseline into `crates/bench/`.
 
 use criterion::Criterion;
 use ff_core::{Algorithm, Precision, TrainOptions, TrainSession, TrainerCore};
-use ff_data::{synthetic_mnist, Dataset, SyntheticConfig};
+use ff_data::{synthetic_cifar10, synthetic_mnist, Dataset, SyntheticConfig};
 use ff_dist::protocol::TrainMsg;
 use ff_dist::{Coordinator, CoordinatorConfig, PipelineSession, Worker};
-use ff_models::small_mlp;
-use ff_nn::{Dense, ForwardMode, Layer, Sequential};
+use ff_models::{small_cnn, small_mlp, SmallModelConfig};
+use ff_nn::{Conv2d, Dense, ForwardMode, Layer, Sequential};
 use ff_quant::{
     int8_matmul_at_b_planned, int8_matmul_at_b_planned_accumulate, QGemmPlan, QuantTensor, Rounding,
 };
@@ -173,7 +182,37 @@ fn bench_train(c: &mut Criterion) {
     }
 }
 
-/// The per-step pieces of one 2000 → 2000 dense FF-INT8 layer at batch 32.
+/// Minor page faults of this process so far (field 10 of
+/// `/proc/self/stat`); `None` where there is no such file.
+fn minor_faults() -> Option<u64> {
+    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+    // The command name (field 2) may itself contain spaces and parentheses.
+    let after_comm = &stat[stat.rfind(')')? + 1..];
+    after_comm.split_whitespace().nth(7)?.parse().ok()
+}
+
+/// Minor faults per FF-INT8 look-ahead step of `net`, after two warm steps.
+fn minor_faults_per_step(mut net: Sequential, train_set: &Dataset, test_set: &Dataset) -> f64 {
+    const STEPS: usize = 8;
+    let options = TrainOptions {
+        lambda_init: 0.02,
+        ..train_options(1)
+    };
+    let algorithm = Algorithm::FfInt8 { lookahead: true };
+    let mut session =
+        TrainSession::new(&mut net, train_set, test_set, algorithm, &options).expect("session");
+    for _ in 0..2 {
+        session.step().expect("warm step");
+    }
+    let before = minor_faults().expect("checked by the caller");
+    for _ in 0..STEPS {
+        session.step().expect("step");
+    }
+    (minor_faults().expect("checked by the caller") - before) as f64 / STEPS as f64
+}
+
+/// The per-step pieces of one 2000 → 2000 dense FF-INT8 layer and of one
+/// 16 → 32 stride-2 convolution, both at batch 32.
 fn bench_step_kernels(c: &mut Criterion) {
     let width = if c.measuring() { HIDDEN[0] } else { 64 };
     let mut rng = StdRng::seed_from_u64(13);
@@ -222,12 +261,76 @@ fn bench_step_kernels(c: &mut Criterion) {
     });
     group.finish();
 
+    // The second convolution of `small_cnn(base_channels = 16)` on 32×32
+    // inputs: 8192 output positions × 144 columns.
+    let (in_ch, hw) = if c.measuring() { (16, 32) } else { (2, 8) };
+    let image = ff_tensor::init::uniform(&[32, in_ch, hw, hw], -1.0, 1.0, &mut rng);
+    let mut conv = Conv2d::new(in_ch, 2 * in_ch, 3, 2, 1, true, &mut rng).expect("geometry");
+    let output = conv.forward(&image, mode).expect("forward");
+    let grad = ff_tensor::init::randn(output.shape(), 0.0, 0.01, &mut rng);
+    let mut group = c.benchmark_group("conv_backward");
+    group.bench_function("full", |b| {
+        b.iter(|| conv.backward(&grad).expect("backward"));
+    });
+    group.bench_function("params_only", |b| {
+        b.iter(|| conv.backward_params_only(&grad).expect("backward"));
+    });
+    group.finish();
+
+    let elements = if c.measuring() { 1 << 22 } else { 1 << 10 };
+    let values = ff_tensor::init::randn(&[elements], 0.0, 1.0, &mut rng);
+    let mut group = c.benchmark_group("quantize");
+    group.bench_function("stochastic_seeded_4M", |b| {
+        b.iter(|| QuantTensor::quantize_seeded(&values, Rounding::StochasticSeeded(17), 3));
+    });
+    group.finish();
+
     if c.measuring() {
         let cores = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);
         c.record_metric("step_kernels/nproc", cores as f64);
     }
+}
+
+/// Minor faults per training step, conv then dense. Runs before every other
+/// group: what a step faults in depends on what the allocator already
+/// holds, and a fresh process is what a training run is. (The dense row
+/// inherits the heap the conv steps grew, so read it as a floor.)
+fn bench_minor_faults(c: &mut Criterion) {
+    let skipped = minor_faults().is_none();
+    c.record_metric("step_kernels/minor_faults_skipped", f64::from(skipped));
+    if skipped {
+        return;
+    }
+    let sizes = SyntheticConfig {
+        train_size: 32 * 11,
+        test_size: 32,
+        noise_std: 0.3,
+        max_shift: 0,
+        seed: 7,
+    };
+    let mut rng = StdRng::seed_from_u64(42);
+    // The smoke run only checks the counting path, on toy widths.
+    let (channels, dense) = if c.measuring() {
+        (16, paper_net())
+    } else {
+        (2, small_mlp(784, &[16], 10, &mut rng))
+    };
+    let (train_set, test_set) = synthetic_cifar10(&sizes);
+    let cnn = small_cnn(
+        &SmallModelConfig::default().with_base_channels(channels),
+        &mut rng,
+    );
+    c.record_metric(
+        "step_kernels/conv_minor_faults_per_step",
+        minor_faults_per_step(cnn, &train_set, &test_set),
+    );
+    let (train_set, test_set) = synthetic_mnist(&sizes);
+    c.record_metric(
+        "step_kernels/dense_minor_faults_per_step",
+        minor_faults_per_step(dense, &train_set, &test_set),
+    );
 }
 
 fn bench_train_cluster(c: &mut Criterion) {
@@ -415,6 +518,7 @@ fn bench_dist_trace_overhead(c: &mut Criterion) {
 
 criterion::criterion_group!(
     benches,
+    bench_minor_faults,
     bench_train,
     bench_step_kernels,
     bench_train_cluster,

@@ -8,6 +8,10 @@
 //! previous kernels" is an executable gate: any change to rounding streams,
 //! accumulation order or epilogue arithmetic moves a constant.
 //!
+//! The `resnet_lookahead` and `conv_fp32_lookahead` cases were recorded the
+//! same way from the commit before the block-drawn quantizer, the folded conv
+//! input gradient, the rows-layout ReLU mask and per-operand strip widths.
+//!
 //! To re-record after an *intended* numeric change, run
 //! `cargo test -p ff-core --test golden -- --nocapture` and copy the printed
 //! `observed` lines.
@@ -18,7 +22,7 @@ use ff_core::{
     SessionControl, SessionStatus, TrainEvent, TrainOptions, TrainSession,
 };
 use ff_data::{synthetic_cifar10, synthetic_mnist, Dataset, SyntheticConfig};
-use ff_models::{small_cnn, small_mlp, SmallModelConfig};
+use ff_models::{small_cnn, small_mlp, small_resnet, SmallModelConfig};
 use ff_nn::Sequential;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -66,6 +70,19 @@ fn cnn() -> Sequential {
     small_cnn(&config, &mut StdRng::seed_from_u64(6))
 }
 
+/// Stem conv, an identity-skip block and a stride-2 block whose 1×1
+/// projection shortcut leaves input pixels uncovered.
+fn resnet() -> Sequential {
+    let config = SmallModelConfig {
+        input_channels: 3,
+        input_hw: 32,
+        base_channels: 4,
+        stages: 2,
+        num_classes: 10,
+    };
+    small_resnet(&config, &mut StdRng::seed_from_u64(8))
+}
+
 fn options(batch: usize, lambda: f32, shards: usize) -> TrainOptions {
     TrainOptions {
         epochs: 1,
@@ -77,20 +94,30 @@ fn options(batch: usize, lambda: f32, shards: usize) -> TrainOptions {
     }
 }
 
-/// Steps a `TrainSession` `steps` times; returns the loss bits of each step
-/// and the final weight checksum.
+/// Steps an FF-INT8 `TrainSession` `steps` times; returns the loss bits of
+/// each step and the final weight checksum.
 fn session_run(
-    mut net: Sequential,
+    net: Sequential,
     conv: bool,
     steps: usize,
     options: &TrainOptions,
 ) -> (Vec<u32>, u64) {
+    let algorithm = Algorithm::FfInt8 {
+        lookahead: options.lambda_init > 0.0,
+    };
+    algorithm_run(net, conv, steps, options, algorithm)
+}
+
+fn algorithm_run(
+    mut net: Sequential,
+    conv: bool,
+    steps: usize,
+    options: &TrainOptions,
+    algorithm: Algorithm,
+) -> (Vec<u32>, u64) {
     let (train_set, test_set) = dataset(conv, steps * options.batch_size + options.batch_size);
     let losses: Rc<RefCell<Vec<u32>>> = Rc::default();
     {
-        let algorithm = Algorithm::FfInt8 {
-            lookahead: options.lambda_init > 0.0,
-        };
         let mut session =
             TrainSession::new(&mut net, &train_set, &test_set, algorithm, options).unwrap();
         let sink = Rc::clone(&losses);
@@ -250,6 +277,37 @@ fn conv_lambda_zero_two_shards() {
         session_run(cnn(), true, 2, &options(4, 0.0, 2)),
         &[0x40d7dcfd, 0x40d7c1a0],
         0xa646_0900_941d_906d,
+    );
+}
+
+/// `ResidualBlock` under look-ahead: `Conv2d::backward` reached through a
+/// block, both shortcut kinds, and the stride-2 1×1 projection whose input
+/// gradient has uncovered pixels.
+#[test]
+fn resnet_lookahead() {
+    check(
+        "resnet λ=0.02 shards=1",
+        session_run(resnet(), true, 2, &options(4, 0.02, 1)),
+        &[0x410fa274, 0x410fa4d4],
+        0x4dda_1399_a302_08b9,
+    );
+}
+
+/// The FP32 conv step shares the input-gradient fold and the rows-layout
+/// ReLU mask with the INT8 one.
+#[test]
+fn conv_fp32_lookahead() {
+    check(
+        "conv FF-FP32 λ=0.02 shards=1",
+        algorithm_run(
+            cnn(),
+            true,
+            2,
+            &options(4, 0.02, 1),
+            Algorithm::FfFp32 { lookahead: true },
+        ),
+        &[0x40d7defb, 0x40d7c33b],
+        0x8f58_15f9_20c4_fc3d,
     );
 }
 

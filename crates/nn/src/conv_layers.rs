@@ -4,8 +4,8 @@ use crate::layer::{ForwardMode, Layer, ParamRefMut};
 use crate::{NnError, Result};
 use ff_quant::plan::{int8_matmul_a_bt_planned, int8_matmul_at_b_planned_accumulate, QGemmPlan};
 use ff_quant::QuantTensor;
-use ff_tensor::conv::{col2im, im2col, ConvGeometry};
-use ff_tensor::{init, linalg, Tensor};
+use ff_tensor::conv::{conv2d_input_grad, im2col, ConvGeometry};
+use ff_tensor::{init, linalg, Tensor, TensorError};
 use rand::Rng;
 
 /// A 2-D convolution `y = act(conv(x, W) + b)` implemented via im2col.
@@ -60,6 +60,8 @@ pub struct Conv2d {
     /// Quantized im2col columns of the latest INT8 forward, wrapped in a
     /// plan so the backward `gW` GEMM packs them at most once per step.
     cols_plan: Option<QGemmPlan>,
+    /// ReLU gradient mask of the latest forward, kept as the GEMM epilogue
+    /// wrote it: `[n·oh·ow, oc]` rows.
     cached_mask: Option<Tensor>,
     cached_input_shape: Option<Vec<usize>>,
     cached_output_hw: (usize, usize),
@@ -156,10 +158,9 @@ impl Conv2d {
     }
 
     /// The one backward body: accumulates `gW`/`gb` and, when asked, returns
-    /// the input gradient. Skipping it drops the weight-matrix copy, the
-    /// `grad · W` column product and `col2im` — the call counter, the
-    /// gradient quantization and both parameter gradients are the same
-    /// either way.
+    /// the input gradient. Skipping it drops the `grad · W` fold — the call
+    /// counter, the gradient quantization and both parameter gradients are
+    /// the same either way.
     fn backward_impl(
         &mut self,
         grad_output: &Tensor,
@@ -167,19 +168,26 @@ impl Conv2d {
     ) -> Result<Option<Tensor>> {
         const MISSING: NnError = NnError::MissingForwardState { layer: "conv2d" };
         self.backward_calls = self.backward_calls.wrapping_add(1);
-        let input_shape = self.cached_input_shape.clone().ok_or(MISSING)?;
-        let (n, c, h, w) = (
-            input_shape[0],
-            input_shape[1],
-            input_shape[2],
-            input_shape[3],
-        );
+        let input_shape = self.cached_input_shape.as_ref().ok_or(MISSING)?;
+        let (n, h, w) = (input_shape[0], input_shape[2], input_shape[3]);
         let (oh, ow) = self.cached_output_hw;
-        let grad_post = match &self.cached_mask {
-            Some(mask) => grad_output.mul_elem(mask)?,
-            None => grad_output.clone(),
-        };
-        let grad_rows = self.nchw_to_rows(&grad_post, n, oh, ow);
+        let output_shape = [n, self.out_channels, oh, ow];
+        if grad_output.shape() != output_shape {
+            return Err(TensorError::ShapeMismatch {
+                left: grad_output.shape().to_vec(),
+                right: output_shape.to_vec(),
+                op: "conv2d backward",
+            }
+            .into());
+        }
+        // The mask is already in rows layout, so the gradient is gathered to
+        // rows once and masked there.
+        let mut grad_rows = self.nchw_to_rows(grad_output, n, oh, ow);
+        if let Some(mask) = &self.cached_mask {
+            for (g, &keep) in grad_rows.data_mut().iter_mut().zip(mask.data()) {
+                *g *= keep;
+            }
+        }
         // INT8 only: the gradient rows after their round trip through the
         // quantizer, which is what the input-gradient product reads there.
         let requantized = match self.last_mode {
@@ -212,45 +220,55 @@ impl Conv2d {
             return Ok(None);
         }
         let dgrad_rows = requantized.as_ref().unwrap_or(&grad_rows);
-        let grad_cols = linalg::matmul(dgrad_rows, &self.weight_matrix()?)?;
-        Ok(Some(col2im(&grad_cols, n, c, h, w, self.geom)?))
+        Ok(Some(conv2d_input_grad(
+            dgrad_rows,
+            &self.weight,
+            n,
+            h,
+            w,
+            self.geom,
+        )?))
     }
 
     /// Reorders `[n·oh·ow, oc]` rows into `[n, oc, oh, ow]`.
     fn rows_to_nchw(&self, rows: &Tensor, n: usize, oh: usize, ow: usize) -> Tensor {
         let oc = self.out_channels;
-        let mut out = vec![0.0f32; n * oc * oh * ow];
-        let src = rows.data();
-        for img in 0..n {
-            for y in 0..oh {
-                for x in 0..ow {
-                    let row = (img * oh + y) * ow + x;
-                    for ch in 0..oc {
-                        out[((img * oc + ch) * oh + y) * ow + x] = src[row * oc + ch];
-                    }
-                }
-            }
-        }
+        let out = transpose_each(rows.data(), oh * ow, oc);
         Tensor::from_vec(&[n, oc, oh, ow], out).expect("rows_to_nchw shape")
     }
 
     /// Reorders `[n, oc, oh, ow]` into `[n·oh·ow, oc]` rows.
     fn nchw_to_rows(&self, t: &Tensor, n: usize, oh: usize, ow: usize) -> Tensor {
         let oc = self.out_channels;
-        let mut out = vec![0.0f32; n * oh * ow * oc];
-        let src = t.data();
-        for img in 0..n {
-            for ch in 0..oc {
-                for y in 0..oh {
-                    for x in 0..ow {
-                        let row = (img * oh + y) * ow + x;
-                        out[row * oc + ch] = src[((img * oc + ch) * oh + y) * ow + x];
-                    }
+        let out = transpose_each(t.data(), oc, oh * ow);
+        Tensor::from_vec(&[n * oh * ow, oc], out).expect("nchw_to_rows shape")
+    }
+}
+
+/// Transposes every consecutive row-major `[rows, cols]` matrix of `src`
+/// (one per image) into `[cols, rows]`.
+///
+/// One side is the channel count (tens), the other the pixel count
+/// (thousands). The long side is walked in tiles with the short side inside,
+/// so a tile's short-stride side stays within a kilobyte or two and its
+/// long-stride side is touched one whole cache line at a time — a plain
+/// double loop instead scatters single floats a page apart.
+fn transpose_each(src: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+    const TILE: usize = 16;
+    let mut out = vec![0.0f32; src.len()];
+    let (long, short) = (rows.max(cols), rows.min(cols));
+    let images = src.chunks_exact((rows * cols).max(1));
+    for (src, out) in images.zip(out.chunks_exact_mut((rows * cols).max(1))) {
+        for tile in (0..long).step_by(TILE) {
+            for s in 0..short {
+                for l in tile..(tile + TILE).min(long) {
+                    let (r, c) = if rows >= cols { (l, s) } else { (s, l) };
+                    out[c * rows + r] = src[r * cols + c];
                 }
             }
         }
-        Tensor::from_vec(&[n * oh * ow, oc], out).expect("nchw_to_rows shape")
     }
+    out
 }
 
 impl Layer for Conv2d {
@@ -282,8 +300,8 @@ impl Layer for Conv2d {
         let (cols, oh, ow) = im2col(input, self.geom)?;
         // Bias and ReLU (+ gradient mask) are fused into the GEMM epilogue
         // over the `[n·oh·ow, oc]` row matrix; ReLU commutes with the NCHW
-        // reorder, so only the already-activated rows (and mask) are
-        // rearranged afterwards.
+        // reorder, so only the already-activated rows are rearranged
+        // afterwards. The mask stays in rows layout for `backward`.
         let (rows, rows_mask) = match mode {
             ForwardMode::Fp32 => {
                 self.cols_plan = None;
@@ -318,7 +336,7 @@ impl Layer for Conv2d {
         self.backward_calls = 0;
         self.cached_input_shape = Some(input.shape().to_vec());
         self.cached_output_hw = (oh, ow);
-        self.cached_mask = rows_mask.map(|mask| self.rows_to_nchw(&mask, n, oh, ow));
+        self.cached_mask = rows_mask;
         Ok(out)
     }
 
@@ -479,6 +497,48 @@ mod tests {
     }
 
     #[test]
+    fn relu_mask_stays_in_rows_layout_and_gradient_shape_is_checked() {
+        for mode in [ForwardMode::Fp32, ForwardMode::Int8(Rounding::Nearest)] {
+            for fused_relu in [true, false] {
+                let mut conv = Conv2d::new(2, 3, 3, 2, 1, fused_relu, &mut rng()).unwrap();
+                let x = init::uniform(&[2, 2, 6, 6], -1.0, 1.0, &mut rng());
+                let y = conv.forward(&x, mode).unwrap();
+                assert_eq!(y.shape(), &[2, 3, 3, 3]);
+                let mask_shape = conv.cached_mask.as_ref().map(|m| m.shape().to_vec());
+                assert_eq!(mask_shape, fused_relu.then(|| vec![2 * 3 * 3, 3]));
+                // Same element count, wrong layout: still rejected.
+                for bad in [[2, 3, 3, 4], [3, 2, 3, 3]] {
+                    assert!(matches!(
+                        conv.backward(&Tensor::ones(&bad)),
+                        Err(NnError::Tensor(TensorError::ShapeMismatch { .. }))
+                    ));
+                }
+                let gi = conv.backward(&Tensor::ones(y.shape())).unwrap();
+                assert_eq!(gi.shape(), x.shape());
+            }
+        }
+    }
+
+    #[test]
+    fn transpose_each_matches_the_index_formula() {
+        // Long side first and second, tiles that do not divide it, several
+        // images, a single row/column, and nothing at all.
+        for (images, rows, cols) in [(3, 37, 5), (3, 5, 37), (2, 16, 16), (1, 1, 9), (4, 0, 3)] {
+            let src: Vec<f32> = (0..images * rows * cols).map(|i| i as f32).collect();
+            let out = transpose_each(&src, rows, cols);
+            assert_eq!(out.len(), src.len());
+            for img in 0..images {
+                for r in 0..rows {
+                    for c in 0..cols {
+                        let base = img * rows * cols;
+                        assert_eq!(out[base + c * rows + r], src[base + r * cols + c]);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn weight_plan_rebuilt_only_after_step() {
         let mut conv = Conv2d::new(2, 3, 3, 1, 1, true, &mut rng()).unwrap();
         let x = init::uniform(&[1, 2, 6, 6], -1.0, 1.0, &mut rng());
@@ -524,7 +584,7 @@ mod tests {
         let g1 = init::uniform(&[2, 3, 3, 3], -1.0, 1.0, &mut rng());
         let g2 = init::uniform(&[2, 3, 3, 3], -0.1, 0.1, &mut rng());
         let conv = Conv2d::new(2, 3, 3, 2, 1, true, &mut rng()).unwrap();
-        crate::layer::assert_params_only_matches_backward(&conv, &x, &[&g1, &g2]);
+        crate::layer::assert_params_only_matches_backward(|| conv.clone(), &x, &[&g1, &g2]);
     }
 
     #[test]

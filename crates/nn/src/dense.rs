@@ -622,7 +622,7 @@ mod tests {
         let g1 = init::uniform(&[5, 7], -1.0, 1.0, &mut rng());
         let g2 = init::uniform(&[5, 7], -0.1, 0.1, &mut rng());
         let layer = Dense::new(12, 7, true, &mut rng());
-        crate::layer::assert_params_only_matches_backward(&layer, &x, &[&g1, &g2]);
+        crate::layer::assert_params_only_matches_backward(|| layer.clone(), &x, &[&g1, &g2]);
     }
 
     #[test]

@@ -175,14 +175,16 @@ pub trait Layer: Send {
 
 /// Test helper shared by the layers that override
 /// [`Layer::backward_params_only`]: in FP32 and in seeded INT8, after one
-/// forward, feeds `grads` to `backward` on one clone and to
+/// forward, feeds `grads` to `backward` on one layer from `build` and to
 /// `backward_params_only` on another and requires bit-identical parameter
-/// gradients after every call. Several `grads` model the look-ahead relay:
-/// later calls draw from the next seeded rounding stream and accumulate onto
-/// a non-zero gradient. Also checks the missing-forward error.
+/// gradients after every call. `build` must return identical layers (a clone
+/// of one, or a construction from one seed); the seeded forward then leaves
+/// both in the same state. Several `grads` model the look-ahead relay: later
+/// calls draw from the next seeded rounding stream and accumulate onto a
+/// non-zero gradient. Also checks the missing-forward error.
 #[cfg(test)]
-pub(crate) fn assert_params_only_matches_backward<L: Layer + Clone>(
-    fresh: &L,
+pub(crate) fn assert_params_only_matches_backward<L: Layer>(
+    build: impl Fn() -> L,
     input: &Tensor,
     grads: &[&Tensor],
 ) {
@@ -195,9 +197,9 @@ pub(crate) fn assert_params_only_matches_backward<L: Layer + Clone>(
         ForwardMode::Fp32,
         ForwardMode::Int8(Rounding::StochasticSeeded(9)),
     ] {
-        let mut full = fresh.clone();
+        let (mut full, mut params_only) = (build(), build());
         full.forward(input, mode).unwrap();
-        let mut params_only = full.clone();
+        params_only.forward(input, mode).unwrap();
         for grad in grads {
             full.backward(grad).unwrap();
             params_only.backward_params_only(grad).unwrap();
@@ -209,7 +211,7 @@ pub(crate) fn assert_params_only_matches_backward<L: Layer + Clone>(
         }
     }
     assert!(matches!(
-        fresh.clone().backward_params_only(grads[0]),
+        build().backward_params_only(grads[0]),
         Err(crate::NnError::MissingForwardState { .. })
     ));
 }

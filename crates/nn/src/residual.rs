@@ -65,6 +65,17 @@ impl ResidualBlock {
     pub fn has_projection(&self) -> bool {
         !self.shortcut.is_empty()
     }
+
+    /// `grad_output` gated by the block's output ReLU.
+    fn masked(&self, grad_output: &Tensor) -> Result<Tensor> {
+        let mask = self
+            .cached_mask
+            .as_ref()
+            .ok_or(crate::NnError::MissingForwardState {
+                layer: "residual_block",
+            })?;
+        Ok(grad_output.mul_elem(mask)?)
+    }
 }
 
 impl Layer for ResidualBlock {
@@ -89,29 +100,36 @@ impl Layer for ResidualBlock {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let mask = self
-            .cached_mask
-            .as_ref()
-            .ok_or(crate::NnError::MissingForwardState {
-                layer: "residual_block",
-            })?;
-        let mut grad = grad_output.mul_elem(mask)?;
+        let mut grad = self.masked(grad_output)?;
         // main path
         let mut grad_main = grad.clone();
         for layer in self.main.iter_mut().rev() {
             grad_main = layer.backward(&grad_main)?;
         }
         // shortcut path
-        if self.shortcut.is_empty() {
-            grad_main.add_assign(&grad)?;
-            Ok(grad_main)
-        } else {
-            for layer in self.shortcut.iter_mut().rev() {
-                grad = layer.backward(&grad)?;
-            }
-            grad_main.add_assign(&grad)?;
-            Ok(grad_main)
+        for layer in self.shortcut.iter_mut().rev() {
+            grad = layer.backward(&grad)?;
         }
+        grad_main.add_assign(&grad)?;
+        Ok(grad_main)
+    }
+
+    /// Nobody reads the gradient that leaves the first layer of either
+    /// path, so those two take `backward_params_only`; everything downstream
+    /// of them runs exactly as in `backward`, main path first.
+    fn backward_params_only(&mut self, grad_output: &Tensor) -> Result<()> {
+        let grad = self.masked(grad_output)?;
+        for path in [&mut self.main, &mut self.shortcut] {
+            let Some((first, rest)) = path.split_first_mut() else {
+                continue;
+            };
+            let mut relayed: Option<Tensor> = None;
+            for layer in rest.iter_mut().rev() {
+                relayed = Some(layer.backward(relayed.as_ref().unwrap_or(&grad))?);
+            }
+            first.backward_params_only(relayed.as_ref().unwrap_or(&grad))?;
+        }
+        Ok(())
     }
 
     fn params_mut(&mut self) -> Vec<ParamRefMut<'_>> {
@@ -217,6 +235,36 @@ mod tests {
         let lm = block.forward(&xm, ForwardMode::Fp32).unwrap().sum();
         let numeric = (lp - lm) / (2.0 * eps);
         assert!((gi.data()[idx] - numeric).abs() < 2e-2);
+    }
+
+    #[test]
+    fn backward_params_only_matches_backward_on_parameter_gradients() {
+        // A fixed seed makes every `build()` the same block.
+        let block = |projection: bool| {
+            move || {
+                let mut r = rng();
+                let (out_ch, stride) = if projection { (4, 2) } else { (2, 1) };
+                let main: Vec<Box<dyn Layer>> = vec![
+                    Box::new(Conv2d::new(2, out_ch, 3, stride, 1, true, &mut r).unwrap()),
+                    Box::new(Conv2d::new(out_ch, out_ch, 3, 1, 1, false, &mut r).unwrap()),
+                ];
+                let shortcut: Vec<Box<dyn Layer>> = if projection {
+                    vec![Box::new(
+                        Conv2d::new(2, out_ch, 1, stride, 0, false, &mut r).unwrap(),
+                    )]
+                } else {
+                    Vec::new()
+                };
+                ResidualBlock::new(main, shortcut)
+            }
+        };
+        let mut r = rng();
+        let x = init::uniform(&[2, 2, 6, 6], -1.0, 1.0, &mut r);
+        for (projection, out_shape) in [(false, [2, 2, 6, 6]), (true, [2, 4, 3, 3])] {
+            let g1 = init::uniform(&out_shape, -1.0, 1.0, &mut r);
+            let g2 = init::uniform(&out_shape, -0.1, 0.1, &mut r);
+            crate::layer::assert_params_only_matches_backward(block(projection), &x, &[&g1, &g2]);
+        }
     }
 
     #[test]

@@ -15,17 +15,21 @@
 //! | [`int8_matmul_at_b`] | `A[k,m]ᵀ · B[k,n]`  | `A` transposed, `B` row-major    |
 //!
 //! Operands are repacked into contiguous `i16` panels ([`crate::pack`]):
-//! `A` into [`crate::pack::MR`]-row strips, `B` into [`crate::pack::NR`]-column strips,
-//! both with depth laid out in **pairs** and zero-padded at the edges. The
+//! `A` into [`crate::pack::MR`]-row strips, `B` into strips of the width its
+//! column count calls for ([`crate::pack::PackedB::strip_width`]: 16, 32, 48
+//! or [`crate::pack::NR`] = 64), both with depth laid out in **pairs** and
+//! zero-padded at the edges. The
 //! `int8_matmul_*` entry points pack both operands per call;
 //! [`int8_gemm_prepacked`] accepts operands that are already in panel form,
 //! which is how the plan cache ([`crate::plan`]) amortizes weight packing
 //! across training steps. Either way the engine then runs the classic
 //! three-level blocking ([`crate::pack::NC`] columns → [`crate::pack::KC`] depth →
-//! [`crate::pack::MC`] rows) with an `MR × NR` register tile accumulated into a
-//! per-thread `i32` staging buffer, and shards output row panels across
-//! worker threads with [`ff_tensor::par::shard_rows`] above the parallel
-//! threshold.
+//! [`crate::pack::MC`] rows) with an `MR × strip-width` register tile
+//! accumulated into a per-thread `i32` staging buffer, and shards output row
+//! panels across worker threads with [`ff_tensor::par::shard_rows`] above the
+//! parallel threshold. The micro-kernel, its tile store and the worker loop
+//! are one body, const-generic over the strip width and instantiated once
+//! per width; the packed `B` operand says which instance runs.
 //!
 //! # The pairwise `i16` micro-kernel
 //!
@@ -62,7 +66,7 @@
 //! product and adding it afterwards but without the temporary or the second
 //! pass.
 
-use crate::pack::{PackSource, PackedA, PackedB, KC, MC, MR, NC, NR};
+use crate::pack::{PackSource, PackedA, PackedB, KC, MC, MR, NC};
 use crate::{QuantTensor, Result};
 use ff_tensor::par::{shard_rows, worker_count};
 use ff_tensor::{Tensor, TensorError};
@@ -340,15 +344,16 @@ fn int8_gemm_prepacked_into(
         n.max(1),
         MR,
         threads,
-        |first_row, panel, mut mask_panel| {
-            gemm_worker(
-                packed_a,
-                packed_b,
-                first_row,
-                panel,
-                mask_panel.as_deref_mut(),
-                epilogue,
-            );
+        |first_row, panel, mask_panel| {
+            // The one place the tile width turns from data into a type.
+            let worker = match packed_b.strip_width() {
+                16 => gemm_worker::<16>,
+                32 => gemm_worker::<32>,
+                48 => gemm_worker::<48>,
+                64 => gemm_worker::<64>,
+                width => unreachable!("PackedB never packs {width}-column strips"),
+            };
+            worker(packed_a, packed_b, first_row, panel, mask_panel, epilogue);
         },
     )
 }
@@ -391,11 +396,12 @@ struct Epilogue<'a> {
 
 /// Runs the blocked kernel for one thread's panel of output rows.
 ///
-/// Loop nest (GotoBLAS-style): `jc` over [`NC`]-column blocks → `ic` over
-/// [`MC`]-row blocks → `pc2` over [`KC`]-depth blocks (in pairs) →
-/// `MR × NR` register tiles accumulated into an `i32` staging buffer,
-/// followed by the dequantize(+bias+ReLU) epilogue over the finished block.
-fn gemm_worker(
+/// Loop nest (GotoBLAS-style): `jc` over column blocks of at most [`NC`]
+/// columns → `ic` over [`MC`]-row blocks → `pc2` over [`KC`]-depth blocks
+/// (in pairs) → `MR × NR` register tiles accumulated into an `i32` staging
+/// buffer, followed by the dequantize(+bias+ReLU) epilogue over the finished
+/// block. `NR` is `packed_b`'s strip width.
+fn gemm_worker<const NR: usize>(
     packed_a: &PackedA,
     packed_b: &PackedB,
     first_row: usize,
@@ -416,11 +422,14 @@ fn gemm_worker(
     let pairwise = !(packed_a.has_i8_min() && packed_b.has_i8_min());
     let rows = panel.len() / n;
     debug_assert_eq!(first_row % MR, 0, "panels must be MR-aligned");
+    debug_assert_eq!(packed_b.strip_width(), NR);
     let first_strip = first_row / MR;
-    // i32 staging tile for one MC × NC block.
-    let mut cbuf = vec![0i32; MC * NC];
-    for jc in (0..n).step_by(NC) {
-        let nc_real = NC.min(n - jc);
+    // Whole strips per column block.
+    let nc = NC / NR * NR;
+    // i32 staging tile for one MC × nc block.
+    let mut cbuf = vec![0i32; MC * nc];
+    for jc in (0..n).step_by(nc) {
+        let nc_real = nc.min(n - jc);
         let nc_pad = nc_real.div_ceil(NR) * NR;
         for ic in (0..rows).step_by(MC) {
             let mc_real = MC.min(rows - ic);
@@ -445,9 +454,11 @@ fn gemm_worker(
                         let a_slab = packed_a.strip_at(first_strip + (ic / MR) + is, pc2, kc2);
                         let c_tile = &mut cbuf[(is * MR) * nc_pad + js * NR..];
                         if pairwise {
-                            micro_kernel_pairwise(a_slab, b_slab, kc2, c_tile, nc_pad, overwrite);
+                            micro_kernel_pairwise::<NR>(
+                                a_slab, b_slab, kc2, c_tile, nc_pad, overwrite,
+                            );
                         } else {
-                            micro_kernel_i32(a_slab, b_slab, kc2, c_tile, nc_pad, overwrite);
+                            micro_kernel_i32::<NR>(a_slab, b_slab, kc2, c_tile, nc_pad, overwrite);
                         }
                     }
                 }
@@ -507,13 +518,14 @@ fn gemm_worker(
     }
 }
 
-/// The hot `MR × NR` micro-kernel shared by every variant: multiplies a
+/// The hot `MR × NR` micro-kernel shared by every variant and, through its
+/// const parameter, every strip width: multiplies a
 /// `kc2 × 2 × MR` A-slab against a `kc2 × 2 × NR` B-slab, folding each depth
 /// pair into one `i16` lane sum (`a₀·b₀ + a₁·b₁ ≤ 2·127² = 32258`, which
 /// cannot wrap for codes in `[−127, 127]`) before widening into the register
 /// tile, which is added to the `i32` staging buffer once per invocation.
 #[inline]
-fn micro_kernel_pairwise(
+fn micro_kernel_pairwise<const NR: usize>(
     a_slab: &[i16],
     b_slab: &[i16],
     kc2: usize,
@@ -543,7 +555,7 @@ fn micro_kernel_pairwise(
 /// contains `i8::MIN` and the pairwise `i16` sums could wrap. Same slab
 /// layout and same (order-independent) integer result.
 #[inline]
-fn micro_kernel_i32(
+fn micro_kernel_i32<const NR: usize>(
     a_slab: &[i16],
     b_slab: &[i16],
     kc2: usize,
@@ -568,7 +580,12 @@ fn micro_kernel_i32(
 }
 
 #[inline]
-fn store_tile(acc: &[[i32; NR]; MR], c: &mut [i32], c_stride: usize, overwrite: bool) {
+fn store_tile<const NR: usize>(
+    acc: &[[i32; NR]; MR],
+    c: &mut [i32],
+    c_stride: usize,
+    overwrite: bool,
+) {
     for (ir, acc_row) in acc.iter().enumerate() {
         let c_row = &mut c[ir * c_stride..ir * c_stride + NR];
         if overwrite {
@@ -937,6 +954,139 @@ mod tests {
         let packed = int8_matmul(&qa_min, &qb_max).unwrap();
         let naive = reference::int8_matmul(&qa_min, &qb_max).unwrap();
         assert_eq!(packed.data(), naive.data());
+    }
+
+    /// Every strip width the packer can choose, their edges, and widths that
+    /// span several column blocks — for all three variants and all three
+    /// epilogue kinds, on the pairwise kernel and on the `i8::MIN` fallback.
+    #[test]
+    fn every_strip_width_matches_reference_in_every_variant_and_epilogue() {
+        let codes = |len: usize, salt: usize, with_min: bool| -> Vec<i8> {
+            (0..len)
+                .map(|i| match (i * 31 + salt) % 255 {
+                    0 if with_min => i8::MIN,
+                    v => (v as i16 - 127) as i8,
+                })
+                .collect()
+        };
+        let transpose = |src: &[i8], rows: usize, cols: usize| -> Vec<i8> {
+            let mut out = vec![0i8; src.len()];
+            for r in 0..rows {
+                for c in 0..cols {
+                    out[c * rows + r] = src[r * cols + c];
+                }
+            }
+            out
+        };
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let (sa, sb) = (0.013f32, 0.0071f32);
+        for n in [1usize, 15, 16, 17, 27, 32, 33, 48, 49, 144, 255, 256, 2000] {
+            // m = 70 crosses the MC row block on the im2col width.
+            let (m, k) = if n == 144 { (70, 27) } else { (5, 19) };
+            for with_min in [false, true] {
+                let a = codes(m * k, n, with_min);
+                let b = codes(k * n, n + 7, with_min);
+                let (a_t, b_t) = (transpose(&a, m, k), transpose(&b, k, n));
+                let qa = QuantTensor::from_codes(&[m, k], a.clone(), sa).unwrap();
+                let qb = QuantTensor::from_codes(&[k, n], b.clone(), sb).unwrap();
+                let qa_t = QuantTensor::from_codes(&[k, m], a_t.clone(), sa).unwrap();
+                let qb_t = QuantTensor::from_codes(&[n, k], b_t.clone(), sb).unwrap();
+                let expected = reference::int8_matmul(&qa, &qb).unwrap();
+                let case = format!("n={n} i8::MIN={with_min}");
+                for (variant, naive, packed) in [
+                    ("AB", expected.clone(), int8_matmul(&qa, &qb).unwrap()),
+                    (
+                        "ABt",
+                        reference::int8_matmul_a_bt(&qa, &qb_t).unwrap(),
+                        int8_matmul_a_bt(&qa, &qb_t).unwrap(),
+                    ),
+                    (
+                        "AtB",
+                        reference::int8_matmul_at_b(&qa_t, &qb).unwrap(),
+                        int8_matmul_at_b(&qa_t, &qb).unwrap(),
+                    ),
+                ] {
+                    assert_eq!(
+                        bits(naive.data()),
+                        bits(expected.data()),
+                        "{case} {variant} oracle"
+                    );
+                    assert_eq!(
+                        bits(packed.data()),
+                        bits(expected.data()),
+                        "{case} {variant}"
+                    );
+                }
+
+                // The other two epilogues, over each way of packing the
+                // same logical operands.
+                let acc: Vec<i32> = (0..m * n)
+                    .map(|idx| {
+                        let (i, j) = (idx / n, idx % n);
+                        (0..k)
+                            .map(|p| a[i * k + p] as i32 * b[p * n + j] as i32)
+                            .sum()
+                    })
+                    .collect();
+                let init: Vec<f32> = (0..m * n).map(|i| (i % 13) as f32 * 0.37 - 2.0).collect();
+                let row_scales: Vec<f32> = (0..m).map(|i| 0.002 + i as f32 * 0.0007).collect();
+                let bias =
+                    Tensor::from_vec(&[n], (0..n).map(|j| (j % 9) as f32 * 0.5 - 2.0).collect())
+                        .unwrap();
+                let accumulated: Vec<f32> = init
+                    .iter()
+                    .zip(&acc)
+                    .map(|(&o, &v)| o + v as f32 * (sa * sb))
+                    .collect();
+                let row_scaled: Vec<f32> = (0..m * n)
+                    .map(|idx| {
+                        let (i, j) = (idx / n, idx % n);
+                        let v = acc[idx] as f32 * (row_scales[i] * sb) + bias.data()[j];
+                        if v > 0.0 {
+                            v
+                        } else {
+                            0.0
+                        }
+                    })
+                    .collect();
+                for (packing, packed_a, packed_b) in [
+                    (
+                        "row-major",
+                        PackedA::pack(&a, m, k, PackSource::RowMajor),
+                        PackedB::pack(&b, k, n, PackSource::RowMajor),
+                    ),
+                    (
+                        "transposed",
+                        PackedA::pack(&a_t, m, k, PackSource::Transposed),
+                        PackedB::pack(&b_t, k, n, PackSource::Transposed),
+                    ),
+                ] {
+                    let mut out = init.clone();
+                    int8_gemm_prepacked_accumulate(&packed_a, &packed_b, sa * sb, &mut out, None)
+                        .unwrap();
+                    assert_eq!(
+                        bits(&out),
+                        bits(&accumulated),
+                        "{case} {packing} accumulate"
+                    );
+                    let out = int8_gemm_prepacked_rowscale(
+                        &packed_a,
+                        &packed_b,
+                        &row_scales,
+                        sb,
+                        Some(&bias),
+                        true,
+                        Some(2),
+                    )
+                    .unwrap();
+                    assert_eq!(
+                        bits(out.data()),
+                        bits(&row_scaled),
+                        "{case} {packing} row scale"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

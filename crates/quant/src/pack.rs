@@ -13,10 +13,13 @@
 //! - [`PackedA`] stores `Â` as strips of [`MR`] rows. Strip `s` is laid out
 //!   `[k2][2][MR]`: element `(i, p)` lives at
 //!   `s·k2·2·MR + (p/2)·2·MR + (p%2)·MR + (i − s·MR)`.
-//! - [`PackedB`] stores `B̂` as strips of [`NR`] columns, laid out
-//!   `[k2][2][NR]` the same way. One micro-kernel step therefore reads two
+//! - [`PackedB`] stores `B̂` as strips of `nr` columns, laid out
+//!   `[k2][2][nr]` the same way. One micro-kernel step therefore reads two
 //!   adjacent full rows of a strip (`p` even, then `p` odd) as contiguous
-//!   `i16` runs — ideal for vector loads.
+//!   `i16` runs — ideal for vector loads. The strip width `nr` is a property
+//!   of the packed operand ([`PackedB::strip_width`]), chosen from `n` so
+//!   narrow outputs (a 16-channel conv, a 10-class head) do not pay for a
+//!   [`NR`]-wide tile of zero padding.
 //!
 //! Rows/columns beyond the matrix edge — and the odd-`k` tail pair — are
 //! zero-padded; zeros contribute nothing to an integer accumulator, which
@@ -39,8 +42,21 @@ use ff_tensor::par::{shard_rows, worker_count};
 /// Rows per A micro-panel (micro-kernel tile height).
 pub const MR: usize = 2;
 
-/// Columns per B micro-panel (micro-kernel tile width).
+/// Widest B micro-panel (micro-kernel tile width); every `n ≥ 256` uses it.
 pub const NR: usize = 64;
+
+/// Columns per B micro-panel for an `n`-column operand; see
+/// [`PackedB::strip_width`].
+fn strip_width_for(n: usize) -> usize {
+    if n <= 48 {
+        return n.div_ceil(16).max(1) * 16;
+    }
+    if n < NC && n.div_ceil(48) * 48 < n.div_ceil(NR) * NR {
+        48
+    } else {
+        NR
+    }
+}
 
 /// Row-block size: rows of `C` accumulated per `i32` staging buffer pass.
 pub const MC: usize = 64;
@@ -49,8 +65,9 @@ pub const MC: usize = 64;
 /// (always even, so it contains whole pairs).
 pub const KC: usize = 256;
 
-/// Column-block size: columns of `C` (and of the packed `B` panel) per
-/// outermost block. Must be a multiple of [`NR`].
+/// Column-block size: at most this many columns of `C` (and of the packed
+/// `B` panel) per outermost block — the largest whole number of strips that
+/// fits, so 240 for 48-wide strips.
 pub const NC: usize = 256;
 
 /// Depths packed per pass over a strip's source rows by the transposed `B`
@@ -121,14 +138,18 @@ impl PackedA {
                 }
             }
             PackSource::Transposed => {
-                for s in 0..strips {
-                    let base = s * k2 * 2 * MR;
-                    let rows = MR.min(m - s * MR);
-                    for p in 0..k {
-                        let src = &codes[p * m + s * MR..p * m + s * MR + rows];
-                        let dst_base = base + (p / 2) * 2 * MR + (p % 2) * MR;
-                        for (ir, &v) in src.iter().enumerate() {
-                            data[dst_base + ir] = v as i16;
+                // Depth outermost: each `[k, m]` source row is read once,
+                // front to back, and feeds every strip — one forward write
+                // stream per strip — instead of the source being re-walked
+                // with stride `m` once per strip (`k` is 32 768 for a conv
+                // weight gradient).
+                let strip_len = k2 * 2 * MR;
+                for (p, src_row) in codes.chunks_exact(m.max(1)).enumerate() {
+                    let pair_base = (p / 2) * 2 * MR + (p % 2) * MR;
+                    for (s, src) in src_row.chunks(MR).enumerate() {
+                        let dst = &mut data[s * strip_len + pair_base..][..src.len()];
+                        for (d, &v) in dst.iter_mut().zip(src) {
+                            *d = v as i16;
                         }
                     }
                 }
@@ -163,8 +184,8 @@ impl PackedA {
     }
 }
 
-/// `B̂` widened to `i16` and repacked into [`NR`]-column, depth-paired
-/// strips.
+/// `B̂` widened to `i16` and repacked into depth-paired strips of
+/// [`PackedB::strip_width`] columns.
 #[derive(Debug, Clone)]
 pub struct PackedB {
     /// Logical depth (`k`).
@@ -173,6 +194,8 @@ pub struct PackedB {
     pub n: usize,
     /// Padded pair count, `⌈k / 2⌉`.
     pub k2: usize,
+    /// Columns per strip, `strip_width_for(n)`.
+    nr: usize,
     data: Vec<i16>,
     has_i8_min: bool,
 }
@@ -185,18 +208,19 @@ impl PackedB {
     /// as its transpose (the `A·Bᵀ` variant) without materialising it.
     pub fn pack(codes: &[i8], k: usize, n: usize, source: PackSource) -> Self {
         debug_assert_eq!(codes.len(), k * n);
-        let strips = n.div_ceil(NR);
+        let nr = strip_width_for(n);
+        let strips = n.div_ceil(nr);
         let k2 = k.div_ceil(2);
-        let mut data = vec![0i16; strips * k2 * 2 * NR];
+        let mut data = vec![0i16; strips * k2 * 2 * nr];
         let has_i8_min = contains_i8_min(codes);
         match source {
             PackSource::RowMajor => {
                 for t in 0..strips {
-                    let base = t * k2 * 2 * NR;
-                    let cols = NR.min(n - t * NR);
+                    let base = t * k2 * 2 * nr;
+                    let cols = nr.min(n - t * nr);
                     for p in 0..k {
-                        let src = &codes[p * n + t * NR..p * n + t * NR + cols];
-                        let dst = &mut data[base + (p / 2) * 2 * NR + (p % 2) * NR..][..cols];
+                        let src = &codes[p * n + t * nr..p * n + t * nr + cols];
+                        let dst = &mut data[base + (p / 2) * 2 * nr + (p % 2) * nr..][..cols];
                         for (d, &v) in dst.iter_mut().zip(src) {
                             *d = v as i16;
                         }
@@ -207,23 +231,23 @@ impl PackedB {
                 // Strips are disjoint destination ranges, so they shard across
                 // workers like GEMM row panels. Within a strip the depth is
                 // walked in blocks: a source row scatters with a stride of
-                // one `NR`-wide row per element, and a block of
+                // one strip-wide row per element, and a block of
                 // `TRANSPOSE_DEPTH_BLOCK` depths keeps the destination span
-                // L1-resident while all `NR` source rows fill it.
+                // L1-resident while all the strip's source rows fill it.
                 // (`max(1)`: with `k == 0` there is nothing to pack and no
                 // strip length to shard by.)
-                let strip_len = (k2 * 2 * NR).max(1);
+                let strip_len = (k2 * 2 * nr).max(1);
                 let threads = worker_count(k * n, strips);
                 shard_rows(&mut data, None, strip_len, 1, threads, |first, panel, _| {
                     for (t, dst) in panel.chunks_mut(strip_len).enumerate() {
-                        let first_col = (first + t) * NR;
-                        let cols = NR.min(n - first_col);
+                        let first_col = (first + t) * nr;
+                        let cols = nr.min(n - first_col);
                         for p0 in (0..k).step_by(TRANSPOSE_DEPTH_BLOCK) {
                             let p1 = (p0 + TRANSPOSE_DEPTH_BLOCK).min(k);
                             for jr in 0..cols {
                                 let src_row = &codes[(first_col + jr) * k..][p0..p1];
                                 for (p, &v) in (p0..p1).zip(src_row) {
-                                    dst[(p / 2) * 2 * NR + (p % 2) * NR + jr] = v as i16;
+                                    dst[(p / 2) * 2 * nr + (p % 2) * nr + jr] = v as i16;
                                 }
                             }
                         }
@@ -236,9 +260,22 @@ impl PackedB {
             k,
             n,
             k2,
+            nr,
             data,
             has_i8_min,
         }
+    }
+
+    /// Columns per strip — the micro-kernel tile width this operand was
+    /// packed for: one of 16, 32, 48 or [`NR`], chosen from `n`.
+    ///
+    /// Up to 48 columns one strip of the next multiple of 16 holds the whole
+    /// operand. From there to [`NC`] the choice is 48 or 64, whichever pads
+    /// `n` less (144 im2col columns are three exact 48-strips but would fill
+    /// three 64-strips to 192); ties and everything wider take [`NR`], whose
+    /// tile amortises the most `A` loads per multiply.
+    pub fn strip_width(&self) -> usize {
+        self.nr
     }
 
     /// `true` when any packed code was `i8::MIN` (−128), which rules out the
@@ -247,12 +284,12 @@ impl PackedB {
         self.has_i8_min
     }
 
-    /// The `kc2 × 2 × NR` slab of strip `t` covering depth pairs
+    /// The `kc2 × 2 × strip_width` slab of strip `t` covering depth pairs
     /// `[pc2, pc2 + kc2)`.
     #[inline]
     pub fn strip_at(&self, t: usize, pc2: usize, kc2: usize) -> &[i16] {
-        let base = t * self.k2 * 2 * NR + pc2 * 2 * NR;
-        &self.data[base..base + kc2 * 2 * NR]
+        let base = (t * self.k2 + pc2) * 2 * self.nr;
+        &self.data[base..base + kc2 * 2 * self.nr]
     }
 
     /// Bytes held by the packed panels (padded `i16` storage).
@@ -277,8 +314,9 @@ mod tests {
     }
 
     fn b_elem(packed: &PackedB, p: usize, j: usize) -> i16 {
-        let slab = packed.strip_at(j / NR, p / 2, 1);
-        slab[(p % 2) * NR + j % NR]
+        let nr = packed.strip_width();
+        let slab = packed.strip_at(j / nr, p / 2, 1);
+        slab[(p % 2) * nr + j % nr]
     }
 
     #[test]
@@ -311,18 +349,50 @@ mod tests {
 
     #[test]
     fn packed_a_transposed_matches_row_major_of_transpose() {
-        let (m, k) = (9, 7);
-        // `stored` is [k, m]; logical A is its transpose [m, k].
-        let stored = sample_codes(k * m);
-        let mut logical = vec![0i8; m * k];
-        for p in 0..k {
-            for i in 0..m {
-                logical[i * k + p] = stored[p * m + i];
+        // One strip, a ragged last strip, whole strips, and a dense-layer
+        // width; odd depths leave a half-filled tail pair.
+        for (m, k) in [(1, 7), (2, 1), (3, 5), (9, 7), (16, 33), (2001, 3), (4, 0)] {
+            // `stored` is [k, m]; logical A is its transpose [m, k].
+            let stored = sample_codes(k * m);
+            let mut logical = vec![0i8; m * k];
+            for p in 0..k {
+                for i in 0..m {
+                    logical[i * k + p] = stored[p * m + i];
+                }
             }
+            let via_transpose = PackedA::pack(&stored, m, k, PackSource::Transposed);
+            let via_row_major = PackedA::pack(&logical, m, k, PackSource::RowMajor);
+            assert!(via_transpose.data == via_row_major.data, "m={m} k={k}");
         }
-        let via_transpose = PackedA::pack(&stored, m, k, PackSource::Transposed);
-        let via_row_major = PackedA::pack(&logical, m, k, PackSource::RowMajor);
-        assert_eq!(via_transpose.data, via_row_major.data);
+    }
+
+    #[test]
+    fn strip_width_follows_the_operand() {
+        for (n, width) in [
+            (0, 16),
+            (1, 16),
+            (10, 16),
+            (16, 16),
+            (17, 32),
+            (27, 32),
+            (33, 48),
+            (48, 48),
+            (49, 64),
+            (64, 64),
+            (96, 48),
+            (100, 64),
+            (144, 48),
+            (255, 64),
+            (256, 64),
+            (2000, 64),
+        ] {
+            assert_eq!(strip_width_for(n), width, "n={n}");
+            let packed = PackedB::pack(&sample_codes(3 * n), 3, n, PackSource::RowMajor);
+            assert_eq!(packed.strip_width(), width, "n={n}");
+            // Padded storage is whole strips of that width and no more of
+            // them than `n` needs.
+            assert_eq!(packed.byte_size(), n.div_ceil(width) * 2 * 2 * width * 2);
+        }
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! inference.
 
 use crate::suq::{
-    compute_scale, quantize_nearest_into, quantize_value, QuantConfig, Rounding, QMAX, QMIN,
+    compute_scale, quantize_nearest_into, quantize_stochastic_into, QuantConfig, Rounding, QMAX,
+    QMIN,
 };
 use crate::Result;
 use ff_tensor::par::{shard_rows, worker_count};
@@ -85,13 +86,10 @@ impl QuantTensor {
         }
         let clip = config.clip.unwrap_or_else(|| tensor.max_abs());
         let scale = compute_scale(clip);
-        // Stochastic draws are one sequential stream, so this path stays a
-        // serial per-element loop.
-        let codes = tensor
-            .data()
-            .iter()
-            .map(|&v| quantize_value(v.clamp(-clip, clip), scale, config.rounding, rng))
-            .collect();
+        // The draws are one sequential stream, so this path stays on the
+        // calling thread; only the rounding arithmetic runs in lanes.
+        let mut codes = vec![0i8; tensor.len()];
+        quantize_stochastic_into(tensor.data(), clip, scale, rng, &mut codes);
         QuantTensor {
             shape: tensor.shape().to_vec(),
             codes,
@@ -335,6 +333,7 @@ impl RowQuantTensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::suq::{quantize_value, STOCHASTIC_BLOCK};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -396,12 +395,11 @@ mod tests {
         assert!(q.quantization_mse(&t).unwrap() < 1e-4);
     }
 
-    #[test]
-    fn nearest_fast_path_matches_quantize_value_on_adversarial_values() {
-        // Exact ties in both directions, the ±clip edges, the largest value
-        // below one half (where `x + 0.5` would round the wrong way),
-        // signed zeros, subnormals, non-finite values — then enough filler
-        // to cross the multi-thread sharding threshold.
+    /// Exact ties in both directions, the ±clip edges, the largest value
+    /// below one half (where `x + 0.5` would round the wrong way), exact
+    /// grid points, signed zeros, subnormals and non-finite values, followed
+    /// by `filler` in-range values off the grid.
+    fn adversarial_values(filler: usize) -> Vec<f32> {
         let scale = compute_scale(1.0);
         let mut data = vec![
             0.0,
@@ -413,6 +411,8 @@ mod tests {
             2.5 * scale,
             126.5 * scale,
             -126.5 * scale,
+            3.0 * scale,
+            -126.0 * scale,
             0.499_999_97 * scale,
             -0.499_999_97 * scale,
             0.499_999_97,
@@ -431,9 +431,14 @@ mod tests {
             f32::INFINITY,
             f32::NEG_INFINITY,
         ];
-        data.extend(
-            (0..(1usize << 20) + 77).map(|i| ((i * 2_654_435_761) % 4001) as f32 / 2000.0 - 1.0),
-        );
+        data.extend((0..filler).map(|i| ((i * 2_654_435_761) % 4001) as f32 / 2000.0 - 1.0));
+        data
+    }
+
+    #[test]
+    fn nearest_fast_path_matches_quantize_value_on_adversarial_values() {
+        // Enough filler to cross the multi-thread sharding threshold.
+        let data = adversarial_values((1usize << 20) + 77);
         let t = Tensor::from_vec(&[data.len()], data).unwrap();
         for clip in [Some(1.0f32), Some(0.3), None] {
             let config = QuantConfig::new(Rounding::Nearest).with_clip(clip);
@@ -456,6 +461,50 @@ mod tests {
             QuantTensor::quantize_seeded(&finite, Rounding::Nearest, 3),
             QuantTensor::quantize_with_rng(&finite, QuantConfig::default(), &mut rng())
         );
+    }
+
+    #[test]
+    fn block_stochastic_matches_per_element_quantize_value_and_rng_state() {
+        let adversarial = adversarial_values(3 * STOCHASTIC_BLOCK + 77);
+        for len in [
+            0,
+            1,
+            STOCHASTIC_BLOCK - 1,
+            STOCHASTIC_BLOCK,
+            STOCHASTIC_BLOCK + 1,
+            adversarial.len(),
+        ] {
+            let mut data = adversarial[..len].to_vec();
+            if len > 2 * STOCHASTIC_BLOCK {
+                // The adversarial head straddles the first block boundary.
+                data.rotate_right(STOCHASTIC_BLOCK - 10);
+            }
+            let t = Tensor::from_vec(&[len], data).unwrap();
+            for clip in [None, Some(1.0f32), Some(0.3), Some(0.0)] {
+                for rounding in [Rounding::Stochastic, Rounding::StochasticSeeded(5)] {
+                    let config = QuantConfig::new(rounding).with_clip(clip);
+                    let (mut block_rng, mut scalar_rng) = (rng(), rng());
+                    let q = QuantTensor::quantize_with_rng(&t, config, &mut block_rng);
+                    let clip = clip.unwrap_or_else(|| t.max_abs());
+                    assert_eq!(q.scale().to_bits(), compute_scale(clip).to_bits());
+                    assert_eq!(q.shape(), &[len]);
+                    for (i, (&code, &v)) in q.codes().iter().zip(t.data()).enumerate() {
+                        let expected = quantize_value(
+                            v.clamp(-clip, clip),
+                            q.scale(),
+                            rounding,
+                            &mut scalar_rng,
+                        );
+                        assert_eq!(code, expected, "len {len} element {i} = {v:e}, clip {clip}");
+                    }
+                    assert_eq!(
+                        block_rng.gen::<u64>(),
+                        scalar_rng.gen::<u64>(),
+                        "len {len}: one draw per element, so the next draw is equal"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

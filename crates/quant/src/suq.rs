@@ -140,27 +140,72 @@ pub fn quantize_value<R: Rng + ?Sized>(
     rounded.clamp(QMIN as f32, QMAX as f32) as i8
 }
 
+/// Converts an `f32` that is an integer in `[−127, 127]` (or NaN) to its
+/// INT8 code with integer lanes.
+///
+/// `f32 as i8` is a saturating cast LLVM scalarises. For such a value adding
+/// 1.5·2²³ is exact and leaves the integer in the low mantissa bits:
+/// subtracting the bias's bit pattern converts it with plain integer
+/// arithmetic. NaN maps to 0, as the saturating cast does.
+#[inline(always)]
+fn code_of_clamped(rounded: f32) -> i8 {
+    const BIAS: f32 = 12_582_912.0; // 1.5 · 2^23
+    let biased = (rounded + BIAS).to_bits() as i32;
+    if rounded.is_nan() {
+        0
+    } else {
+        biased.wrapping_sub(BIAS.to_bits() as i32) as i8
+    }
+}
+
 /// Nearest-rounding quantization of a whole slice: `codes[i]` is exactly
 /// `quantize_value(values[i].clamp(-clip, clip), scale, Rounding::Nearest, _)`
 /// — the same clamp, divide, `round` (ties away from zero) and clamp per
 /// element — written as one straight loop with no RNG and no per-element
 /// mode dispatch so it vectorizes.
 pub(crate) fn quantize_nearest_into(values: &[f32], clip: f32, scale: f32, codes: &mut [i8]) {
-    // `f32 as i8` is a saturating cast LLVM scalarises. After the clamp the
-    // value is an integer in [−127, 127] (or NaN), so adding 1.5·2²³ is
-    // exact and leaves that integer in the low mantissa bits: subtracting
-    // the bias's bit pattern converts it with plain integer lanes. NaN maps
-    // to 0, as the saturating cast does.
-    const BIAS: f32 = 12_582_912.0; // 1.5 · 2^23
     for (code, &v) in codes.iter_mut().zip(values) {
         let x = v.clamp(-clip, clip) / scale;
-        let rounded = x.round().clamp(QMIN as f32, QMAX as f32);
-        let biased = (rounded + BIAS).to_bits() as i32;
-        *code = if rounded.is_nan() {
-            0
-        } else {
-            biased.wrapping_sub(BIAS.to_bits() as i32) as i8
-        };
+        *code = code_of_clamped(x.round().clamp(QMIN as f32, QMAX as f32));
+    }
+}
+
+/// Elements per block of [`quantize_stochastic_into`]: 4 KiB of draws, which
+/// stay L1-resident between the serial draw loop and the rounding loop.
+pub(crate) const STOCHASTIC_BLOCK: usize = 1024;
+
+/// Stochastic-rounding quantization of a whole slice: `codes[i]` is exactly
+/// `quantize_value(values[i].clamp(-clip, clip), scale, Rounding::Stochastic,
+/// rng)` called for `i = 0, 1, 2, …` — one `rng.gen::<f32>()` per element,
+/// in element order, so the codes and the generator's final state are those
+/// of the per-element loop for any `R`.
+///
+/// Only the draws are inherently serial. Each block takes its draws first
+/// and then rounds in a second loop that has no RNG in it — the same clamp,
+/// divide, `floor`, `draw < frac` and clamp per element — so that loop
+/// vectorizes beside [`quantize_nearest_into`].
+pub(crate) fn quantize_stochastic_into<R: Rng + ?Sized>(
+    values: &[f32],
+    clip: f32,
+    scale: f32,
+    rng: &mut R,
+    codes: &mut [i8],
+) {
+    let mut draws = [0.0f32; STOCHASTIC_BLOCK];
+    for (codes, values) in codes
+        .chunks_mut(STOCHASTIC_BLOCK)
+        .zip(values.chunks(STOCHASTIC_BLOCK))
+    {
+        let draws = &mut draws[..values.len()];
+        for draw in draws.iter_mut() {
+            *draw = rng.gen::<f32>();
+        }
+        for ((code, &v), &draw) in codes.iter_mut().zip(values).zip(draws.iter()) {
+            let x = v.clamp(-clip, clip) / scale;
+            let floor = x.floor();
+            let rounded = if draw < x - floor { floor + 1.0 } else { floor };
+            *code = code_of_clamped(rounded.clamp(QMIN as f32, QMAX as f32));
+        }
     }
 }
 

@@ -135,10 +135,10 @@ proptest! {
     fn packed_kernels_cross_tile_boundaries_exactly(
         m_extra in 0usize..20, k_extra in 0usize..20, n_extra in 0usize..20, seed in 0u64..100
     ) {
-        // Straddle the micro-tile (MR = 2, NR = 64) and row-block (MC = 64)
+        // Straddle the micro-tile (MR = 2) and row-block (MC = 64)
         // boundaries: m ∈ [56, 76) crosses MC and several MR strips, n ∈
-        // [56, 76) crosses the first NR strip edge, and odd k values
-        // exercise the padded half-pair.
+        // [56, 76) is one 64-column strip or a 48-column strip and a ragged
+        // second one, and odd k values exercise the padded half-pair.
         let (m, k, n) = (56 + m_extra, 120 + k_extra, 56 + n_extra);
         let qa = random_quant(&[m, k], seed);
         let qb = random_quant(&[k, n], seed ^ 0x51DE);
@@ -149,7 +149,7 @@ proptest! {
 
     #[test]
     fn explicit_thread_counts_match_reference(threads in 1usize..=8, seed in 0u64..200) {
-        // n = 70 crosses the NR = 64 strip edge; m = 33 is odd so the last
+        // n = 27 is one ragged 32-column strip; m = 33 is odd so the last
         // thread panel is a partial MR strip.
         let qa = random_quant(&[33, 70], seed);
         let qbt = random_quant(&[27, 70], seed ^ 0x7EAD);
@@ -189,9 +189,9 @@ proptest! {
     fn accumulate_epilogue_matches_store_then_add_bit_exactly(
         m in 1usize..80, k in 0usize..40, n in 1usize..300, threads in 1usize..=4, seed in 0u64..1000
     ) {
-        // m crosses MC = 64 and odd MR strips, n crosses NR = 64 and
-        // NC = 256, k is odd, even or zero, and explicit thread counts split
-        // the accumulator into several MR-aligned panels.
+        // m crosses MC = 64 and odd MR strips, n takes every strip width
+        // and crosses NC = 256, k is odd, even or zero, and explicit thread
+        // counts split the accumulator into several MR-aligned panels.
         let qa = random_quant(&[m, k], seed);
         let qb = random_quant(&[k, n], seed ^ 0xACC0);
         let packed_a = PackedA::pack(qa.codes(), m, k, PackSource::RowMajor);

@@ -3,6 +3,7 @@
 //! Layout conventions: activations are `[batch, channels, height, width]`,
 //! convolution weights are `[out_ch, in_ch, kh, kw]`.
 
+use crate::par::{shard_rows, worker_count};
 use crate::{linalg, Result, Tensor, TensorError};
 
 /// Spatial geometry of a 2-D convolution or pooling operation.
@@ -163,6 +164,117 @@ pub fn col2im(
         }
     }
     Tensor::from_vec(&[n, c, h, w], out)
+}
+
+/// Input gradient of a convolution: `col2im(matmul(grad_rows, W))` for
+/// `grad_rows [n·oh·ow, oc]` (output gradient, one row per output position)
+/// and `weight [oc, c, kh, kw]` read as the `[oc, c·kh·kw]` matrix `W` —
+/// without materialising the `[n·oh·ow, c·kh·kw]` column-gradient matrix.
+///
+/// Each output position's `c·kh·kw` products are formed in a small buffer
+/// exactly as [`linalg::matmul`] forms that row (start at 0.0, ascending
+/// `oc`, zero gradients skipped) and folded into the image straight away, in
+/// [`col2im`]'s `(img, oy, ox)` order, so every element sees the additions of
+/// the two-call sequence in the same order: the result is bit-identical to
+/// it. Images write disjoint output and are sharded across worker threads.
+///
+/// # Errors
+///
+/// Returns rank/shape errors when `weight` does not match `geom`, the kernel
+/// does not fit the `h × w` input, or `grad_rows` is not `[n·oh·ow, oc]`.
+pub fn conv2d_input_grad(
+    grad_rows: &Tensor,
+    weight: &Tensor,
+    n: usize,
+    h: usize,
+    w: usize,
+    geom: ConvGeometry,
+) -> Result<Tensor> {
+    input_grad_on(grad_rows, weight, (n, h, w), geom, None)
+}
+
+/// [`conv2d_input_grad`] on `threads` workers (`None` picks by work size).
+fn input_grad_on(
+    grad_rows: &Tensor,
+    weight: &Tensor,
+    (n, h, w): (usize, usize, usize),
+    geom: ConvGeometry,
+    threads: Option<usize>,
+) -> Result<Tensor> {
+    let (oc, c, wkh, wkw) = expect_rank4(weight, "conv2d_input_grad")?;
+    let (oh, ow) = geom.output_size(h, w)?;
+    if wkh != geom.kh || wkw != geom.kw || grad_rows.shape() != [n * oh * ow, oc] {
+        return Err(TensorError::ShapeMismatch {
+            left: grad_rows.shape().to_vec(),
+            right: weight.shape().to_vec(),
+            op: "conv2d_input_grad",
+        });
+    }
+    let row_len = c * geom.kh * geom.kw;
+    let image_len = c * h * w;
+    let (grad, weight) = (grad_rows.data(), weight.data());
+    let threads = threads.unwrap_or_else(|| worker_count(grad.len() * row_len, n));
+    let mut out = vec![0.0f32; n * image_len];
+    let fold_images = |first_img: usize, panel: &mut [f32], _: Option<&mut [f32]>| {
+        let mut patch = vec![0.0f32; row_len];
+        for (i, image) in panel.chunks_mut(image_len).enumerate() {
+            let first_row = (first_img + i) * oh * ow;
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let row_idx = first_row + oy * ow + ox;
+                    patch.fill(0.0);
+                    for (p, &g) in grad[row_idx * oc..(row_idx + 1) * oc].iter().enumerate() {
+                        if g == 0.0 {
+                            continue;
+                        }
+                        let w_row = &weight[p * row_len..(p + 1) * row_len];
+                        for (acc, &w_pj) in patch.iter_mut().zip(w_row) {
+                            *acc += g * w_pj;
+                        }
+                    }
+                    fold_patch(&patch, image, (c, h, w), (oy, ox), geom);
+                }
+            }
+        }
+    };
+    // An empty image has nothing to fold (and no row width to shard by).
+    if image_len > 0 {
+        shard_rows(&mut out, None, image_len, 1, threads, fold_images)?;
+    }
+    Tensor::from_vec(&[n, c, h, w], out)
+}
+
+/// Adds one output position's `[c, kh, kw]` patch gradient onto its
+/// receptive field in a `[c, h, w]` image. A patch touches each pixel at most
+/// once, so only the order *between* patches is observable; within one the
+/// in-bounds part of every kernel row is a contiguous run of pixels.
+fn fold_patch(
+    patch: &[f32],
+    image: &mut [f32],
+    (c, h, w): (usize, usize, usize),
+    (oy, ox): (usize, usize),
+    geom: ConvGeometry,
+) {
+    let (y0, x0) = (oy * geom.stride, ox * geom.stride);
+    // Kernel columns whose pixel `x0 + kx − padding` lies in `0..w`.
+    let kx_lo = geom.padding.saturating_sub(x0).min(geom.kw);
+    let kx_hi = (w + geom.padding).saturating_sub(x0).min(geom.kw);
+    if kx_lo >= kx_hi {
+        return;
+    }
+    for ch in 0..c {
+        for ky in 0..geom.kh {
+            let iy = match (y0 + ky).checked_sub(geom.padding) {
+                Some(iy) if iy < h => iy,
+                _ => continue,
+            };
+            let src = &patch[(ch * geom.kh + ky) * geom.kw..][kx_lo..kx_hi];
+            let dst_first = (ch * h + iy) * w + x0 + kx_lo - geom.padding;
+            for (d, &s) in image[dst_first..].iter_mut().zip(src) {
+                *d += s;
+            }
+        }
+    }
 }
 
 /// 2-D convolution of `input [n, c, h, w]` with `weight [oc, c, kh, kw]` and an
@@ -444,6 +556,82 @@ mod tests {
         let (cols, _, _) = im2col(&input, geom).unwrap();
         let folded = col2im(&cols, 1, 1, 3, 3, geom).unwrap();
         assert_eq!(folded.data(), &[1., 2., 1., 2., 4., 2., 1., 2., 1.]);
+    }
+
+    #[test]
+    fn input_grad_is_bit_identical_to_matmul_then_col2im() {
+        // Values with long mantissas so any reordering of the additions
+        // would show; `keep_every` zeroes gradients to exercise the skip.
+        let values = |len: usize, salt: usize, keep_every: usize| -> Vec<f32> {
+            (0..len)
+                .map(|i| {
+                    if keep_every == 0 || i % keep_every != 0 {
+                        return 0.0;
+                    }
+                    (((i * 2_654_435_761 + salt) % 20_011) as f32 - 10_005.0) / 7_919.0
+                })
+                .collect()
+        };
+        let (c, oc, h, w) = (3, 5, 7, 6);
+        for kernel in [1, 3] {
+            for stride in [1, 2, 3] {
+                for padding in [0, 1] {
+                    let geom = ConvGeometry::new(kernel, stride, padding).unwrap();
+                    let (oh, ow) = geom.output_size(h, w).unwrap();
+                    let weight = Tensor::from_vec(
+                        &[oc, c, kernel, kernel],
+                        values(oc * c * kernel * kernel, 7, 1),
+                    )
+                    .unwrap();
+                    let weight_mat = weight.reshape(&[oc, c * kernel * kernel]).unwrap();
+                    for n in [1, 5] {
+                        // Dense, half-zero and all-zero gradients.
+                        for keep_every in [1, 2, 0] {
+                            let rows = n * oh * ow;
+                            let grad =
+                                Tensor::from_vec(&[rows, oc], values(rows * oc, 3, keep_every))
+                                    .unwrap();
+                            let cols = linalg::matmul(&grad, &weight_mat).unwrap();
+                            let expected = col2im(&cols, n, c, h, w, geom).unwrap();
+                            let case =
+                                format!("k{kernel} s{stride} p{padding} n{n} keep{keep_every}");
+                            let bits = |t: &Tensor| {
+                                t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+                            };
+                            let auto = conv2d_input_grad(&grad, &weight, n, h, w, geom).unwrap();
+                            assert_eq!(auto.shape(), expected.shape(), "{case}");
+                            assert_eq!(bits(&auto), bits(&expected), "{case}");
+                            for threads in [1, 2, 3, 8] {
+                                let forced =
+                                    input_grad_on(&grad, &weight, (n, h, w), geom, Some(threads))
+                                        .unwrap();
+                                assert_eq!(
+                                    bits(&forced),
+                                    bits(&expected),
+                                    "{case} threads {threads}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn input_grad_rejects_inconsistent_operands() {
+        let geom = ConvGeometry::new(3, 1, 1).unwrap();
+        let weight = Tensor::ones(&[2, 1, 3, 3]);
+        let grad = Tensor::ones(&[16, 2]);
+        assert!(conv2d_input_grad(&grad, &weight, 1, 4, 4, geom).is_ok());
+        // Wrong row count, wrong channel count, kernel ≠ geometry, rank.
+        assert!(conv2d_input_grad(&grad, &weight, 2, 4, 4, geom).is_err());
+        assert!(conv2d_input_grad(&Tensor::ones(&[16, 3]), &weight, 1, 4, 4, geom).is_err());
+        assert!(conv2d_input_grad(&grad, &Tensor::ones(&[2, 1, 1, 1]), 1, 4, 4, geom).is_err());
+        assert!(conv2d_input_grad(&grad, &Tensor::ones(&[2, 9]), 1, 4, 4, geom).is_err());
+        // No images: an empty gradient of the right shape.
+        let empty = conv2d_input_grad(&Tensor::zeros(&[0, 2]), &weight, 0, 4, 4, geom).unwrap();
+        assert_eq!(empty.shape(), &[0, 1, 4, 4]);
     }
 
     #[test]

@@ -26,6 +26,7 @@
 //! ```
 
 use crate::Result;
+use std::sync::OnceLock;
 
 /// Minimum number of fused multiply-adds before a GEMM is parallelised.
 ///
@@ -39,14 +40,15 @@ pub const PARALLEL_THRESHOLD: usize = 1 << 20;
 /// only one shard exists; otherwise the machine's available parallelism
 /// capped by `max_shards`.
 pub fn worker_count(work: usize, max_shards: usize) -> usize {
+    // `available_parallelism` re-reads the cgroup files on every call
+    // (≈ 10 µs), and a training step asks dozens of times.
+    static AVAILABLE: OnceLock<usize> = OnceLock::new();
     if work < PARALLEL_THRESHOLD || max_shards <= 1 {
         return 1;
     }
-    std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(4)
-        .min(max_shards)
-        .max(1)
+    let available =
+        *AVAILABLE.get_or_init(|| std::thread::available_parallelism().map_or(4, |p| p.get()));
+    available.min(max_shards).max(1)
 }
 
 /// Splits `out` (a row-major `rows × row_width` buffer) into contiguous row
