@@ -1061,6 +1061,23 @@ mod tests {
         }
     }
 
+    /// The live wire bytes, pinned: FNV-1a-64 over the concatenated
+    /// encoding of every sample message. Recorded before the per-version
+    /// forks were deleted; a change to the constant is a wire-format change.
+    #[test]
+    fn live_wire_bytes_are_pinned() {
+        let hash = sample_msgs()
+            .iter()
+            .flat_map(encode_msg)
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+        assert_eq!(
+            hash, 0x1803_403f_e53e_166e,
+            "FF8D bytes moved: {hash:#018x}"
+        );
+    }
+
     #[test]
     fn every_truncation_is_a_typed_error() {
         for msg in sample_msgs() {

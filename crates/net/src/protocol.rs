@@ -1541,6 +1541,34 @@ mod tests {
         assert_eq!(version, PROTOCOL_VERSION);
     }
 
+    /// The live wire bytes, pinned: FNV-1a-64 over the concatenated
+    /// encoding of every sample frame, under default meta and under a
+    /// populated one (model id + token). Recorded before the per-version
+    /// forks were deleted; a change to either constant is a wire-format
+    /// change.
+    #[test]
+    fn live_wire_bytes_are_pinned() {
+        let populated = FrameMeta {
+            model_id: 513,
+            token: Some("s3cret-token".to_string()),
+        };
+        for (meta, pinned) in [
+            (FrameMeta::default(), 0xecca_4f39_df3e_2351u64),
+            (populated, 0x34d2_77fd_fa2e_0cd7u64),
+        ] {
+            let hash = sample_frames()
+                .iter()
+                .flat_map(|frame| encode_frame_meta(frame, PROTOCOL_VERSION, &meta))
+                .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                    (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+                });
+            assert_eq!(
+                hash, pinned,
+                "FF8P bytes moved under {meta:?}: {hash:#018x}"
+            );
+        }
+    }
+
     #[test]
     fn frame_meta_roundtrips_model_id_and_token() {
         let meta = FrameMeta {
