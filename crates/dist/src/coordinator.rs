@@ -19,8 +19,8 @@
 //! sequential `grad_shards = W` run no matter how the cluster behaves.
 
 use crate::protocol::{
-    decode_msg_versioned, encode_msg_at, read_msg, read_msg_bytes, write_msg, write_msg_at,
-    write_msg_bytes, ErrorCode, ShardStamps, TrainMsg, KIND_COUNT, TRAIN_PROTOCOL_VERSION,
+    decode_msg, encode_msg, read_msg, read_msg_bytes, write_msg, write_msg_bytes, ErrorCode,
+    ShardStamps, TrainMsg, KIND_COUNT,
 };
 use crate::{DistError, Result};
 use ff_core::shard::{compute_shard, reduce_shard_grads, shard_tasks, ShardGrads};
@@ -81,10 +81,6 @@ struct WorkerLink {
     id: u64,
     stream: Mutex<TcpStream>,
     alive: AtomicBool,
-    /// The FF8D version every frame to/from this worker is encoded at:
-    /// `min(worker's Join version, TRAIN_PROTOCOL_VERSION)`. A v1 worker
-    /// trains bit-identically — it just carries no trace fields.
-    version: u16,
 }
 
 /// What worker reader threads report to the trainer.
@@ -142,7 +138,7 @@ impl WireCounters {
 struct Shared {
     config: CoordinatorConfig,
     workers: Mutex<Vec<Arc<WorkerLink>>>,
-    subscribers: Mutex<Vec<(TcpStream, u16)>>,
+    subscribers: Mutex<Vec<TcpStream>>,
     checkpoint: Mutex<Option<Vec<u8>>>,
     shutdown: AtomicBool,
     cluster: ClusterFlightRecorder,
@@ -158,23 +154,22 @@ impl Shared {
         }
     }
 
-    /// Writes `msg` at `version` and accounts the frame under its kind.
-    fn wire_write(&self, stream: &mut TcpStream, msg: &TrainMsg, version: u16) -> Result<()> {
-        let n = write_msg_at(stream, msg, version)?;
+    /// Writes `msg` and accounts the frame under its kind.
+    fn wire_write(&self, stream: &mut TcpStream, msg: &TrainMsg) -> Result<()> {
+        let n = write_msg_bytes(stream, &encode_msg(msg))?;
         self.wire.account(msg.kind_index(), n as u64);
         Ok(())
     }
 
     /// Sends a coded [`TrainMsg::Error`] reply (best effort) and bumps its
     /// `dist.coord.errors.<code>` counter.
-    fn send_error(&self, stream: &mut TcpStream, version: u16, code: ErrorCode, message: &str) {
+    fn send_error(&self, stream: &mut TcpStream, code: ErrorCode, message: &str) {
         let _ = self.wire_write(
             stream,
             &TrainMsg::Error {
                 code,
                 message: message.to_string(),
             },
-            version,
         );
         if let Some(slot) = ErrorCode::all().iter().position(|c| *c == code) {
             self.errors[slot].inc();
@@ -274,25 +269,14 @@ impl Coordinator {
             event: event.clone(),
         };
         let kind_index = msg.kind_index();
-        // Encode once per distinct subscriber version, not per subscriber.
-        let mut encoded: Vec<(u16, Vec<u8>)> = Vec::new();
+        let bytes = encode_msg(&msg);
         if let Ok(mut subs) = self.shared.subscribers.lock() {
-            subs.retain_mut(|(stream, version)| {
-                if !encoded.iter().any(|(v, _)| v == version) {
-                    encoded.push((*version, encode_msg_at(&msg, *version)));
+            subs.retain_mut(|stream| match write_msg_bytes(stream, &bytes) {
+                Ok(n) => {
+                    self.shared.wire.account(kind_index, n as u64);
+                    true
                 }
-                let bytes = &encoded
-                    .iter()
-                    .find(|(v, _)| v == version)
-                    .expect("cached")
-                    .1;
-                match write_msg_bytes(stream, bytes) {
-                    Ok(n) => {
-                        self.shared.wire.account(kind_index, n as u64);
-                        true
-                    }
-                    Err(_) => false,
-                }
+                Err(_) => false,
             });
         }
         self.shared.count("dist.coord.events_broadcast", 1);
@@ -351,9 +335,7 @@ impl Coordinator {
             for link in workers.drain(..) {
                 link.alive.store(false, Ordering::SeqCst);
                 if let Ok(mut stream) = link.stream.lock() {
-                    let _ = self
-                        .shared
-                        .wire_write(&mut stream, &TrainMsg::Shutdown, link.version);
+                    let _ = self.shared.wire_write(&mut stream, &TrainMsg::Shutdown);
                     let _ = stream.shutdown(std::net::Shutdown::Both);
                 }
             }
@@ -387,11 +369,6 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>, pulse_tx: mpsc::Sende
 }
 
 /// Classifies a fresh connection by its first frame.
-///
-/// The first frame also fixes the connection's FF8D version: the peer's
-/// declared header version, clamped to [`TRAIN_PROTOCOL_VERSION`]. Every
-/// reply (and every later frame the trainer sends a worker) is encoded at
-/// that version, so a v1 peer never sees bytes it cannot decode.
 fn handle_hello(
     mut stream: TcpStream,
     shared: &Arc<Shared>,
@@ -402,13 +379,12 @@ fn handle_hello(
     let Ok(bytes) = read_msg_bytes(&mut stream) else {
         return;
     };
-    let Ok((hello, peer_version)) = decode_msg_versioned(&bytes) else {
+    let Ok(hello) = decode_msg(&bytes) else {
         return;
     };
     shared
         .wire
         .account(hello.kind_index(), bytes.len() as u64 + 4);
-    let version = peer_version.min(TRAIN_PROTOCOL_VERSION);
     let _ = stream.set_read_timeout(None);
     match hello {
         TrainMsg::Join { token } => {
@@ -416,7 +392,6 @@ fn handle_hello(
                 if &token != expected {
                     shared.send_error(
                         &mut stream,
-                        version,
                         ErrorCode::BadToken,
                         "join rejected: bad cluster token",
                     );
@@ -425,7 +400,7 @@ fn handle_hello(
             }
             let id = next_worker_id.fetch_add(1, Ordering::Relaxed);
             if shared
-                .wire_write(&mut stream, &TrainMsg::JoinAck { worker_id: id }, version)
+                .wire_write(&mut stream, &TrainMsg::JoinAck { worker_id: id })
                 .is_err()
             {
                 return;
@@ -437,7 +412,6 @@ fn handle_hello(
                 id,
                 stream: Mutex::new(stream),
                 alive: AtomicBool::new(true),
-                version,
             });
             if let Ok(mut workers) = shared.workers.lock() {
                 workers.push(Arc::clone(&link));
@@ -458,42 +432,34 @@ fn handle_hello(
         }
         TrainMsg::Subscribe => {
             if let Ok(mut subs) = shared.subscribers.lock() {
-                subs.push((stream, version));
+                subs.push(stream);
             }
             shared.count("dist.coord.subscribers_joined", 1);
         }
         TrainMsg::PullCheckpoint => {
             match shared.checkpoint.lock().ok().and_then(|slot| slot.clone()) {
                 Some(bytes) => {
-                    let _ = shared.wire_write(
-                        &mut stream,
-                        &TrainMsg::CheckpointReply { bytes },
-                        version,
-                    );
+                    let _ = shared.wire_write(&mut stream, &TrainMsg::CheckpointReply { bytes });
                 }
                 None => shared.send_error(
                     &mut stream,
-                    version,
                     ErrorCode::NoCheckpoint,
                     "no checkpoint published yet",
                 ),
             }
             shared.count("dist.coord.checkpoints_pulled", 1);
         }
-        // Only decodable from a v2 header, so `version` is ≥ 2 here and
-        // the reply's trace kinds are always expressible.
         TrainMsg::TraceDump { max } => {
             let reply = TrainMsg::TraceDumpReply {
                 dropped: shared.cluster.dropped(),
                 spans: shared.cluster.recent(max as usize),
             };
-            let _ = shared.wire_write(&mut stream, &reply, version);
+            let _ = shared.wire_write(&mut stream, &reply);
             shared.count("dist.coord.traces_pulled", 1);
         }
         _ => {
             shared.send_error(
                 &mut stream,
-                version,
                 ErrorCode::UnexpectedHello,
                 "expected Join, Subscribe, PullCheckpoint or TraceDump",
             );
@@ -510,8 +476,8 @@ fn worker_reader(
     tx: mpsc::Sender<Pulse>,
 ) {
     while let Ok(bytes) = read_msg_bytes(&mut stream) {
-        let msg = match decode_msg_versioned(&bytes) {
-            Ok((msg, _version)) => {
+        let msg = match decode_msg(&bytes) {
+            Ok(msg) => {
                 shared
                     .wire
                     .account(msg.kind_index(), bytes.len() as u64 + 4);
@@ -603,22 +569,14 @@ impl DistTrainer {
                 params,
             };
             let sync_kind = sync.kind_index();
-            // ParamSync dominates cluster bytes; encode it once per
-            // distinct worker version, not once per worker.
-            let mut encoded: Vec<(u16, Vec<u8>)> = Vec::new();
+            // ParamSync dominates cluster bytes; encode it once, not once
+            // per worker.
+            let bytes = encode_msg(&sync);
             for link in live {
-                if !encoded.iter().any(|(v, _)| *v == link.version) {
-                    encoded.push((link.version, encode_msg_at(&sync, link.version)));
-                }
-                let bytes = &encoded
-                    .iter()
-                    .find(|(v, _)| *v == link.version)
-                    .expect("cached")
-                    .1;
                 let wrote = link
                     .stream
                     .lock()
-                    .map(|mut s| write_msg_bytes(&mut *s, bytes))
+                    .map(|mut s| write_msg_bytes(&mut *s, &bytes))
                     .unwrap_or(Err(DistError::Protocol {
                         message: "worker stream lock poisoned".to_string(),
                     }));
@@ -648,7 +606,7 @@ impl DistTrainer {
                 let ok = link
                     .stream
                     .lock()
-                    .map(|mut s| self.shared.wire_write(&mut s, &msg, link.version).is_ok())
+                    .map(|mut s| self.shared.wire_write(&mut s, &msg).is_ok())
                     .unwrap_or(false);
                 if ok {
                     assignment[index] = Some(link.id);
@@ -891,8 +849,7 @@ impl TrainerCore for DistTrainer {
 /// # Errors
 ///
 /// [`DistError::Io`] on connection failure; [`DistError::Protocol`] when
-/// the peer replies with an error or an unexpected kind (e.g. a v1
-/// coordinator that predates cluster tracing).
+/// the peer replies with an error or an unexpected kind.
 pub fn pull_cluster_traces(addr: impl ToSocketAddrs, max: u32) -> Result<(u64, Vec<ClusterSpan>)> {
     let mut stream = TcpStream::connect(addr)?;
     write_msg(&mut stream, &TrainMsg::TraceDump { max })?;

@@ -16,23 +16,18 @@
 //! - checkpoint pullers: `PullCheckpoint` → `CheckpointReply` carrying a
 //!   complete `FF8C` artifact (or `Error` when none is published yet);
 //! - trace pullers: `TraceDump` → `TraceDumpReply` carrying the
-//!   coordinator's recent [`ClusterSpan`]s (protocol v2+).
+//!   coordinator's recent [`ClusterSpan`]s.
 //!
-//! # Version compatibility (v1 → v2)
+//! # One live version
 //!
-//! v2 adds cluster-trace context with the same discipline the `FF8P`
-//! protocol used for its v1→v3 growth: new fields are **appended** to
-//! existing record layouts and gated on the frame's version
-//! (`SubmitBatch` gains a trailing `trace_id`; `ShardResult` gains
-//! `trace_id` + worker-side decode/compute/encode stamps; `Error` gains a
-//! machine-readable code), and brand-new kinds (`TraceDump`,
-//! `TraceDumpReply`) require v2 headers outright. The decoder accepts
-//! [`MIN_TRAIN_PROTOCOL_VERSION`]`..=`[`TRAIN_PROTOCOL_VERSION`]; v1
-//! frames decode with neutral defaults (zero trace id, zero stamps,
-//! [`ErrorCode::Unspecified`]). Encoding at a peer's declared version
-//! ([`encode_msg_at`]) drops the newer fields, so a v2 coordinator speaks
-//! byte-exact v1 to old workers — the interop tests assert training stays
-//! bit-identical either way.
+//! A worker and its coordinator are built from one commit, so there is one
+//! layout: every frame is written at [`TRAIN_PROTOCOL_VERSION`], and a
+//! frame declaring any other version is refused with the typed
+//! [`ff_codec::CodecError::UnsupportedVersion`] — the coordinator answers
+//! such a hello with one [`ErrorCode::UnexpectedHello`] error frame and
+//! closes the stream. (The on-disk `FF8C` / `FF8S` versions are a
+//! separate, still ranged contract: files outlive builds, wire peers do
+//! not.)
 
 use crate::{DistError, Result};
 use ff_codec::{Reader, Writer};
@@ -45,11 +40,9 @@ use std::io::{Read, Write};
 /// Magic bytes of every `FF8D` frame.
 pub const TRAIN_MAGIC: [u8; 4] = *b"FF8D";
 
-/// Current `FF8D` protocol version.
+/// The one `FF8D` protocol version this build speaks: written on every
+/// frame, and the only one accepted.
 pub const TRAIN_PROTOCOL_VERSION: u16 = 2;
-
-/// Oldest `FF8D` protocol version still accepted and emittable.
-pub const MIN_TRAIN_PROTOCOL_VERSION: u16 = 1;
 
 /// Upper bound on one frame's encoded size (64 MiB) — enough for a full
 /// parameter sync of any model this workspace trains, small enough that a
@@ -83,13 +76,13 @@ mod kind {
 /// Number of message kinds — sizes the per-kind wire counters.
 pub const KIND_COUNT: usize = 14;
 
-/// A machine-readable reason on [`TrainMsg::Error`] frames (v2+), so the
+/// A machine-readable reason on [`TrainMsg::Error`] frames, so the
 /// coordinator can count rejections per cause instead of one aggregate.
-/// v1 frames (and unknown future tags) decode as
-/// [`ErrorCode::Unspecified`].
+/// Unknown tags decode as [`ErrorCode::Unspecified`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ErrorCode {
-    /// No specific code (v1 peers, or genuinely uncategorized).
+    /// No specific code (genuinely uncategorized, or a tag this build does
+    /// not know).
     #[default]
     Unspecified,
     /// The presented cluster token did not match.
@@ -111,7 +104,7 @@ impl ErrorCode {
         }
     }
 
-    /// Decodes a wire tag; unknown tags (from a newer peer) degrade to
+    /// Decodes a wire tag; unknown tags degrade to
     /// [`ErrorCode::Unspecified`] rather than failing the frame.
     fn from_u8(tag: u8) -> Self {
         match tag {
@@ -144,11 +137,11 @@ impl ErrorCode {
     }
 }
 
-/// Worker-side trace stamps riding on a v2 `ShardResult`: nanosecond
-/// offsets on the **worker's** clock, measured from the moment the task
-/// bytes were received — monotonic by construction, no clock sync needed.
-/// All-zero for v1 workers or unsampled steps ([`ShardStamps::default`]
-/// is the neutral wire value).
+/// Worker-side trace stamps riding on a `ShardResult`: nanosecond offsets
+/// on the **worker's** clock, measured from the moment the task bytes were
+/// received — monotonic by construction, no clock sync needed. A worker
+/// floors its stamps at 1 ns, so all-zero stamps
+/// ([`ShardStamps::default`]) mean only "recomputed locally".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ShardStamps {
     /// The step's cluster trace id, echoed from `SubmitBatch` (`0` when
@@ -191,8 +184,7 @@ pub enum TrainMsg {
         step: u64,
         /// The canonical shard task ([`ff_core::shard::compute_shard`]).
         task: ShardTask,
-        /// The step's cluster trace id (v2+; `0` = step not sampled, and
-        /// the neutral default decoded from v1 frames).
+        /// The step's cluster trace id (`0` = step not sampled).
         trace_id: u64,
     },
     /// A worker returns one shard's gradients.
@@ -203,7 +195,7 @@ pub enum TrainMsg {
         shard_index: u64,
         /// The shard's loss partials and gradient tensors.
         grads: ShardGrads,
-        /// Worker-side trace stamps (v2+; all-zero from v1 workers).
+        /// Worker-side trace stamps.
         stamps: ShardStamps,
     },
     /// A typed training event streamed to subscribers.
@@ -227,18 +219,17 @@ pub enum TrainMsg {
     Shutdown,
     /// A typed error reply (bad token, no checkpoint yet, ...).
     Error {
-        /// Machine-readable cause (v2+; [`ErrorCode::Unspecified`] from
-        /// v1 peers).
+        /// Machine-readable cause.
         code: ErrorCode,
         /// What went wrong, human-readable.
         message: String,
     },
-    /// Requests the coordinator's recent cluster-step spans (v2+).
+    /// Requests the coordinator's recent cluster-step spans.
     TraceDump {
         /// Maximum number of spans to return; `0` = everything retained.
         max: u32,
     },
-    /// Carries the coordinator's recent [`ClusterSpan`]s (v2+).
+    /// Carries the coordinator's recent [`ClusterSpan`]s.
     TraceDumpReply {
         /// Spans lost to ring contention or capacity zero.
         dropped: u64,
@@ -547,31 +538,10 @@ fn get_span(r: &mut Reader<'_>) -> Result<ClusterSpan> {
     Ok(span)
 }
 
-/// Encodes one message into a standalone `FF8D` artifact at the current
-/// protocol version (no length prefix; [`write_msg`] adds it).
+/// Encodes one message into a standalone `FF8D` artifact (no length
+/// prefix; [`write_msg`] adds it).
 pub fn encode_msg(msg: &TrainMsg) -> Vec<u8> {
-    encode_msg_at(msg, TRAIN_PROTOCOL_VERSION)
-}
-
-/// Encodes one message at a specific protocol version — how the
-/// coordinator speaks byte-exact v1 to old workers. Version-gated fields
-/// are simply dropped when encoding at v1.
-///
-/// # Panics
-///
-/// When `version` is outside
-/// [`MIN_TRAIN_PROTOCOL_VERSION`]`..=`[`TRAIN_PROTOCOL_VERSION`], or when
-/// asked to encode a v2-only kind (`TraceDump`/`TraceDumpReply`) at v1 —
-/// both are caller bugs, not wire conditions: versions come from our own
-/// negotiation (already clamped), and trace frames are only ever sent to
-/// v2 peers.
-pub fn encode_msg_at(msg: &TrainMsg, version: u16) -> Vec<u8> {
-    assert!(
-        (MIN_TRAIN_PROTOCOL_VERSION..=TRAIN_PROTOCOL_VERSION).contains(&version),
-        "unsupported FF8D encode version {version}"
-    );
-    let v2 = version >= 2;
-    let mut w = Writer::new(&TRAIN_MAGIC, version);
+    let mut w = Writer::new(&TRAIN_MAGIC, TRAIN_PROTOCOL_VERSION);
     w.record(|r| match msg {
         TrainMsg::Join { token } => {
             r.put_u8(kind::JOIN);
@@ -606,9 +576,7 @@ pub fn encode_msg_at(msg: &TrainMsg, version: u16) -> Vec<u8> {
             r.put_f32(task.theta);
             r.put_f32(task.lambda);
             put_precision(r, task.precision);
-            if v2 {
-                r.put_u64(*trace_id);
-            }
+            r.put_u64(*trace_id);
         }
         TrainMsg::ShardResult {
             step,
@@ -625,15 +593,13 @@ pub fn encode_msg_at(msg: &TrainMsg, version: u16) -> Vec<u8> {
             for t in &grads.grads {
                 put_tensor(r, t);
             }
-            if v2 {
-                // `encoded_ns` is deliberately the final field of the
-                // artifact so `stamp_shard_result_encoded_ns` can patch it
-                // after the encode clock stops.
-                r.put_u64(stamps.trace_id);
-                r.put_u64(stamps.decoded_ns);
-                r.put_u64(stamps.computed_ns);
-                r.put_u64(stamps.encoded_ns);
-            }
+            // `encoded_ns` is deliberately the final field of the
+            // artifact so `stamp_shard_result_encoded_ns` can patch it
+            // after the encode clock stops.
+            r.put_u64(stamps.trace_id);
+            r.put_u64(stamps.decoded_ns);
+            r.put_u64(stamps.computed_ns);
+            r.put_u64(stamps.encoded_ns);
         }
         TrainMsg::Event { event } => {
             r.put_u8(kind::EVENT);
@@ -651,17 +617,13 @@ pub fn encode_msg_at(msg: &TrainMsg, version: u16) -> Vec<u8> {
         TrainMsg::Error { code, message } => {
             r.put_u8(kind::ERROR);
             r.put_string(message);
-            if v2 {
-                r.put_u8(code.to_u8());
-            }
+            r.put_u8(code.to_u8());
         }
         TrainMsg::TraceDump { max } => {
-            assert!(v2, "TraceDump requires FF8D protocol version >= 2");
             r.put_u8(kind::TRACE_DUMP);
             r.put_u32(*max);
         }
         TrainMsg::TraceDumpReply { dropped, spans } => {
-            assert!(v2, "TraceDumpReply requires FF8D protocol version >= 2");
             r.put_u8(kind::TRACE_DUMP_REPLY);
             r.put_u64(*dropped);
             r.put_u32(spans.len() as u32);
@@ -673,18 +635,18 @@ pub fn encode_msg_at(msg: &TrainMsg, version: u16) -> Vec<u8> {
     w.into_vec()
 }
 
-/// Overwrites the trailing `encoded_ns` stamp of an encoded **v2**
-/// `ShardResult` artifact in place.
+/// Overwrites the trailing `encoded_ns` stamp of an encoded `ShardResult`
+/// artifact in place.
 ///
 /// The encode clock cannot include its own final read any other way: the
 /// worker encodes with a zero placeholder, stops the clock, then patches
 /// the measurement into the last 8 bytes. The `FF8D` codec carries no
 /// checksum or footer, so the patched artifact is exactly what
-/// [`encode_msg_at`] would have produced with the final value — canonical
+/// [`encode_msg`] would have produced with the final value — canonical
 /// re-encoding holds, as the protocol tests assert.
 pub fn stamp_shard_result_encoded_ns(bytes: &mut [u8], encoded_ns: u64) {
     let len = bytes.len();
-    assert!(len >= 8, "not an encoded v2 ShardResult");
+    assert!(len >= 8, "not an encoded ShardResult");
     bytes[len - 8..].copy_from_slice(&encoded_ns.to_le_bytes());
 }
 
@@ -696,22 +658,7 @@ pub fn stamp_shard_result_encoded_ns(bytes: &mut [u8], encoded_ns: u64) {
 /// [`DistError::Protocol`] on bad magic/version, truncation, unknown tags,
 /// out-of-range lengths or trailing bytes.
 pub fn decode_msg(bytes: &[u8]) -> Result<TrainMsg> {
-    decode_msg_versioned(bytes).map(|(msg, _)| msg)
-}
-
-/// Like [`decode_msg`], but also returns the frame's protocol version —
-/// how the coordinator learns what each peer speaks from its hello frame.
-///
-/// # Errors
-///
-/// See [`decode_msg`].
-pub fn decode_msg_versioned(bytes: &[u8]) -> Result<(TrainMsg, u16)> {
-    let (mut reader, version) = Reader::with_versions(
-        bytes,
-        &TRAIN_MAGIC,
-        MIN_TRAIN_PROTOCOL_VERSION..=TRAIN_PROTOCOL_VERSION,
-    )?;
-    let v2 = version >= 2;
+    let mut reader = Reader::new(bytes, &TRAIN_MAGIC, TRAIN_PROTOCOL_VERSION)?;
     let mut r = reader.record("message")?;
     let msg = match r.get_u8("message kind")? {
         kind::JOIN => TrainMsg::Join {
@@ -742,7 +689,7 @@ pub fn decode_msg_versioned(bytes: &[u8]) -> Result<(TrainMsg, u16)> {
             let theta = r.get_f32("theta")?;
             let lambda = r.get_f32("lambda")?;
             let precision = get_precision(&mut r)?;
-            let trace_id = if v2 { r.get_u64("trace id")? } else { 0 };
+            let trace_id = r.get_u64("trace id")?;
             TrainMsg::SubmitBatch {
                 step,
                 task: ShardTask {
@@ -771,15 +718,11 @@ pub fn decode_msg_versioned(bytes: &[u8]) -> Result<(TrainMsg, u16)> {
             for _ in 0..count {
                 grads.push(get_tensor(&mut r)?);
             }
-            let stamps = if v2 {
-                ShardStamps {
-                    trace_id: r.get_u64("result trace id")?,
-                    decoded_ns: r.get_u64("decoded ns")?,
-                    computed_ns: r.get_u64("computed ns")?,
-                    encoded_ns: r.get_u64("encoded ns")?,
-                }
-            } else {
-                ShardStamps::default()
+            let stamps = ShardStamps {
+                trace_id: r.get_u64("result trace id")?,
+                decoded_ns: r.get_u64("decoded ns")?,
+                computed_ns: r.get_u64("computed ns")?,
+                encoded_ns: r.get_u64("encoded ns")?,
             };
             TrainMsg::ShardResult {
                 step,
@@ -808,17 +751,13 @@ pub fn decode_msg_versioned(bytes: &[u8]) -> Result<(TrainMsg, u16)> {
         kind::SHUTDOWN => TrainMsg::Shutdown,
         kind::ERROR => {
             let message = r.get_string(MAX_STRING, "error message")?;
-            let code = if v2 {
-                ErrorCode::from_u8(r.get_u8("error code")?)
-            } else {
-                ErrorCode::Unspecified
-            };
+            let code = ErrorCode::from_u8(r.get_u8("error code")?);
             TrainMsg::Error { code, message }
         }
-        kind::TRACE_DUMP if v2 => TrainMsg::TraceDump {
+        kind::TRACE_DUMP => TrainMsg::TraceDump {
             max: r.get_u32("trace dump max")?,
         },
-        kind::TRACE_DUMP_REPLY if v2 => {
+        kind::TRACE_DUMP_REPLY => {
             let dropped = r.get_u64("dropped spans")?;
             let count = r.get_u32("span count")? as usize;
             // 8 × u64 + u32 shard count minimum per span.
@@ -831,13 +770,13 @@ pub fn decode_msg_versioned(bytes: &[u8]) -> Result<(TrainMsg, u16)> {
         }
         other => {
             return Err(DistError::Protocol {
-                message: format!("unknown message kind {other} at protocol version {version}"),
+                message: format!("unknown message kind {other}"),
             })
         }
     };
     r.finish("message")?;
     reader.finish("frame")?;
-    Ok((msg, version))
+    Ok(msg)
 }
 
 /// Writes one length-prefixed `FF8D` frame.
@@ -848,28 +787,14 @@ pub fn decode_msg_versioned(bytes: &[u8]) -> Result<(TrainMsg, u16)> {
 /// [`MAX_FRAME_BYTES`] (checked before anything is written, so the stream
 /// stays synchronized); socket errors as [`DistError::Io`].
 pub fn write_msg(writer: &mut impl Write, msg: &TrainMsg) -> Result<()> {
-    write_msg_at(writer, msg, TRAIN_PROTOCOL_VERSION).map(|_| ())
-}
-
-/// Writes one length-prefixed `FF8D` frame encoded at `version`, returning
-/// the wire bytes written (payload + 4-byte prefix) — what the per-kind
-/// byte counters record.
-///
-/// # Errors
-///
-/// See [`write_msg`].
-///
-/// # Panics
-///
-/// On the [`encode_msg_at`] version-contract violations.
-pub fn write_msg_at(writer: &mut impl Write, msg: &TrainMsg, version: u16) -> Result<usize> {
-    write_msg_bytes(writer, &encode_msg_at(msg, version))
+    write_msg_bytes(writer, &encode_msg(msg)).map(|_| ())
 }
 
 /// Writes pre-encoded `FF8D` artifact bytes as one length-prefixed frame,
-/// returning the wire bytes written — how a worker ships a `ShardResult`
-/// it already encoded (and stamped), and how the coordinator reuses one
-/// `ParamSync` encoding across same-version workers.
+/// returning the wire bytes written (payload + 4-byte prefix — what the
+/// per-kind byte counters record) — how a worker ships a `ShardResult` it
+/// already encoded (and stamped), and how the coordinator reuses one
+/// `ParamSync` encoding across workers.
 ///
 /// # Errors
 ///
@@ -897,15 +822,6 @@ pub fn write_msg_bytes(writer: &mut impl Write, bytes: &[u8]) -> Result<usize> {
 /// oversized length prefix or a malformed payload.
 pub fn read_msg(reader: &mut impl Read) -> Result<TrainMsg> {
     decode_msg(&read_msg_bytes(reader)?)
-}
-
-/// Like [`read_msg`], but also returns the frame's protocol version.
-///
-/// # Errors
-///
-/// See [`read_msg`].
-pub fn read_msg_versioned(reader: &mut impl Read) -> Result<(TrainMsg, u16)> {
-    decode_msg_versioned(&read_msg_bytes(reader)?)
 }
 
 /// Reads one length-prefixed frame's raw artifact bytes without decoding —
@@ -1116,49 +1032,15 @@ mod tests {
         ));
     }
 
-    /// The kinds a v1 peer can express — everything except the trace-dump
-    /// pair.
-    fn v1_expressible(msg: &TrainMsg) -> bool {
-        !matches!(
-            msg,
-            TrainMsg::TraceDump { .. } | TrainMsg::TraceDumpReply { .. }
-        )
-    }
-
-    #[test]
-    fn v1_encoding_roundtrips_with_neutral_defaults() {
-        for msg in sample_msgs().iter().filter(|m| v1_expressible(m)) {
-            let bytes = encode_msg_at(msg, 1);
-            let (decoded, version) = decode_msg_versioned(&bytes).expect("v1 decodes");
-            assert_eq!(version, 1);
-            assert_eq!(
-                encode_msg_at(&decoded, 1),
-                bytes,
-                "v1 re-encode is canonical"
-            );
-            match decoded {
-                TrainMsg::SubmitBatch { trace_id, .. } => assert_eq!(trace_id, 0),
-                TrainMsg::ShardResult { stamps, .. } => {
-                    assert_eq!(stamps, ShardStamps::default());
-                }
-                TrainMsg::Error { code, .. } => assert_eq!(code, ErrorCode::Unspecified),
-                _ => {}
-            }
-            // Every strict v1 prefix fails, same as v2.
-            for len in 0..bytes.len() {
-                assert!(decode_msg(&bytes[..len]).is_err());
-            }
-        }
-    }
-
     #[test]
     fn trace_kinds_require_v2_headers() {
-        for msg in sample_msgs().iter().filter(|m| !v1_expressible(m)) {
-            let mut bytes = encode_msg_at(msg, 2);
+        // Trace kinds or any other: the header version is checked first.
+        for msg in sample_msgs() {
+            let mut bytes = encode_msg(&msg);
             bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
             assert!(
                 matches!(decode_msg(&bytes), Err(DistError::Protocol { .. })),
-                "a v1-headered trace frame must be rejected"
+                "a v1-headered frame must be rejected"
             );
         }
     }
@@ -1223,7 +1105,7 @@ mod tests {
                 other => panic!("wrong kind: {other:?}"),
             }
         }
-        // Unknown future tags degrade instead of failing the frame.
+        // Unknown tags degrade instead of failing the frame.
         assert_eq!(ErrorCode::from_u8(200), ErrorCode::Unspecified);
         assert_eq!(ErrorCode::BadToken.name(), "bad_token");
     }

@@ -11,8 +11,8 @@
 //! event.
 
 use crate::protocol::{
-    decode_msg_versioned, encode_msg_at, read_msg_bytes, stamp_shard_result_encoded_ns,
-    write_msg_bytes, ShardStamps, TrainMsg, TRAIN_PROTOCOL_VERSION,
+    decode_msg, encode_msg, read_msg_bytes, stamp_shard_result_encoded_ns, write_msg_bytes,
+    ShardStamps, TrainMsg,
 };
 use crate::{DistError, Result};
 use ff_core::shard::compute_shard;
@@ -55,25 +55,8 @@ impl Worker {
         token: &str,
         net: &mut Sequential,
     ) -> Result<WorkerReport> {
-        Self::connect_at(addr, token, net, TRAIN_PROTOCOL_VERSION)
-    }
-
-    /// Like [`Worker::connect`], but speaking a pinned FF8D `version` —
-    /// the interop escape hatch for joining from (or emulating) an older
-    /// deployment. A v1 worker trains bit-identically; it just returns
-    /// `ShardResult`s with no trace stamps.
-    ///
-    /// # Panics
-    ///
-    /// If `version` is outside the supported range (caller bug).
-    pub fn connect_at(
-        addr: impl ToSocketAddrs,
-        token: &str,
-        net: &mut Sequential,
-        version: u16,
-    ) -> Result<WorkerReport> {
         let mut stream = TcpStream::connect(addr)?;
-        Self::run_at(&mut stream, token, net, version)
+        Self::run(&mut stream, token, net)
     }
 
     /// Runs the worker loop over an already-established stream.
@@ -84,6 +67,11 @@ impl Worker {
     /// report so far — the coordinator recomputes whatever this worker
     /// still owed, and "my socket died" is not a worker-side failure.
     ///
+    /// Every `ShardResult` carries the worker-local decode/compute/encode
+    /// stamps: one clock starts when the frame's bytes are fully read, and
+    /// `encoded_ns` is patched into the already-encoded reply so the stamp
+    /// covers the encode itself.
+    ///
     /// # Errors
     ///
     /// Same as [`Worker::connect`], minus connection setup.
@@ -92,36 +80,11 @@ impl Worker {
         token: &str,
         net: &mut Sequential,
     ) -> Result<WorkerReport> {
-        Self::run_at(stream, token, net, TRAIN_PROTOCOL_VERSION)
-    }
-
-    /// [`Worker::run`] at a pinned FF8D `version` (see
-    /// [`Worker::connect_at`]).
-    ///
-    /// Every `ShardResult` carries the worker-local decode/compute/encode
-    /// stamps (at v2+; v1 frames simply omit them): one clock starts when
-    /// the frame's bytes are fully read, and `encoded_ns` is patched into
-    /// the already-encoded reply so the stamp covers the encode itself.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Worker::connect`], minus connection setup.
-    ///
-    /// # Panics
-    ///
-    /// If `version` is outside the supported range (caller bug).
-    pub fn run_at<S: Read + Write>(
-        stream: &mut S,
-        token: &str,
-        net: &mut Sequential,
-        version: u16,
-    ) -> Result<WorkerReport> {
         let join = TrainMsg::Join {
             token: token.to_string(),
         };
-        write_msg_bytes(stream, &encode_msg_at(&join, version))?;
-        let (ack, _) = decode_msg_versioned(&read_msg_bytes(stream)?)?;
-        let worker_id = match ack {
+        write_msg_bytes(stream, &encode_msg(&join))?;
+        let worker_id = match decode_msg(&read_msg_bytes(stream)?)? {
             TrainMsg::JoinAck { worker_id } => worker_id,
             TrainMsg::Error { message, .. } => {
                 return Err(DistError::Protocol {
@@ -149,11 +112,7 @@ impl Worker {
             // One clock per frame: decoded/computed/encoded stamps are
             // cumulative offsets from the moment the bytes were in hand.
             let clock = Instant::now();
-            let msg = match decode_msg_versioned(&bytes) {
-                Ok((msg, _frame_version)) => msg,
-                Err(e) => return Err(e),
-            };
-            match msg {
+            match decode_msg(&bytes)? {
                 TrainMsg::ParamSync { params, .. } => {
                     apply_param_sync(net, &params)?;
                     report.params_synced += 1;
@@ -178,10 +137,8 @@ impl Worker {
                             encoded_ns: 0, // patched below, post-encode
                         },
                     };
-                    let mut out = encode_msg_at(&reply, version);
-                    if version >= 2 {
-                        stamp_shard_result_encoded_ns(&mut out, elapsed_ns(clock));
-                    }
+                    let mut out = encode_msg(&reply);
+                    stamp_shard_result_encoded_ns(&mut out, elapsed_ns(clock));
                     if write_msg_bytes(stream, &out).is_err() {
                         return Ok(report);
                     }

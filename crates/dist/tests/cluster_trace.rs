@@ -95,10 +95,7 @@ fn capture_all() -> TraceSettings {
 /// Runs a 2-worker data-parallel training to completion and returns the
 /// trained weights plus the wire-pulled trace dump, leaving the registry
 /// populated for wire-accounting assertions.
-fn traced_cluster_run(
-    registry: &MetricsRegistry,
-    worker_versions: [u16; 2],
-) -> (Vec<Vec<u32>>, u64, Vec<ClusterSpan>) {
+fn traced_cluster_run(registry: &MetricsRegistry) -> (Vec<Vec<u32>>, u64, Vec<ClusterSpan>) {
     let (train_set, test_set) = tiny_dataset();
     let options = tiny_options();
     let mut coordinator = Coordinator::bind(
@@ -111,13 +108,11 @@ fn traced_cluster_run(
     )
     .unwrap();
     let addr = coordinator.addr();
-    let workers: Vec<_> = worker_versions
-        .into_iter()
-        .enumerate()
-        .map(|(i, version)| {
+    let workers: Vec<_> = (0..2)
+        .map(|i| {
             std::thread::spawn(move || {
-                let mut replica = tiny_net(1000 + i as u64);
-                Worker::connect_at(addr, "", &mut replica, version)
+                let mut replica = tiny_net(1000 + i);
+                Worker::connect(addr, "", &mut replica)
             })
         })
         .collect();
@@ -153,7 +148,7 @@ fn capture_all_run_spans_every_step_and_stays_bit_exact() {
     let reference_bits = sequential_bits(&tiny_options(), &train_set, &test_set);
 
     let registry = MetricsRegistry::new();
-    let (bits, dropped, spans) = traced_cluster_run(&registry, [2, 2]);
+    let (bits, dropped, spans) = traced_cluster_run(&registry);
     assert_eq!(
         bits, reference_bits,
         "tracing must not perturb the determinism contract"
@@ -170,7 +165,7 @@ fn capture_all_run_spans_every_step_and_stays_bit_exact() {
         assert_eq!(span.shards.len(), 2, "grad_shards = 2");
         assert!(
             span.has_worker_stamps(),
-            "v2 workers must stamp decode/compute/encode: {span:?}"
+            "workers must stamp decode/compute/encode: {span:?}"
         );
         for shard in &span.shards {
             if shard.worker_id.is_some() {
@@ -229,46 +224,6 @@ fn capture_all_run_spans_every_step_and_stays_bit_exact() {
     );
     assert_eq!(registry.counter("dist.coord.trace.dropped").get(), 0);
     assert_eq!(registry.counter("dist.coord.traces_pulled").get(), 1);
-}
-
-#[test]
-fn v1_worker_interop_is_bit_exact_and_merely_stamp_free() {
-    let (train_set, test_set) = tiny_dataset();
-    let reference_bits = sequential_bits(&tiny_options(), &train_set, &test_set);
-
-    let registry = MetricsRegistry::new();
-    let (bits, _, spans) = traced_cluster_run(&registry, [1, 2]);
-    assert_eq!(
-        bits, reference_bits,
-        "a v1 worker must train bit-identically to the v2 cluster"
-    );
-    assert_eq!(spans.len(), STEPS as usize);
-
-    // The v1 worker's shards complete and stay monotonic — they simply
-    // carry no worker-side stamps, while the v2 worker's shards carry all
-    // three. Both workers computed something across the run.
-    let mut stamped = 0;
-    let mut stampless = 0;
-    for span in &spans {
-        assert!(
-            span.is_complete() && span.is_monotonic(),
-            "bad span: {span:?}"
-        );
-        for shard in span.shards.iter().filter(|s| s.worker_id.is_some()) {
-            if shard.has_worker_stamps() {
-                stamped += 1;
-            } else {
-                assert_eq!(
-                    (shard.decoded_ns, shard.computed_ns, shard.encoded_ns),
-                    (0, 0, 0),
-                    "a pre-trace worker must leave stamps at the neutral zero"
-                );
-                stampless += 1;
-            }
-        }
-    }
-    assert!(stamped > 0, "the v2 worker never stamped a shard");
-    assert!(stampless > 0, "the v1 worker never served a shard");
 }
 
 #[test]

@@ -14,10 +14,7 @@
 
 use ff_core::{Algorithm, Precision, TrainOptions, TrainSession};
 use ff_data::{synthetic_mnist, Dataset, SyntheticConfig};
-use ff_dist::protocol::{
-    decode_msg, decode_msg_versioned, encode_msg, encode_msg_at, sample_msgs, TrainMsg,
-    MIN_TRAIN_PROTOCOL_VERSION, TRAIN_PROTOCOL_VERSION,
-};
+use ff_dist::protocol::{decode_msg, encode_msg, sample_msgs, TrainMsg};
 use ff_dist::{Coordinator, CoordinatorConfig, DistError, PipelineSession, Worker};
 use ff_models::small_mlp;
 use ff_nn::Sequential;
@@ -164,41 +161,6 @@ fn data_parallel_is_bit_exact_across_seeds_and_worker_counts() {
     }
 }
 
-/// The sample messages `version` can encode (the trace kinds are v2+).
-fn encodable_at(version: u16) -> Vec<TrainMsg> {
-    sample_msgs()
-        .into_iter()
-        .filter(|msg| {
-            version >= 2
-                || !matches!(
-                    msg,
-                    TrainMsg::TraceDump { .. } | TrainMsg::TraceDumpReply { .. }
-                )
-        })
-        .collect()
-}
-
-/// Truncating any sample frame at ANY offset, at every supported encoding
-/// version, is a typed error — never a panic, never a bogus decode. The
-/// exhaustive sweep (rather than sampled fractions) pins the v2 trace
-/// fields: `ShardStamps`, the span-carrying `TraceDumpReply`, and the
-/// `SubmitBatch` trace id all sit at fixed offsets a sampler could skip.
-#[test]
-fn every_truncation_of_every_versioned_frame_is_rejected() {
-    for version in MIN_TRAIN_PROTOCOL_VERSION..=TRAIN_PROTOCOL_VERSION {
-        for msg in encodable_at(version) {
-            let bytes = encode_msg_at(&msg, version);
-            for keep in 0..bytes.len() {
-                assert!(
-                    decode_msg(&bytes[..keep]).is_err(),
-                    "v{version} frame decoded from a {keep}-byte prefix of {} bytes",
-                    bytes.len()
-                );
-            }
-        }
-    }
-}
-
 proptest! {
     // Arbitrary bytes never panic the decoder — they decode or return a
     // typed error.
@@ -252,30 +214,5 @@ proptest! {
         let bytes = encode_msg(&msgs[pick % msgs.len()]);
         let decoded: TrainMsg = decode_msg(&bytes).unwrap();
         prop_assert_eq!(&encode_msg(&decoded), &bytes);
-    }
-
-    // The legacy v1 encoding has its own canonical form (no trace fields)
-    // and its frames fuzz just as clean: a decoded v1 frame re-encodes to
-    // the exact bytes, and a bit-flipped v1 frame either decodes to some
-    // other message or fails with a typed error — never a panic.
-    #[test]
-    fn v1_frames_reencode_canonically_and_survive_flips(
-        pick in 0usize..15,
-        position_fraction in 0.0f64..1.0,
-        flip in 1u8..=255,
-    ) {
-        let msgs = encodable_at(1);
-        let bytes = encode_msg_at(&msgs[pick % msgs.len()], 1);
-        let (decoded, version) = decode_msg_versioned(&bytes).unwrap();
-        prop_assert_eq!(version, 1);
-        prop_assert_eq!(&encode_msg_at(&decoded, 1), &bytes);
-        let mut corrupt = bytes;
-        let len = corrupt.len();
-        let position = ((len as f64) * position_fraction) as usize % len;
-        corrupt[position] ^= flip;
-        match decode_msg(&corrupt) {
-            Ok(_) | Err(DistError::Protocol { .. }) => {}
-            Err(other) => prop_assert!(false, "unexpected error kind: {other:?}"),
-        }
     }
 }

@@ -4,7 +4,7 @@
 
 use crate::protocol::{
     read_frame, write_frame_meta, Frame, FrameMeta, WireHealthState, WireMode, WireStats,
-    DEFAULT_MAX_FRAME_BYTES, PROTOCOL_VERSION,
+    DEFAULT_MAX_FRAME_BYTES,
 };
 use crate::retry::RetryPolicy;
 use crate::{NetError, Result};
@@ -30,8 +30,7 @@ pub struct ClientConfig {
     pub deadline: Option<Duration>,
     /// Which registry model this client's requests address
     /// ([`ff_serve::DEFAULT_MODEL_ID`] by default). Carried in every
-    /// request frame's version-3 header; `Health` reports the addressed
-    /// model too.
+    /// request frame's header; `Health` reports the addressed model too.
     pub model: u16,
     /// Bearer token presented on every request. Required when the server
     /// configured an [`crate::AuthPolicy`]; an unknown token (or `None`
@@ -64,14 +63,12 @@ pub struct ServerInfo {
     /// Number of classes the model scores.
     pub num_classes: usize,
     /// Swap generation of the addressed registry model: starts at 1 and
-    /// bumps on every hot-swap, so a poller can detect a rollout landing
-    /// (pre-version-3 servers report 0).
+    /// bumps on every hot-swap, so a poller can detect a rollout landing.
     pub model_version: u64,
     /// Classification mode the server runs.
     pub mode: WireMode,
     /// Lifecycle phase: [`WireHealthState::Draining`] once a graceful
-    /// shutdown has started (version-1 servers always report
-    /// [`WireHealthState::Ok`]).
+    /// shutdown has started.
     pub state: WireHealthState,
 }
 
@@ -238,7 +235,6 @@ impl Client {
             write_frame_meta(
                 &mut connection.writer,
                 &request,
-                PROTOCOL_VERSION,
                 &request_meta(config),
                 config.max_frame_bytes,
             )?;
@@ -338,7 +334,6 @@ impl Client {
                 write_frame_meta(
                     &mut connection.writer,
                     &frame,
-                    PROTOCOL_VERSION,
                     &meta,
                     config.max_frame_bytes,
                 )?;
@@ -462,8 +457,8 @@ impl Client {
     }
 }
 
-/// The version-3 request header this client stamps on every frame: the
-/// addressed model and the configured bearer token.
+/// The request header this client stamps on every frame: the addressed
+/// model and the configured bearer token.
 fn request_meta(config: &ClientConfig) -> FrameMeta {
     FrameMeta {
         model_id: config.model,

@@ -7,14 +7,14 @@
 //!
 //! Layers:
 //!
-//! 1. **Protocol** ([`protocol`]) — the versioned, length-prefixed `FF8P`
-//!    binary wire format (Predict / PredictBatch / Stats / Health /
-//!    Shutdown requests, typed replies and error frames; version 2 adds
-//!    per-request deadline budgets, retry-after hints, drain state and
-//!    shed counters; version 3 adds per-frame model addressing and auth
-//!    tokens, with version-1/-2 peers still interoperating), built on the
-//!    shared [`ff_codec`] machinery with the same panic-free
-//!    truncation/byte-flip hardening as the `FF8S` and `FF8C` loaders.
+//! 1. **Protocol** ([`protocol`]) — the length-prefixed `FF8P` binary wire
+//!    format (Predict / PredictBatch / Stats / Health / Shutdown requests,
+//!    typed replies and error frames, per-request deadline budgets,
+//!    retry-after hints, drain state, shed counters, per-frame model
+//!    addressing and auth tokens; one live version — a frame at any other
+//!    gets one typed error and a closed stream), built on the shared
+//!    [`ff_codec`] machinery with the same panic-free truncation/byte-flip
+//!    hardening as the `FF8S` and `FF8C` loaders.
 //! 2. **Server** ([`NetServer`]) — accept loop + bounded connection thread
 //!    pool + per-connection framed codec with read/write timeouts,
 //!    max-frame-size limits, idle-connection reaping, a bounded
@@ -26,7 +26,7 @@
 //!    [`ff_serve::FrozenModel`] calls (per-row quantization). A server can
 //!    front a whole [`ff_serve::ModelRegistry`]
 //!    ([`NetServer::bind_registry`]): requests route by the model id in
-//!    their v3 header, models hot-swap under live traffic, and bearer-token
+//!    their frame header, models hot-swap under live traffic, and bearer-token
 //!    auth with per-model ACLs ([`AuthPolicy`]) guards predictions.
 //! 3. **Client** ([`Client`]) — blocking connect/reconnect,
 //!    single-prediction and one-frame-batch calls, pipelined request waves
@@ -111,7 +111,7 @@ pub use client::{Client, ClientConfig, ServerInfo};
 pub use error::{ErrorCode, NetError};
 pub use protocol::{
     Frame, FrameMeta, WireHealthState, WireMode, WireModelStats, WireStats,
-    DEFAULT_MAX_FRAME_BYTES, MAGIC, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
+    DEFAULT_MAX_FRAME_BYTES, MAGIC, PROTOCOL_VERSION,
 };
 pub use retry::RetryPolicy;
 pub use server::{NetConfig, NetServer};

@@ -15,24 +15,23 @@
 //!                              max-frame-size limit)
 //! frame            frame_len × u8 — a complete FF8P artifact:
 //!   magic          4 × u8    = "FF8P"
-//!   version        u16       = 1, 2 or 3
-//!   flags          u16       = model id (version 3; 0 and ignored below)
-//!   v3: record "auth":
+//!   version        u16       = 3
+//!   flags          u16       = model id
+//!   record "auth":
 //!     token        string (u32 length + UTF-8, ≤ 128 bytes; empty = none)
 //!   record "body":
 //!     kind         u8        — see below
 //!     kind-specific payload
 //! ```
 //!
-//! # Frame kinds (version 3; `v2:`/`v3:` mark fields absent below that
-//! version)
+//! # Frame kinds
 //!
 //! Requests (client → server):
 //!
 //! ```text
-//! 1 Predict       id u64, v2: deadline_micros u32,
+//! 1 Predict       id u64, deadline_micros u32,
 //!                 count u32, features count × f32
-//! 2 PredictBatch  id u64, v2: deadline_micros u32,
+//! 2 PredictBatch  id u64, deadline_micros u32,
 //!                 rows u32, cols u32, data rows·cols × f32
 //! 3 Stats         id u64
 //! 4 Health        id u64
@@ -48,21 +47,20 @@
 //! 130 StatsReply   id u64, requests u64, batches u64, max_batch u64,
 //!                  mean_batch f64, latency: count u64 +
 //!                  mean/p50/p95/p99/max as u64 nanoseconds,
-//!                  v2: shed_expired u64, rejected_overload u64,
+//!                  shed_expired u64, rejected_overload u64,
 //!                  rejected_deadline u64,
-//!                  v3: model count u32, then per model: id u32,
+//!                  model count u32, then per model: id u32,
 //!                  name string (≤ 64 bytes), version u64, swaps u64,
 //!                  requests u64, shed_expired u64, rejected_overload u64,
 //!                  rejected_deadline u64, latency count u64 +
 //!                  mean/p50/p95/p99/max as u64 nanoseconds,
-//!                  v3: 4 stage blocks (queue, assembly, gemm, write),
+//!                  4 stage blocks (queue, assembly, gemm, write),
 //!                  each count u64 + mean/p50/p95/p99/max as u64
 //!                  nanoseconds
 //! 131 HealthReply  id u64, input_features u32, num_classes u32, mode u8,
-//!                  v2: state u8 (0 = ok, 1 = draining),
-//!                  v3: model_version u64
+//!                  state u8 (0 = ok, 1 = draining), model_version u64
 //! 132 ShutdownAck  id u64
-//! 133 Error        id u64, code u8, v2: retry_after_millis u32,
+//! 133 Error        id u64, code u8, retry_after_millis u32,
 //!                  message string (u32 length + UTF-8)
 //! 134 TraceDumpReply   id u64, dropped u64, count u32, then per trace:
 //!                      seq u64, model_id u32, flags u8 (bit0 sampled,
@@ -73,28 +71,26 @@
 //!                      ≤ 64 KiB — the stable metrics exposition format)
 //! ```
 //!
-//! # Version negotiation
+//! # One live version
 //!
-//! Each frame carries its writer's version; a peer accepts any version in
-//! `MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION`. Version-1 frames decode with
-//! neutral defaults (no deadline, no retry hint, `Ok` health state, zero
-//! shed counters), and the server answers every connection **at the version
-//! its requests declare**, so old clients keep decoding replies they
-//! understand. `deadline_micros` is the request's *remaining* latency
-//! budget at send time (0 = unbounded) — a relative budget survives clock
-//! skew between peers, unlike an absolute timestamp.
+//! Peers are built from one commit, so there is one layout: every frame is
+//! written at [`PROTOCOL_VERSION`], and a frame declaring any other version
+//! is refused with the typed [`ff_codec::CodecError::UnsupportedVersion`] —
+//! a server answers it with one `Protocol` error frame and closes the
+//! stream. (The on-disk `FF8C` / `FF8S` versions are a separate, still
+//! ranged contract: files outlive builds, wire peers do not.)
+//! `deadline_micros` is the request's *remaining* latency budget at send
+//! time (0 = unbounded) — a relative budget survives clock skew between
+//! peers, unlike an absolute timestamp.
 //!
-//! # Multi-model addressing and auth (version 3)
+//! # Multi-model addressing and auth
 //!
-//! Version 3 puts the previously-reserved header **flags word to work as
-//! the model id** and adds a header-level **auth record** carrying an
-//! optional bearer token, both available on *every* frame kind through
-//! [`FrameMeta`]. Pre-v3 frames decode with [`FrameMeta::default`] (model
-//! id 0 — the registry's default model — and no token), which is exactly
-//! how v1/v2 clients keep working unchanged against a v3 server. Replies
-//! echo the request's model id; servers never echo the token back. The
-//! body layouts are unchanged, so the v1/v2 byte streams are identical to
-//! what previous builds emitted.
+//! The header **flags word is the model id** and a header-level **auth
+//! record** carries an optional bearer token, both available on *every*
+//! frame kind through [`FrameMeta`]. [`FrameMeta::default`] (model id 0 —
+//! the registry's default model — and no token) is what callers that do not
+//! care send. Replies echo the request's model id; servers never echo the
+//! token back.
 //!
 //! Decoding is hardened exactly like the sibling loaders: every declared
 //! count is bounded by the remaining payload before allocation
@@ -112,11 +108,9 @@ use std::time::Duration;
 /// The four magic bytes every `FF8P` frame starts with.
 pub const MAGIC: [u8; 4] = *b"FF8P";
 
-/// The newest protocol version this build speaks (and writes by default).
+/// The one protocol version this build speaks: written on every frame,
+/// and the only one accepted.
 pub const PROTOCOL_VERSION: u16 = 3;
-
-/// The oldest protocol version this build still accepts.
-pub const MIN_PROTOCOL_VERSION: u16 = 1;
 
 /// Default upper bound on one frame's length (16 MiB — a 5000-row batch of
 /// 784 features is ~15 MiB; anything larger should be split).
@@ -159,22 +153,20 @@ const TRACE_STAMP_MISSING: u64 = u64::MAX;
 /// Sentinel meaning "no deadline" in a trace entry's deadline slot.
 const TRACE_NO_DEADLINE: i64 = i64::MIN;
 
-/// Bound on the byte length of a version-3 auth token (generous for any
+/// Bound on the byte length of an auth token (generous for any
 /// reasonable shared secret, small enough that the fixed header cost stays
 /// negligible against feature payloads).
 pub const MAX_AUTH_TOKEN_LEN: usize = 128;
 
-/// Bound on the byte length of a model name in a version-3 stats reply.
+/// Bound on the byte length of a model name in a stats reply.
 const MAX_MODEL_NAME_LEN: usize = 64;
 
-/// Per-frame header metadata introduced by protocol version 3: which
-/// registry model the frame addresses (carried in the header flags word)
-/// and an optional bearer auth token (carried in the header-level auth
-/// record).
+/// Per-frame header metadata: which registry model the frame addresses
+/// (carried in the header flags word) and an optional bearer auth token
+/// (carried in the header-level auth record).
 ///
-/// [`FrameMeta::default`] — model id 0, no token — is both what v3 writers
-/// emit when the caller does not care and what decoders report for v1/v2
-/// frames, so pre-v3 peers transparently address the server's default
+/// [`FrameMeta::default`] — model id 0, no token — is what writers emit
+/// when the caller does not care: the frame addresses the server's default
 /// model.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FrameMeta {
@@ -226,8 +218,7 @@ impl WireMode {
 }
 
 /// The remote server's lifecycle phase, as reported by
-/// [`Frame::HealthReply`] (protocol version 2; version-1 peers always
-/// report [`WireHealthState::Ok`]).
+/// [`Frame::HealthReply`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireHealthState {
     /// Accepting and serving requests normally.
@@ -256,7 +247,7 @@ impl WireHealthState {
     }
 }
 
-/// One registry model's serving statistics as carried by a version-3
+/// One registry model's serving statistics as carried by a
 /// [`Frame::StatsReply`] — the wire form of [`ff_serve::ModelStats`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct WireModelStats {
@@ -313,19 +304,17 @@ pub struct WireStats {
     /// Queue-to-reply latency distribution.
     pub latency: LatencySummary,
     /// Requests whose deadline expired in the batch queue and were shed
-    /// before the GEMM (version 2; zero from version-1 peers).
+    /// before the GEMM.
     pub shed_expired: u64,
-    /// Requests refused at admission because the queue was full (version 2;
-    /// zero from version-1 peers).
+    /// Requests refused at admission because the queue was full.
     pub rejected_overload: u64,
     /// Requests refused at admission because their deadline had already
-    /// expired (version 2; zero from version-1 peers).
+    /// expired.
     pub rejected_deadline: u64,
-    /// Per-model statistics, ascending by id (version 3; empty from older
-    /// peers).
+    /// Per-model statistics, ascending by id.
     pub models: Vec<WireModelStats>,
     /// Always-on per-stage latency summaries — queue wait, batch assembly,
-    /// GEMM, reply write (version 3; zeroed from older peers).
+    /// GEMM, reply write.
     pub stages: StageSummaries,
 }
 
@@ -355,7 +344,7 @@ pub enum Frame {
         /// Caller-chosen id echoed by the reply.
         id: u64,
         /// Remaining latency budget in microseconds at send time; 0 means
-        /// unbounded. Version-1 peers neither send nor see this field.
+        /// unbounded.
         deadline_micros: u32,
         /// The sample's features.
         features: Vec<f32>,
@@ -365,7 +354,7 @@ pub enum Frame {
         /// Caller-chosen id echoed by the reply.
         id: u64,
         /// Remaining latency budget in microseconds at send time; 0 means
-        /// unbounded. Version-1 peers neither send nor see this field.
+        /// unbounded.
         deadline_micros: u32,
         /// Features per row (must be positive).
         cols: u32,
@@ -429,11 +418,10 @@ pub enum Frame {
         num_classes: u32,
         /// Classification mode the server runs.
         mode: WireMode,
-        /// Lifecycle phase (version 2; version-1 peers report
-        /// [`WireHealthState::Ok`]).
+        /// Lifecycle phase.
         state: WireHealthState,
-        /// Version of the addressed model (version 3; zero from older
-        /// peers, bumped by every hot-swap).
+        /// Version of the addressed model (1 at registration, bumped by
+        /// every hot-swap).
         model_version: u64,
     },
     /// Reply to [`Frame::Shutdown`].
@@ -448,8 +436,7 @@ pub enum Frame {
         /// Machine-readable category.
         code: ErrorCode,
         /// Server's hint for when a retry might succeed, in milliseconds;
-        /// 0 means no hint. Version-1 peers neither send nor see this
-        /// field.
+        /// 0 means no hint.
         retry_after_millis: u32,
         /// Human-readable detail.
         message: String,
@@ -558,8 +545,7 @@ impl Frame {
 }
 
 /// Truncates a string to `bound` bytes on a UTF-8 boundary, so a frame
-/// this module *encodes* is always decodable by a peer running the same
-/// protocol version.
+/// this module *encodes* is always decodable by its peer.
 fn bounded_str(s: &str, bound: usize) -> &str {
     if s.len() <= bound {
         return s;
@@ -624,33 +610,19 @@ fn get_latency_summary(
     })
 }
 
-/// Serializes a frame into its `FF8P` bytes at the newest protocol version
-/// with default [`FrameMeta`] (without the outer `u32` length prefix —
-/// [`write_frame`] adds that).
-///
-/// See [`encode_frame_at`] for the version-negotiated form and the panic
-/// contract.
-pub fn encode_frame(frame: &Frame) -> Vec<u8> {
-    encode_frame_at(frame, PROTOCOL_VERSION)
-}
-
 /// [`encode_frame_meta`] with default [`FrameMeta`]: the frame addresses
-/// the default model and carries no auth token.
+/// the default model and carries no auth token (without the outer `u32`
+/// length prefix — [`write_frame`] adds that).
 ///
 /// # Panics
 ///
 /// As for [`encode_frame_meta`].
-pub fn encode_frame_at(frame: &Frame, version: u16) -> Vec<u8> {
-    encode_frame_meta(frame, version, &FrameMeta::default())
+pub fn encode_frame(frame: &Frame) -> Vec<u8> {
+    encode_frame_meta(frame, &FrameMeta::default())
 }
 
-/// Serializes a frame into its `FF8P` bytes at the given protocol
-/// `version`, so a server can answer an old client in the dialect its
-/// requests declared. Version-2 fields (deadlines, retry hints, health
-/// state, shed counters) are dropped when encoding at version 1; the
-/// version-3 header metadata (model id, auth token) and payload fields
-/// (per-model stats, model version) are dropped when encoding below
-/// version 3 — exactly what a pre-v3 peer cannot express.
+/// Serializes a frame into its `FF8P` bytes under the given header
+/// metadata.
 ///
 /// Error messages longer than the decoder's 4096-byte bound and model
 /// names longer than 64 bytes are truncated (on a UTF-8 boundary) so every
@@ -658,23 +630,15 @@ pub fn encode_frame_at(frame: &Frame, version: u16) -> Vec<u8> {
 ///
 /// # Panics
 ///
-/// Panics when `version` is outside
-/// [`MIN_PROTOCOL_VERSION`]`..=`[`PROTOCOL_VERSION`], when `meta.token`
-/// exceeds [`MAX_AUTH_TOKEN_LEN`] bytes (truncating a secret would send a
-/// *different* secret — a loud local failure is the only safe option), or
-/// when a [`Frame::PredictBatch`]'s `data` does not divide into positive
-/// `cols`-sized rows — a loud local failure instead of a frame whose
-/// declared geometry silently drops the ragged tail and fails with an
-/// opaque trailing-bytes error on the *peer*. [`crate::Client`] validates
-/// its inputs before constructing the frame.
-pub fn encode_frame_meta(frame: &Frame, version: u16, meta: &FrameMeta) -> Vec<u8> {
-    assert!(
-        (MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&version),
-        "cannot encode FF8P version {version} (supported: \
-         {MIN_PROTOCOL_VERSION}..={PROTOCOL_VERSION})"
-    );
-    let v2 = version >= 2;
-    let v3 = version >= 3;
+/// Panics when `meta.token` exceeds [`MAX_AUTH_TOKEN_LEN`] bytes
+/// (truncating a secret would send a *different* secret — a loud local
+/// failure is the only safe option), or when a [`Frame::PredictBatch`]'s
+/// `data` does not divide into positive `cols`-sized rows — a loud local
+/// failure instead of a frame whose declared geometry silently drops the
+/// ragged tail and fails with an opaque trailing-bytes error on the
+/// *peer*. [`crate::Client`] validates its inputs before constructing the
+/// frame.
+pub fn encode_frame_meta(frame: &Frame, meta: &FrameMeta) -> Vec<u8> {
     let token = meta.token.as_deref().unwrap_or("");
     assert!(
         token.len() <= MAX_AUTH_TOKEN_LEN,
@@ -691,12 +655,13 @@ pub fn encode_frame_meta(frame: &Frame, version: u16, meta: &FrameMeta) -> Vec<u
         Frame::MetricsDumpReply { text, .. } => 24 + text.len(),
         _ => 104,
     };
-    let flags = if v3 { meta.model_id } else { 0 };
-    let mut writer =
-        Writer::with_flags(&MAGIC, version, flags, 24 + token.len() + payload_estimate);
-    if v3 {
-        writer.record(|r| r.put_string(token));
-    }
+    let mut writer = Writer::with_flags(
+        &MAGIC,
+        PROTOCOL_VERSION,
+        meta.model_id,
+        24 + token.len() + payload_estimate,
+    );
+    writer.record(|r| r.put_string(token));
     writer.record_sized(payload_estimate, |r| match frame {
         Frame::Predict {
             id,
@@ -705,9 +670,7 @@ pub fn encode_frame_meta(frame: &Frame, version: u16, meta: &FrameMeta) -> Vec<u
         } => {
             r.put_u8(KIND_PREDICT);
             r.put_u64(*id);
-            if v2 {
-                r.put_u32(*deadline_micros);
-            }
+            r.put_u32(*deadline_micros);
             r.put_u32(features.len() as u32);
             for &x in features {
                 r.put_f32(x);
@@ -726,9 +689,7 @@ pub fn encode_frame_meta(frame: &Frame, version: u16, meta: &FrameMeta) -> Vec<u
             );
             r.put_u8(KIND_PREDICT_BATCH);
             r.put_u64(*id);
-            if v2 {
-                r.put_u32(*deadline_micros);
-            }
+            r.put_u32(*deadline_micros);
             r.put_u32((data.len() / *cols as usize) as u32);
             r.put_u32(*cols);
             for &x in data {
@@ -772,27 +733,23 @@ pub fn encode_frame_meta(frame: &Frame, version: u16, meta: &FrameMeta) -> Vec<u
             r.put_u64(stats.max_batch);
             r.put_f64(stats.mean_batch);
             put_latency_summary(r, &stats.latency);
-            if v2 {
-                r.put_u64(stats.shed_expired);
-                r.put_u64(stats.rejected_overload);
-                r.put_u64(stats.rejected_deadline);
+            r.put_u64(stats.shed_expired);
+            r.put_u64(stats.rejected_overload);
+            r.put_u64(stats.rejected_deadline);
+            r.put_u32(stats.models.len() as u32);
+            for model in &stats.models {
+                r.put_u32(u32::from(model.id));
+                r.put_string(bounded_str(&model.name, MAX_MODEL_NAME_LEN));
+                r.put_u64(model.version);
+                r.put_u64(model.swaps);
+                r.put_u64(model.requests);
+                r.put_u64(model.shed_expired);
+                r.put_u64(model.rejected_overload);
+                r.put_u64(model.rejected_deadline);
+                put_latency_summary(r, &model.latency);
             }
-            if v3 {
-                r.put_u32(stats.models.len() as u32);
-                for model in &stats.models {
-                    r.put_u32(u32::from(model.id));
-                    r.put_string(bounded_str(&model.name, MAX_MODEL_NAME_LEN));
-                    r.put_u64(model.version);
-                    r.put_u64(model.swaps);
-                    r.put_u64(model.requests);
-                    r.put_u64(model.shed_expired);
-                    r.put_u64(model.rejected_overload);
-                    r.put_u64(model.rejected_deadline);
-                    put_latency_summary(r, &model.latency);
-                }
-                for (_, stage) in stats.stages.named() {
-                    put_latency_summary(r, &stage);
-                }
+            for (_, stage) in stats.stages.named() {
+                put_latency_summary(r, &stage);
             }
         }
         Frame::HealthReply {
@@ -808,12 +765,8 @@ pub fn encode_frame_meta(frame: &Frame, version: u16, meta: &FrameMeta) -> Vec<u
             r.put_u32(*input_features);
             r.put_u32(*num_classes);
             r.put_u8(mode.to_wire());
-            if v2 {
-                r.put_u8(state.to_wire());
-            }
-            if v3 {
-                r.put_u64(*model_version);
-            }
+            r.put_u8(state.to_wire());
+            r.put_u64(*model_version);
         }
         Frame::ShutdownAck { id } => {
             r.put_u8(KIND_SHUTDOWN_ACK);
@@ -828,9 +781,7 @@ pub fn encode_frame_meta(frame: &Frame, version: u16, meta: &FrameMeta) -> Vec<u
             r.put_u8(KIND_ERROR);
             r.put_u64(*id);
             r.put_u8(code.to_wire());
-            if v2 {
-                r.put_u32(*retry_after_millis);
-            }
+            r.put_u32(*retry_after_millis);
             r.put_string(bounded_error_message(message));
         }
         Frame::TraceDumpReply {
@@ -873,64 +824,40 @@ pub fn encode_frame_meta(frame: &Frame, version: u16, meta: &FrameMeta) -> Vec<u
     writer.into_vec()
 }
 
-/// Deserializes the bytes produced by [`encode_frame`] /
-/// [`encode_frame_at`], discarding the peer's declared version. Servers use
-/// [`decode_frame_versioned`] to learn which dialect to answer in.
+/// Deserializes the bytes produced by [`encode_frame`], discarding the
+/// header metadata — for callers that do not route by model or check
+/// tokens.
 ///
 /// # Errors
 ///
 /// Never panics: malformed input maps to [`NetError::Codec`] (header or
-/// truncation problems) or [`NetError::Frame`] (structural violations).
+/// truncation problems, a version other than [`PROTOCOL_VERSION`]) or
+/// [`NetError::Frame`] (structural violations).
 pub fn decode_frame(bytes: &[u8]) -> Result<Frame> {
-    decode_frame_versioned(bytes).map(|(frame, _)| frame)
+    decode_frame_meta(bytes).map(|(frame, _)| frame)
 }
 
-/// [`decode_frame_meta`] without the header metadata, for callers that do
-/// not route by model or check tokens.
+/// Deserializes a frame plus its header metadata ([`FrameMeta`]).
 ///
 /// # Errors
 ///
 /// As for [`decode_frame`].
-pub fn decode_frame_versioned(bytes: &[u8]) -> Result<(Frame, u16)> {
-    decode_frame_meta(bytes).map(|(frame, version, _)| (frame, version))
-}
-
-/// Deserializes a frame and reports the protocol version it was written at
-/// plus its header metadata ([`FrameMeta`]), accepting any version in
-/// [`MIN_PROTOCOL_VERSION`]`..=`[`PROTOCOL_VERSION`]. Version-1 frames
-/// decode with neutral defaults for the version-2 fields; pre-v3 frames
-/// report [`FrameMeta::default`] (default model, no token).
-///
-/// # Errors
-///
-/// As for [`decode_frame`].
-pub fn decode_frame_meta(bytes: &[u8]) -> Result<(Frame, u16, FrameMeta)> {
-    let (mut reader, version, flags) =
-        Reader::with_versions_flags(bytes, &MAGIC, MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION)?;
-    let v2 = version >= 2;
-    let v3 = version >= 3;
-    let meta = if v3 {
-        let mut auth = reader.record("auth record")?;
-        let token = auth.get_string(MAX_AUTH_TOKEN_LEN, "auth token")?;
-        auth.finish("auth record")?;
-        FrameMeta {
-            model_id: flags,
-            token: if token.is_empty() { None } else { Some(token) },
-        }
-    } else {
-        // The pre-v3 flags word is reserved-and-ignored, exactly as before.
-        FrameMeta::default()
+pub fn decode_frame_meta(bytes: &[u8]) -> Result<(Frame, FrameMeta)> {
+    let (mut reader, _, model_id) =
+        Reader::with_versions_flags(bytes, &MAGIC, PROTOCOL_VERSION..=PROTOCOL_VERSION)?;
+    let mut auth = reader.record("auth record")?;
+    let token = auth.get_string(MAX_AUTH_TOKEN_LEN, "auth token")?;
+    auth.finish("auth record")?;
+    let meta = FrameMeta {
+        model_id,
+        token: if token.is_empty() { None } else { Some(token) },
     };
     let mut body = reader.record("frame body")?;
     let kind = body.get_u8("frame kind")?;
     let id = body.get_u64("frame id")?;
     let frame = match kind {
         KIND_PREDICT => {
-            let deadline_micros = if v2 {
-                body.get_u32("predict deadline")?
-            } else {
-                0
-            };
+            let deadline_micros = body.get_u32("predict deadline")?;
             let count = body.get_u32("feature count")? as usize;
             if count == 0 {
                 return Err(NetError::Frame {
@@ -949,11 +876,7 @@ pub fn decode_frame_meta(bytes: &[u8]) -> Result<(Frame, u16, FrameMeta)> {
             }
         }
         KIND_PREDICT_BATCH => {
-            let deadline_micros = if v2 {
-                body.get_u32("batch deadline")?
-            } else {
-                0
-            };
+            let deadline_micros = body.get_u32("batch deadline")?;
             let rows = body.get_u32("batch rows")? as usize;
             let cols = body.get_u32("batch cols")?;
             if rows == 0 || cols == 0 {
@@ -994,59 +917,44 @@ pub fn decode_frame_meta(bytes: &[u8]) -> Result<(Frame, u16, FrameMeta)> {
             let max_batch = body.get_u64("stats max batch")?;
             let mean_batch = body.get_f64("stats mean batch")?;
             let latency = get_latency_summary(&mut body, "latency quantile")?;
-            let (shed_expired, rejected_overload, rejected_deadline) = if v2 {
-                (
-                    body.get_u64("stats shed expired")?,
-                    body.get_u64("stats rejected overload")?,
-                    body.get_u64("stats rejected deadline")?,
-                )
-            } else {
-                (0, 0, 0)
-            };
-            let models = if v3 {
-                let model_count = body.get_u32("model stats count")? as usize;
-                // Smallest possible per-model entry: id(4) + empty name(4)
-                // + 12 × u64.
-                body.ensure_fits(model_count, 104, "model stats")?;
-                let mut models = Vec::with_capacity(model_count);
-                for _ in 0..model_count {
-                    let wire_id = body.get_u32("model stats id")?;
-                    let model_id = u16::try_from(wire_id).map_err(|_| NetError::Frame {
-                        message: format!("model stats id {wire_id} exceeds u16"),
-                    })?;
-                    let name = body.get_string(MAX_MODEL_NAME_LEN, "model stats name")?;
-                    let model_version = body.get_u64("model stats version")?;
-                    let swaps = body.get_u64("model stats swaps")?;
-                    let model_requests = body.get_u64("model stats requests")?;
-                    let model_shed = body.get_u64("model stats shed expired")?;
-                    let model_overload = body.get_u64("model stats rejected overload")?;
-                    let model_deadline = body.get_u64("model stats rejected deadline")?;
-                    let latency = get_latency_summary(&mut body, "model latency quantile")?;
-                    models.push(WireModelStats {
-                        id: model_id,
-                        name,
-                        version: model_version,
-                        swaps,
-                        requests: model_requests,
-                        shed_expired: model_shed,
-                        rejected_overload: model_overload,
-                        rejected_deadline: model_deadline,
-                        latency,
-                    });
-                }
-                models
-            } else {
-                Vec::new()
-            };
-            let stages = if v3 {
-                StageSummaries {
-                    queue: get_latency_summary(&mut body, "stage queue")?,
-                    assembly: get_latency_summary(&mut body, "stage assembly")?,
-                    gemm: get_latency_summary(&mut body, "stage gemm")?,
-                    write: get_latency_summary(&mut body, "stage write")?,
-                }
-            } else {
-                StageSummaries::default()
+            let shed_expired = body.get_u64("stats shed expired")?;
+            let rejected_overload = body.get_u64("stats rejected overload")?;
+            let rejected_deadline = body.get_u64("stats rejected deadline")?;
+            let model_count = body.get_u32("model stats count")? as usize;
+            // Smallest possible per-model entry: id(4) + empty name(4)
+            // + 12 × u64.
+            body.ensure_fits(model_count, 104, "model stats")?;
+            let mut models = Vec::with_capacity(model_count);
+            for _ in 0..model_count {
+                let wire_id = body.get_u32("model stats id")?;
+                let model_id = u16::try_from(wire_id).map_err(|_| NetError::Frame {
+                    message: format!("model stats id {wire_id} exceeds u16"),
+                })?;
+                let name = body.get_string(MAX_MODEL_NAME_LEN, "model stats name")?;
+                let model_version = body.get_u64("model stats version")?;
+                let swaps = body.get_u64("model stats swaps")?;
+                let model_requests = body.get_u64("model stats requests")?;
+                let model_shed = body.get_u64("model stats shed expired")?;
+                let model_overload = body.get_u64("model stats rejected overload")?;
+                let model_deadline = body.get_u64("model stats rejected deadline")?;
+                let latency = get_latency_summary(&mut body, "model latency quantile")?;
+                models.push(WireModelStats {
+                    id: model_id,
+                    name,
+                    version: model_version,
+                    swaps,
+                    requests: model_requests,
+                    shed_expired: model_shed,
+                    rejected_overload: model_overload,
+                    rejected_deadline: model_deadline,
+                    latency,
+                });
+            }
+            let stages = StageSummaries {
+                queue: get_latency_summary(&mut body, "stage queue")?,
+                assembly: get_latency_summary(&mut body, "stage assembly")?,
+                gemm: get_latency_summary(&mut body, "stage gemm")?,
+                write: get_latency_summary(&mut body, "stage write")?,
             };
             Frame::StatsReply {
                 id,
@@ -1069,16 +977,8 @@ pub fn decode_frame_meta(bytes: &[u8]) -> Result<(Frame, u16, FrameMeta)> {
             input_features: body.get_u32("health input features")?,
             num_classes: body.get_u32("health num classes")?,
             mode: WireMode::from_wire(body.get_u8("health mode")?)?,
-            state: if v2 {
-                WireHealthState::from_wire(body.get_u8("health state")?)?
-            } else {
-                WireHealthState::Ok
-            },
-            model_version: if v3 {
-                body.get_u64("health model version")?
-            } else {
-                0
-            },
+            state: WireHealthState::from_wire(body.get_u8("health state")?)?,
+            model_version: body.get_u64("health model version")?,
         },
         KIND_TRACE_DUMP => Frame::TraceDump {
             id,
@@ -1133,11 +1033,7 @@ pub fn decode_frame_meta(bytes: &[u8]) -> Result<(Frame, u16, FrameMeta)> {
             let code = ErrorCode::from_wire(code_byte).ok_or(NetError::Frame {
                 message: format!("unknown error code {code_byte}"),
             })?;
-            let retry_after_millis = if v2 {
-                body.get_u32("error retry hint")?
-            } else {
-                0
-            };
+            let retry_after_millis = body.get_u32("error retry hint")?;
             let message = body.get_string(MAX_ERROR_MESSAGE_LEN, "error message")?;
             Frame::Error {
                 id,
@@ -1154,58 +1050,34 @@ pub fn decode_frame_meta(bytes: &[u8]) -> Result<(Frame, u16, FrameMeta)> {
     };
     body.finish("frame body")?;
     reader.finish("frame")?;
-    Ok((frame, version, meta))
+    Ok((frame, meta))
 }
 
-/// Writes one length-prefixed frame to `writer` at the newest protocol
-/// version and returns the frame's full wire footprint in bytes (payload
-/// plus the 4-byte length prefix — what a per-kind byte counter should
-/// account). See [`write_frame_at`] for the version-negotiated form.
+/// Writes one length-prefixed frame to `writer` with default
+/// [`FrameMeta`] and returns the frame's full wire footprint in bytes
+/// (payload plus the 4-byte length prefix — what a per-kind byte counter
+/// should account).
 ///
 /// # Errors
 ///
 /// Returns [`NetError::FrameTooLarge`] when the encoded frame exceeds
 /// `max_frame_bytes` (checked **before** anything is written, so the
 /// stream stays synchronized), and socket-level [`NetError`]s otherwise.
+///
+/// # Panics
+///
+/// As for [`encode_frame_meta`] (ragged batch).
 pub fn write_frame(
     writer: &mut impl std::io::Write,
     frame: &Frame,
     max_frame_bytes: usize,
 ) -> Result<usize> {
-    write_frame_at(writer, frame, PROTOCOL_VERSION, max_frame_bytes)
-}
-
-/// Writes one length-prefixed frame to `writer`, encoded at the given
-/// protocol `version` with default [`FrameMeta`] (how the server answers a
-/// version-1 client in its own dialect). Returns the wire footprint as
-/// [`write_frame`] does.
-///
-/// # Errors
-///
-/// As for [`write_frame`].
-///
-/// # Panics
-///
-/// As for [`encode_frame_at`] (unsupported version, ragged batch).
-pub fn write_frame_at(
-    writer: &mut impl std::io::Write,
-    frame: &Frame,
-    version: u16,
-    max_frame_bytes: usize,
-) -> Result<usize> {
-    write_frame_meta(
-        writer,
-        frame,
-        version,
-        &FrameMeta::default(),
-        max_frame_bytes,
-    )
+    write_frame_meta(writer, frame, &FrameMeta::default(), max_frame_bytes)
 }
 
 /// Writes one length-prefixed frame to `writer` with explicit header
-/// metadata — the model-addressed, token-carrying form a version-3 client
-/// stamps on every request. Returns the wire footprint as [`write_frame`]
-/// does.
+/// metadata — the model-addressed, token-carrying form a client stamps on
+/// every request. Returns the wire footprint as [`write_frame`] does.
 ///
 /// # Errors
 ///
@@ -1213,16 +1085,14 @@ pub fn write_frame_at(
 ///
 /// # Panics
 ///
-/// As for [`encode_frame_meta`] (unsupported version, oversized token,
-/// ragged batch).
+/// As for [`encode_frame_meta`] (oversized token, ragged batch).
 pub fn write_frame_meta(
     writer: &mut impl std::io::Write,
     frame: &Frame,
-    version: u16,
     meta: &FrameMeta,
     max_frame_bytes: usize,
 ) -> Result<usize> {
-    let bytes = encode_frame_meta(frame, version, meta);
+    let bytes = encode_frame_meta(frame, meta);
     if bytes.len() > max_frame_bytes {
         return Err(NetError::FrameTooLarge {
             len: bytes.len(),
@@ -1277,9 +1147,9 @@ pub fn read_frame(reader: &mut impl Read, max_frame_bytes: usize) -> Result<Fram
     decode_frame(&read_frame_bytes(reader, max_frame_bytes)?)
 }
 
-/// Reads one length-prefixed frame plus its declared version and header
-/// metadata from `reader` — the server-side form that learns which model a
-/// request addresses and which token it presented.
+/// Reads one length-prefixed frame plus its header metadata from `reader`
+/// — the server-side form that learns which model a request addresses and
+/// which token it presented.
 ///
 /// # Errors
 ///
@@ -1287,7 +1157,7 @@ pub fn read_frame(reader: &mut impl Read, max_frame_bytes: usize) -> Result<Fram
 pub fn read_frame_meta(
     reader: &mut impl Read,
     max_frame_bytes: usize,
-) -> Result<(Frame, u16, FrameMeta)> {
+) -> Result<(Frame, FrameMeta)> {
     decode_frame_meta(&read_frame_bytes(reader, max_frame_bytes)?)
 }
 
@@ -1478,69 +1348,6 @@ mod tests {
         }
     }
 
-    /// A sample frame's payload fields above `version` zeroed/defaulted,
-    /// for comparing against an old-version round trip.
-    fn downgraded(frame: &Frame, version: u16) -> Frame {
-        let mut frame = frame.clone();
-        if version < 3 {
-            match &mut frame {
-                Frame::StatsReply { stats, .. } => {
-                    stats.models.clear();
-                    stats.stages = StageSummaries::default();
-                }
-                Frame::HealthReply { model_version, .. } => *model_version = 0,
-                _ => {}
-            }
-        }
-        if version < 2 {
-            match &mut frame {
-                Frame::Predict {
-                    deadline_micros, ..
-                }
-                | Frame::PredictBatch {
-                    deadline_micros, ..
-                } => *deadline_micros = 0,
-                Frame::Error {
-                    retry_after_millis, ..
-                } => *retry_after_millis = 0,
-                Frame::HealthReply { state, .. } => *state = WireHealthState::Ok,
-                Frame::StatsReply { stats, .. } => {
-                    stats.shed_expired = 0;
-                    stats.rejected_overload = 0;
-                    stats.rejected_deadline = 0;
-                }
-                _ => {}
-            }
-        }
-        frame
-    }
-
-    #[test]
-    fn old_version_frames_roundtrip_with_neutral_defaults() {
-        for version in MIN_PROTOCOL_VERSION..PROTOCOL_VERSION {
-            for frame in sample_frames() {
-                let bytes = encode_frame_at(&frame, version);
-                let (decoded, decoded_version, meta) =
-                    decode_frame_meta(&bytes).unwrap_or_else(|e| panic!("{frame:?}: {e}"));
-                assert_eq!(decoded_version, version);
-                assert_eq!(
-                    decoded,
-                    downgraded(&frame, version),
-                    "newer fields drop to defaults at v{version}"
-                );
-                assert_eq!(meta, FrameMeta::default(), "pre-v3 frames have no meta");
-                // Old-version re-encoding is verbatim too.
-                assert_eq!(encode_frame_at(&decoded, version), bytes);
-            }
-        }
-    }
-
-    #[test]
-    fn newest_version_frames_report_their_version() {
-        let (_, version) = decode_frame_versioned(&encode_frame(&Frame::Stats { id: 1 })).unwrap();
-        assert_eq!(version, PROTOCOL_VERSION);
-    }
-
     /// The live wire bytes, pinned: FNV-1a-64 over the concatenated
     /// encoding of every sample frame, under default meta and under a
     /// populated one (model id + token). Recorded before the per-version
@@ -1558,7 +1365,7 @@ mod tests {
         ] {
             let hash = sample_frames()
                 .iter()
-                .flat_map(|frame| encode_frame_meta(frame, PROTOCOL_VERSION, &meta))
+                .flat_map(|frame| encode_frame_meta(frame, &meta))
                 .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
                     (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
                 });
@@ -1576,34 +1383,17 @@ mod tests {
             token: Some("s3cret-token".to_string()),
         };
         for frame in sample_frames() {
-            let bytes = encode_frame_meta(&frame, PROTOCOL_VERSION, &meta);
-            let (decoded, version, decoded_meta) =
+            let bytes = encode_frame_meta(&frame, &meta);
+            let (decoded, decoded_meta) =
                 decode_frame_meta(&bytes).unwrap_or_else(|e| panic!("{frame:?}: {e}"));
-            assert_eq!(version, PROTOCOL_VERSION);
             assert_eq!(decoded, frame);
             assert_eq!(decoded_meta, meta);
         }
         // An absent token encodes as the empty string and decodes to None.
-        let bytes = encode_frame_meta(&Frame::Stats { id: 1 }, 3, &FrameMeta::for_model(9));
-        let (_, _, decoded_meta) = decode_frame_meta(&bytes).unwrap();
+        let bytes = encode_frame_meta(&Frame::Stats { id: 1 }, &FrameMeta::for_model(9));
+        let (_, decoded_meta) = decode_frame_meta(&bytes).unwrap();
         assert_eq!(decoded_meta, FrameMeta::for_model(9));
         assert_eq!(decoded_meta.token, None);
-    }
-
-    #[test]
-    fn frame_meta_is_dropped_below_version_3() {
-        let meta = FrameMeta {
-            model_id: 7,
-            token: Some("tok".to_string()),
-        };
-        for version in [1, 2] {
-            let bytes = encode_frame_meta(&Frame::Stats { id: 1 }, version, &meta);
-            // Pre-v3 encodings are byte-identical with and without meta:
-            // the dialect simply cannot express it.
-            assert_eq!(bytes, encode_frame_at(&Frame::Stats { id: 1 }, version));
-            let (_, _, decoded_meta) = decode_frame_meta(&bytes).unwrap();
-            assert_eq!(decoded_meta, FrameMeta::default());
-        }
     }
 
     #[test]
@@ -1614,7 +1404,7 @@ mod tests {
             model_id: 0,
             token: Some("x".repeat(MAX_AUTH_TOKEN_LEN + 1)),
         };
-        encode_frame_meta(&Frame::Stats { id: 1 }, PROTOCOL_VERSION, &meta);
+        encode_frame_meta(&Frame::Stats { id: 1 }, &meta);
     }
 
     #[test]
@@ -1625,18 +1415,12 @@ mod tests {
             model_id: 0,
             token: Some("x".repeat(MAX_AUTH_TOKEN_LEN)),
         };
-        let mut bytes = encode_frame_meta(&Frame::Stats { id: 1 }, PROTOCOL_VERSION, &meta);
+        let mut bytes = encode_frame_meta(&Frame::Stats { id: 1 }, &meta);
         // Token string length sits after header(8) + auth record len(4).
         let len_offset = 12;
         bytes[len_offset..len_offset + 4]
             .copy_from_slice(&((MAX_AUTH_TOKEN_LEN + 1) as u32).to_le_bytes());
         assert!(decode_frame_meta(&bytes).is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot encode FF8P version")]
-    fn unsupported_encode_version_panics() {
-        encode_frame_at(&Frame::Stats { id: 1 }, PROTOCOL_VERSION + 1);
     }
 
     #[test]

@@ -41,18 +41,9 @@
 //! stalled mid-frame — are reaped after [`NetConfig::idle_timeout`], so a
 //! slow-loris peer (or a wedged NAT) cannot pin a pool slot forever.
 //!
-//! # Protocol versions
-//!
-//! Each connection is answered in the dialect it speaks: the reader notes
-//! the `FF8P` version of every request frame, and replies are encoded at
-//! that version, so version-1 clients receive frames without the version-2
-//! fields (deadlines, retry hints, health state, shed counters) and
-//! version-1/-2 clients receive frames without the version-3 header meta
-//! (model id, auth record) or payload extensions (per-model stats, health
-//! model version). Pre-v3 requests carry no model id and route to the
-//! registry's default model; they carry no token either, so they pass auth
-//! only under an open [`AuthPolicy`] — configuring tokens deliberately
-//! locks out clients too old to present one.
+//! A frame that fails to decode — including one written at any `FF8P`
+//! version other than the live one — is answered with one typed `Protocol`
+//! error and the stream is closed.
 //!
 //! # Shutdown: two-phase drain
 //!
@@ -74,7 +65,7 @@ use crate::admission::{AdmissionConfig, AdmissionGate, AdmitError};
 use crate::auth::AuthPolicy;
 use crate::protocol::{
     decode_frame_meta, write_frame_meta, Frame, FrameMeta, WireHealthState, WireMode,
-    DEFAULT_MAX_FRAME_BYTES, FRAME_KIND_COUNT, PROTOCOL_VERSION,
+    DEFAULT_MAX_FRAME_BYTES, FRAME_KIND_COUNT,
 };
 use crate::{ErrorCode, NetError, Result};
 use ff_metrics::Counter;
@@ -112,7 +103,7 @@ pub struct NetConfig {
     /// Admission-control sizing and overload policy.
     pub admission: AdmissionConfig,
     /// Bearer-token auth for predictions and shutdown (default: open — no
-    /// tokens required, matching pre-v3 behavior).
+    /// tokens required).
     pub auth: AuthPolicy,
     /// Configuration of the inner micro-batching engine.
     pub serve: ServeConfig,
@@ -255,11 +246,10 @@ impl NetServer {
     }
 
     /// Like [`NetServer::bind`], but fronting a whole [`ModelRegistry`]:
-    /// requests route by the model id carried in their version-3 frame
-    /// header (version-1/-2 frames, which cannot carry one, go to the
-    /// registry's default model), every model shares the one micro-batcher
-    /// and admission gate, and entries can be hot-swapped under live
-    /// traffic via the registry handle ([`NetServer::handle`] →
+    /// requests route by the model id carried in their frame header,
+    /// every model shares the one micro-batcher and admission gate, and
+    /// entries can be hot-swapped under live traffic via the registry
+    /// handle ([`NetServer::handle`] →
     /// [`ff_serve::ServeHandle::registry`]).
     ///
     /// # Errors
@@ -472,22 +462,16 @@ fn handler_loop(shared: &NetShared, conn_rx: &Arc<Mutex<Receiver<TcpStream>>>) {
 }
 
 /// What the connection's reader hands its reply writer, in request order.
-/// Every variant carries the peer protocol version its reply must be
-/// encoded at and the header meta to echo (the request's model id — never
-/// the auth token).
+/// Every variant carries the header meta to echo (the request's model id —
+/// never the auth token).
 enum Outgoing {
     /// A reply that is already complete (stats, health, errors, acks).
-    Ready {
-        frame: Frame,
-        version: u16,
-        meta: FrameMeta,
-    },
+    Ready { frame: Frame, meta: FrameMeta },
     /// Predictions already submitted to the micro-batcher; the writer waits
     /// for them, builds the `Labels` (or error) reply, and releases the
     /// admission permit once the reply is written.
     Deferred {
         id: u64,
-        version: u16,
         meta: FrameMeta,
         pendings: Vec<ff_serve::PendingPrediction>,
         permit: crate::admission::Permit,
@@ -620,9 +604,6 @@ fn connection_reader_loop(
     writer_alive: &AtomicBool,
 ) -> Result<()> {
     let max = shared.config.max_frame_bytes;
-    // Until the peer's first valid frame declares its dialect, errors are
-    // answered at the newest version.
-    let mut peer_version = PROTOCOL_VERSION;
     let mut last_activity = Instant::now();
     loop {
         if !writer_alive.load(Ordering::Acquire) {
@@ -653,7 +634,6 @@ fn connection_reader_loop(
                     retry_after_millis: 0,
                     message: format!("frame of {len} bytes exceeds the {max}-byte limit"),
                 },
-                version: peer_version,
                 meta: FrameMeta::default(),
             });
             return Ok(());
@@ -665,8 +645,7 @@ fn connection_reader_loop(
         }
         last_activity = Instant::now();
         let (frame, meta) = match decode_frame_meta(&bytes) {
-            Ok((frame, version, meta)) => {
-                peer_version = version;
+            Ok((frame, meta)) => {
                 shared
                     .wire
                     .account(frame.kind_index(), bytes.len() as u64 + 4);
@@ -680,13 +659,12 @@ fn connection_reader_loop(
                         retry_after_millis: 0,
                         message: error.to_string(),
                     },
-                    version: peer_version,
                     meta: FrameMeta::default(),
                 });
                 return Ok(());
             }
         };
-        let outgoing = handle_request(shared, auth, frame, &meta, peer_version);
+        let outgoing = handle_request(shared, auth, frame, &meta);
         // Only an *acknowledged* shutdown drains the server — an
         // unauthenticated Shutdown frame is answered `Unauthorized` and
         // changes nothing. The drain flag flips BEFORE the ack is handed
@@ -718,8 +696,8 @@ fn connection_reader_loop(
 }
 
 /// The writer half of [`serve_connection`]: awaits deferred predictions in
-/// request order, writes every reply frame at the peer's protocol version,
-/// and releases admission permits once their reply is on the wire.
+/// request order, writes every reply frame, and releases admission permits
+/// once their reply is on the wire.
 fn reply_writer_loop(
     mut writer: impl std::io::Write,
     out_rx: mpsc::Receiver<Outgoing>,
@@ -729,15 +707,10 @@ fn reply_writer_loop(
     wire: &WireCounters,
 ) {
     for outgoing in out_rx {
-        let (frame, version, meta, permit, trace) = match outgoing {
-            Outgoing::Ready {
-                frame,
-                version,
-                meta,
-            } => (frame, version, meta, None, None),
+        let (frame, meta, permit, trace) = match outgoing {
+            Outgoing::Ready { frame, meta } => (frame, meta, None, None),
             Outgoing::Deferred {
                 id,
-                version,
                 meta,
                 pendings,
                 permit,
@@ -757,13 +730,13 @@ fn reply_writer_loop(
                     None => Frame::Labels { id, labels },
                     Some(error) => error_reply(id, &error),
                 };
-                (frame, version, meta, Some(permit), Some(trace))
+                (frame, meta, Some(permit), Some(trace))
             }
         };
         // The write stage clock starts once the reply is ready to encode —
         // it measures serialization plus the socket write, per reply.
         let write_start = trace.is_some().then(Instant::now);
-        let outcome = write_frame_meta(&mut writer, &frame, version, &meta, max_frame_bytes);
+        let outcome = write_frame_meta(&mut writer, &frame, &meta, max_frame_bytes);
         if let Ok(written) = &outcome {
             wire.account(frame.kind_index(), *written as u64);
             if let Some(start) = write_start {
@@ -796,10 +769,7 @@ fn retry_hint_millis(hint: Duration) -> u32 {
 /// `meta` is the request's decoded header: predictions are authorized
 /// against its auth token and routed to its model id, `Health` reports the
 /// addressed model, and `Shutdown` must authenticate. Replies echo the
-/// model id (never the token). Version-1/-2 frames arrive with the default
-/// meta — model id 0 and no token — which routes them to the registry's
-/// default model and, under an open [`AuthPolicy`], keeps them working
-/// unchanged.
+/// model id (never the token).
 ///
 /// Predictions pass the admission gate first; refusals are answered with
 /// machine-readable `Overloaded` / `DeadlineExceeded` / `Draining` codes so
@@ -809,7 +779,6 @@ fn handle_request(
     auth: &AuthPolicy,
     frame: Frame,
     meta: &FrameMeta,
-    version: u16,
 ) -> Outgoing {
     let id = frame.id();
     let reply_meta = FrameMeta::for_model(meta.model_id);
@@ -822,7 +791,6 @@ fn handle_request(
             shared,
             auth,
             id,
-            version,
             meta,
             deadline_micros,
             Payload {
@@ -841,7 +809,6 @@ fn handle_request(
                 shared,
                 auth,
                 id,
-                version,
                 meta,
                 deadline_micros,
                 Payload {
@@ -857,7 +824,6 @@ fn handle_request(
                 id,
                 stats: Box::new(shared.handle.stats().into()),
             },
-            version,
             meta: reply_meta,
         },
         Frame::Health { id } => {
@@ -866,7 +832,6 @@ fn handle_request(
                 Err(error) => {
                     return Outgoing::Ready {
                         frame: error_reply(id, &error),
-                        version,
                         meta: reply_meta,
                     }
                 }
@@ -887,7 +852,6 @@ fn handle_request(
                         WireHealthState::Ok
                     },
                 },
-                version,
                 meta: reply_meta,
             }
         }
@@ -901,7 +865,6 @@ fn handle_request(
                     dropped: recorder.dropped(),
                     traces: recorder.recent(max as usize),
                 },
-                version,
                 meta: reply_meta,
             }
         }
@@ -910,16 +873,14 @@ fn handle_request(
                 id,
                 text: shared.handle.metrics().expose(),
             },
-            version,
             meta: reply_meta,
         },
         Frame::Shutdown { id } => {
             if !auth.authenticate(meta.token.as_deref()) {
-                return unauthorized_reply(id, version, reply_meta);
+                return unauthorized_reply(id, reply_meta);
             }
             Outgoing::Ready {
                 frame: Frame::ShutdownAck { id },
-                version,
                 meta: reply_meta,
             }
         }
@@ -931,7 +892,6 @@ fn handle_request(
                 retry_after_millis: 0,
                 message: format!("server received a non-request frame ({other:?})"),
             },
-            version,
             meta: reply_meta,
         },
     }
@@ -939,7 +899,7 @@ fn handle_request(
 
 /// The `Unauthorized` refusal. The message deliberately names neither the
 /// presented token nor which configured token was closest.
-fn unauthorized_reply(id: u64, version: u16, meta: FrameMeta) -> Outgoing {
+fn unauthorized_reply(id: u64, meta: FrameMeta) -> Outgoing {
     Outgoing::Ready {
         frame: Frame::Error {
             id,
@@ -947,7 +907,6 @@ fn unauthorized_reply(id: u64, version: u16, meta: FrameMeta) -> Outgoing {
             retry_after_millis: 0,
             message: "missing or invalid auth token".to_string(),
         },
-        version,
         meta,
     }
 }
@@ -970,7 +929,6 @@ fn submit_prediction(
     shared: &NetShared,
     auth: &AuthPolicy,
     id: u64,
-    version: u16,
     meta: &FrameMeta,
     deadline_micros: u32,
     payload: Payload<'_>,
@@ -984,7 +942,7 @@ fn submit_prediction(
     // Auth precedes existence: an unauthorized peer probing ids learns
     // nothing about which models are registered.
     if !auth.authorize(meta.token.as_deref(), meta.model_id) {
-        return unauthorized_reply(id, version, reply_meta);
+        return unauthorized_reply(id, reply_meta);
     }
     let deadline = (deadline_micros > 0)
         .then(|| Instant::now() + Duration::from_micros(deadline_micros.into()));
@@ -996,7 +954,6 @@ fn submit_prediction(
                 retry_after_millis: retry_hint_millis(shared.config.drain_budget),
                 message: "server is draining; retry against a live instance".to_string(),
             },
-            version,
             meta: reply_meta,
         };
     }
@@ -1005,7 +962,6 @@ fn submit_prediction(
         Err(error) => {
             return Outgoing::Ready {
                 frame: error_reply(id, &error),
-                version,
                 meta: reply_meta,
             }
         }
@@ -1025,7 +981,6 @@ fn submit_prediction(
                         shared.config.admission.max_in_flight_rows
                     ),
                 },
-                version,
                 meta: reply_meta,
             };
         }
@@ -1039,7 +994,6 @@ fn submit_prediction(
                     retry_after_millis: 0,
                     message: "deadline budget expired before admission".to_string(),
                 },
-                version,
                 meta: reply_meta,
             };
         }
@@ -1066,7 +1020,6 @@ fn submit_prediction(
             Err(error) => {
                 return Outgoing::Ready {
                     frame: error_reply(id, &error),
-                    version,
                     meta: reply_meta,
                 }
             }
@@ -1074,7 +1027,6 @@ fn submit_prediction(
     }
     Outgoing::Deferred {
         id,
-        version,
         meta: reply_meta,
         pendings,
         permit,

@@ -4,14 +4,9 @@
 //! panic, for **every** frame kind.
 
 use ff_net::protocol::{
-    decode_frame, decode_frame_meta, decode_frame_versioned, encode_frame, encode_frame_at,
-    encode_frame_meta, read_frame, read_frame_meta, sample_frames, write_frame_at,
-    write_frame_meta,
+    decode_frame, decode_frame_meta, encode_frame, encode_frame_meta, read_frame, sample_frames,
 };
-use ff_net::{
-    Frame, FrameMeta, NetError, NetServer, DEFAULT_MAX_FRAME_BYTES, MIN_PROTOCOL_VERSION,
-    PROTOCOL_VERSION,
-};
+use ff_net::{FrameMeta, NetError, DEFAULT_MAX_FRAME_BYTES};
 use proptest::prelude::*;
 
 #[test]
@@ -22,24 +17,6 @@ fn every_truncation_of_every_kind_is_a_typed_error() {
             match decode_frame(&bytes[..len]) {
                 Err(NetError::Codec(_)) | Err(NetError::Frame { .. }) => {}
                 other => panic!("{frame:?}: prefix of {len} bytes gave {other:?}"),
-            }
-        }
-    }
-}
-
-#[test]
-fn every_truncation_at_every_protocol_version_is_a_typed_error() {
-    // The version-2 fields (deadline, retry hint, health state, shed
-    // counters) shift every later byte offset, so the truncation sweep must
-    // hold for BOTH encodings, not just the current one.
-    for version in MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION {
-        for frame in sample_frames() {
-            let bytes = encode_frame_at(&frame, version);
-            for len in 0..bytes.len() {
-                match decode_frame(&bytes[..len]) {
-                    Err(NetError::Codec(_)) | Err(NetError::Frame { .. }) => {}
-                    other => panic!("v{version} {frame:?}: prefix of {len} gave {other:?}"),
-                }
             }
         }
     }
@@ -62,7 +39,7 @@ fn every_stream_truncation_is_a_typed_error() {
     }
 }
 
-/// The v3 header meta every metadata-fuzz case uses: a non-default model
+/// The header meta every metadata-fuzz case uses: a non-default model
 /// id (both bytes of the flags word populated) and a real token, so the
 /// sweeps below actually traverse model-id and auth bytes.
 fn fuzz_meta() -> FrameMeta {
@@ -74,12 +51,12 @@ fn fuzz_meta() -> FrameMeta {
 
 #[test]
 fn every_truncation_of_v3_metadata_frames_is_a_typed_error() {
-    // The version sweep above encodes with *default* meta (empty auth
-    // record); this sweep re-runs every truncation with the model-id flags
+    // The sweep above encodes with *default* meta (empty auth record);
+    // this sweep re-runs every truncation with the model-id flags
     // word and a populated auth token in the header, which shifts every
     // later offset.
     for frame in sample_frames() {
-        let bytes = encode_frame_meta(&frame, PROTOCOL_VERSION, &fuzz_meta());
+        let bytes = encode_frame_meta(&frame, &fuzz_meta());
         for len in 0..bytes.len() {
             match decode_frame_meta(&bytes[..len]) {
                 Err(NetError::Codec(_)) | Err(NetError::Frame { .. }) => {}
@@ -100,19 +77,19 @@ fn every_byte_flip_over_model_id_and_auth_fields_is_safe() {
     let meta = fuzz_meta();
     let header_span = 8 + 4 + 4 + meta.token.as_ref().unwrap().len() + 4;
     for frame in sample_frames() {
-        let bytes = encode_frame_meta(&frame, PROTOCOL_VERSION, &meta);
+        let bytes = encode_frame_meta(&frame, &meta);
         for offset in 0..header_span.min(bytes.len()) {
             for flip in [0x01u8, 0x80, 0xA5, 0xFF] {
                 let mut corrupted = bytes.clone();
                 corrupted[offset] ^= flip;
                 match decode_frame_meta(&corrupted) {
-                    Ok((decoded_frame, version, decoded_meta)) => {
+                    Ok((decoded_frame, decoded_meta)) => {
                         // A surviving decode is internally consistent: the
                         // flip landed in the meta (different model id or
                         // token) or in the payload (different frame) —
                         // re-encoding reproduces the corrupted bytes.
                         assert_eq!(
-                            encode_frame_meta(&decoded_frame, version, &decoded_meta),
+                            encode_frame_meta(&decoded_frame, &decoded_meta),
                             corrupted,
                             "{frame:?}: flip {flip:#x} at {offset} decoded inconsistently"
                         );
@@ -125,115 +102,6 @@ fn every_byte_flip_over_model_id_and_auth_fields_is_safe() {
             }
         }
     }
-}
-
-/// The interop matrix: one version-3 server, clients speaking every
-/// supported protocol version. Each client must get its reply at **its
-/// own** version with the correct payload — v1/v2 clients keep working
-/// unchanged against a v3 server, and the v3 client's reply echoes its
-/// model id without leaking the token.
-#[test]
-fn protocol_version_interop_matrix() {
-    use ff_serve::FrozenModel;
-    use rand::SeedableRng;
-    let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-    let model = FrozenModel::freeze(&ff_models::small_mlp(8, &[6], 3, &mut rng), 3).unwrap();
-    let expected = model
-        .predict_logits(&ff_tensor::Tensor::from_vec(&[1, 8], vec![0.25; 8]).unwrap())
-        .unwrap()[0] as u32;
-    let server = NetServer::bind(model, "127.0.0.1:0", ff_net::NetConfig::default()).unwrap();
-    let addr = server.local_addr();
-
-    for version in MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION {
-        let mut stream = std::net::TcpStream::connect(addr).unwrap();
-        stream
-            .set_read_timeout(Some(std::time::Duration::from_secs(10)))
-            .unwrap();
-
-        // Predict at this version; reply must arrive at the same version.
-        let request = Frame::Predict {
-            id: 1,
-            deadline_micros: 0,
-            features: vec![0.25; 8],
-        };
-        if version >= 3 {
-            write_frame_meta(
-                &mut stream,
-                &request,
-                version,
-                &FrameMeta::for_model(0),
-                DEFAULT_MAX_FRAME_BYTES,
-            )
-            .unwrap();
-        } else {
-            write_frame_at(&mut stream, &request, version, DEFAULT_MAX_FRAME_BYTES).unwrap();
-        }
-        let (reply, reply_version, reply_meta) =
-            read_frame_meta(&mut stream, DEFAULT_MAX_FRAME_BYTES).unwrap();
-        assert_eq!(
-            reply_version, version,
-            "reply must speak the client's dialect"
-        );
-        assert_eq!(reply_meta.token, None, "replies never carry a token");
-        assert_eq!(
-            reply,
-            Frame::Labels {
-                id: 1,
-                labels: vec![expected]
-            },
-            "v{version} client got a wrong prediction"
-        );
-
-        // Health at this version: pre-v3 clients see no model version (the
-        // field defaults to 0 at decode), the v3 client sees the real one.
-        write_frame_at(
-            &mut stream,
-            &Frame::Health { id: 2 },
-            version,
-            DEFAULT_MAX_FRAME_BYTES,
-        )
-        .unwrap();
-        let (health, health_version, _) =
-            read_frame_meta(&mut stream, DEFAULT_MAX_FRAME_BYTES).unwrap();
-        assert_eq!(health_version, version);
-        match health {
-            Frame::HealthReply {
-                input_features,
-                num_classes,
-                model_version,
-                ..
-            } => {
-                assert_eq!((input_features, num_classes), (8, 3));
-                assert_eq!(model_version, if version >= 3 { 1 } else { 0 });
-            }
-            other => panic!("v{version}: expected a health reply, got {other:?}"),
-        }
-
-        // Stats at this version: the per-model list is v3-only payload.
-        write_frame_at(
-            &mut stream,
-            &Frame::Stats { id: 3 },
-            version,
-            DEFAULT_MAX_FRAME_BYTES,
-        )
-        .unwrap();
-        let (stats, stats_version, _) =
-            read_frame_meta(&mut stream, DEFAULT_MAX_FRAME_BYTES).unwrap();
-        assert_eq!(stats_version, version);
-        match stats {
-            Frame::StatsReply { stats, .. } => {
-                assert!(stats.requests >= 1);
-                if version >= 3 {
-                    assert_eq!(stats.models.len(), 1, "v3 stats carry the registry");
-                    assert_eq!(stats.models[0].requests, stats.requests);
-                } else {
-                    assert!(stats.models.is_empty(), "per-model stats are v3-only");
-                }
-            }
-            other => panic!("v{version}: expected a stats reply, got {other:?}"),
-        }
-    }
-    server.shutdown();
 }
 
 proptest! {
@@ -254,46 +122,6 @@ proptest! {
             Ok(_) | Err(NetError::Codec(_)) | Err(NetError::Frame { .. }) => {}
             Err(other) => prop_assert!(false, "unexpected error kind: {other:?}"),
         }
-    }
-
-    #[test]
-    fn single_byte_flips_of_old_minor_version_frames_never_panic(
-        kind_index in 0usize..10,
-        position_fraction in 0.0f64..1.0,
-        flip in 1u8..=255,
-    ) {
-        // Backward compat under corruption: a damaged VERSION-1 frame must
-        // be just as safe to decode as a damaged current-version frame.
-        let frames = sample_frames();
-        let frame = &frames[kind_index % frames.len()];
-        let mut bytes = encode_frame_at(frame, MIN_PROTOCOL_VERSION);
-        let position = ((bytes.len() as f64) * position_fraction) as usize % bytes.len();
-        bytes[position] ^= flip;
-        match decode_frame(&bytes) {
-            Ok(_) | Err(NetError::Codec(_)) | Err(NetError::Frame { .. }) => {}
-            Err(other) => prop_assert!(false, "unexpected error kind: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn old_minor_version_frames_roundtrip_with_neutral_defaults(
-        kind_index in 0usize..10,
-    ) {
-        // A version-1 encoding drops the v2-only fields; decoding it must
-        // report version 1, fill the dropped fields with neutral defaults,
-        // and re-encode byte-identically (proof nothing else was touched).
-        let frames = sample_frames();
-        let frame = &frames[kind_index % frames.len()];
-        let v1_bytes = encode_frame_at(frame, MIN_PROTOCOL_VERSION);
-        let (decoded, version) = decode_frame_versioned(&v1_bytes).unwrap();
-        prop_assert_eq!(version, MIN_PROTOCOL_VERSION);
-        prop_assert_eq!(&encode_frame_at(&decoded, MIN_PROTOCOL_VERSION), &v1_bytes);
-
-        // The current encoding of the same frame roundtrips losslessly.
-        let v2_bytes = encode_frame_at(frame, PROTOCOL_VERSION);
-        let (decoded, version) = decode_frame_versioned(&v2_bytes).unwrap();
-        prop_assert_eq!(version, PROTOCOL_VERSION);
-        prop_assert_eq!(&decoded, frame);
     }
 
     #[test]

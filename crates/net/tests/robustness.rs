@@ -1,14 +1,14 @@
 //! Overload, deadline, drain, reaping, and restart behavior over a real
 //! socket: the server sheds load with typed answers instead of queueing to
 //! death, finishes in-flight work on drain, reclaims wedged connection
-//! slots, still speaks FF8P version 1, and a retrying client rides through
-//! a server death-and-restart on the same port.
+//! slots, and a retrying client rides through a server death-and-restart
+//! on the same port.
 
 use ff_models::small_mlp;
-use ff_net::protocol::{decode_frame_versioned, read_frame, write_frame, write_frame_at, Frame};
+use ff_net::protocol::{read_frame, write_frame, Frame};
 use ff_net::{
     AdmissionConfig, Client, ClientConfig, ErrorCode, NetConfig, NetError, NetServer, RetryPolicy,
-    WireHealthState, DEFAULT_MAX_FRAME_BYTES, MIN_PROTOCOL_VERSION,
+    WireHealthState, DEFAULT_MAX_FRAME_BYTES,
 };
 use ff_serve::{BatchPolicy, FrozenModel, ServeConfig};
 use ff_tensor::init;
@@ -36,16 +36,6 @@ fn base_config() -> NetConfig {
         },
         ..NetConfig::default()
     }
-}
-
-/// Reads one length-prefixed reply without [`read_frame`] so the decoded
-/// protocol version stays observable.
-fn read_reply_versioned(stream: &mut TcpStream) -> (Frame, u16) {
-    let mut len = [0u8; 4];
-    stream.read_exact(&mut len).unwrap();
-    let mut bytes = vec![0u8; u32::from_le_bytes(len) as usize];
-    stream.read_exact(&mut bytes).unwrap();
-    decode_frame_versioned(&bytes).unwrap()
 }
 
 #[test]
@@ -267,69 +257,6 @@ fn idle_connections_are_reaped_freeing_their_slot() {
     // And the loris observes its connection closed (EOF), not limbo.
     assert_eq!(loris.read(&mut [0u8; 8]).unwrap(), 0);
     client.close();
-    server.shutdown();
-}
-
-#[test]
-fn version_1_clients_are_still_served() {
-    let model = frozen(25);
-    let x = init::uniform(&[1, FEATURES], -1.0, 1.0, &mut StdRng::seed_from_u64(4));
-    let direct = model.predict_logits(&x).unwrap();
-    let server = NetServer::bind(model, "127.0.0.1:0", base_config()).unwrap();
-
-    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(5)))
-        .unwrap();
-
-    // Speak strict version 1: no deadline field on Predict, and the server
-    // must answer in version 1 too (a v2 reply would desync old clients).
-    let predict = Frame::Predict {
-        id: 1,
-        deadline_micros: 0,
-        features: x.row(0).to_vec(),
-    };
-    write_frame_at(
-        &mut stream,
-        &predict,
-        MIN_PROTOCOL_VERSION,
-        DEFAULT_MAX_FRAME_BYTES,
-    )
-    .unwrap();
-    let (reply, version) = read_reply_versioned(&mut stream);
-    assert_eq!(version, MIN_PROTOCOL_VERSION, "reply must match the peer");
-    match reply {
-        Frame::Labels { id, labels } => {
-            assert_eq!(id, 1);
-            assert_eq!(labels[0] as usize, direct[0], "v1 answer diverged");
-        }
-        other => panic!("expected Labels, got {other:?}"),
-    }
-
-    // Control frames too: health and stats decode cleanly at version 1.
-    write_frame_at(
-        &mut stream,
-        &Frame::Health { id: 2 },
-        MIN_PROTOCOL_VERSION,
-        DEFAULT_MAX_FRAME_BYTES,
-    )
-    .unwrap();
-    let (reply, version) = read_reply_versioned(&mut stream);
-    assert_eq!(version, MIN_PROTOCOL_VERSION);
-    match reply {
-        Frame::HealthReply {
-            id,
-            input_features,
-            state,
-            ..
-        } => {
-            assert_eq!(id, 2);
-            assert_eq!(input_features as usize, FEATURES);
-            // v1 has no state field; decoding fills in the neutral default.
-            assert_eq!(state, WireHealthState::Ok);
-        }
-        other => panic!("expected HealthReply, got {other:?}"),
-    }
     server.shutdown();
 }
 
