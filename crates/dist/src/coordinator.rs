@@ -156,7 +156,7 @@ impl Shared {
 
     /// Writes `msg` and accounts the frame under its kind.
     fn wire_write(&self, stream: &mut TcpStream, msg: &TrainMsg) -> Result<()> {
-        let n = write_msg_bytes(stream, &encode_msg(msg))?;
+        let n = write_msg(stream, msg)?;
         self.wire.account(msg.kind_index(), n as u64);
         Ok(())
     }
@@ -379,8 +379,13 @@ fn handle_hello(
     let Ok(bytes) = read_msg_bytes(&mut stream) else {
         return;
     };
-    let Ok(hello) = decode_msg(&bytes) else {
-        return;
+    let hello = match decode_msg(&bytes) {
+        Ok(hello) => hello,
+        Err(error) => {
+            // Garbage, or a peer built from another commit: say why, close.
+            shared.send_error(&mut stream, ErrorCode::UnexpectedHello, &error.to_string());
+            return;
+        }
     };
     shared
         .wire

@@ -779,21 +779,22 @@ pub fn decode_msg(bytes: &[u8]) -> Result<TrainMsg> {
     Ok(msg)
 }
 
-/// Writes one length-prefixed `FF8D` frame.
+/// Writes one length-prefixed `FF8D` frame, returning the wire bytes
+/// written (payload + 4-byte prefix) — what the per-kind byte counters
+/// record.
 ///
 /// # Errors
 ///
 /// [`DistError::Protocol`] when the encoded frame exceeds
 /// [`MAX_FRAME_BYTES`] (checked before anything is written, so the stream
 /// stays synchronized); socket errors as [`DistError::Io`].
-pub fn write_msg(writer: &mut impl Write, msg: &TrainMsg) -> Result<()> {
-    write_msg_bytes(writer, &encode_msg(msg)).map(|_| ())
+pub fn write_msg(writer: &mut impl Write, msg: &TrainMsg) -> Result<usize> {
+    write_msg_bytes(writer, &encode_msg(msg))
 }
 
 /// Writes pre-encoded `FF8D` artifact bytes as one length-prefixed frame,
-/// returning the wire bytes written (payload + 4-byte prefix — what the
-/// per-kind byte counters record) — how a worker ships a `ShardResult` it
-/// already encoded (and stamped), and how the coordinator reuses one
+/// returning the wire bytes written — how a worker ships a `ShardResult`
+/// it already encoded (and stamped), and how the coordinator reuses one
 /// `ParamSync` encoding across workers.
 ///
 /// # Errors

@@ -7,13 +7,14 @@
 
 use ff_core::{Algorithm, Precision, TrainOptions, TrainSession};
 use ff_data::{synthetic_mnist, Dataset, SyntheticConfig};
-use ff_dist::protocol::{read_msg, write_msg, TrainMsg};
+use ff_dist::protocol::{decode_msg, read_msg, write_msg, ErrorCode, TrainMsg};
 use ff_dist::{pull_cluster_traces, Coordinator, CoordinatorConfig, PipelineSession, Worker};
 use ff_models::small_mlp;
 use ff_nn::Sequential;
 use ff_trace::{ClusterFlightRecorder, ClusterSpan, MetricsRegistry, TraceSettings};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
@@ -260,6 +261,53 @@ fn rejected_joins_and_malformed_hellos_bump_error_counters() {
     );
     assert_eq!(registry.counter("dist.coord.errors.bad_token").get(), 1);
     assert_eq!(settled_counter(&registry, "dist.wire.error.frames", 2), 2);
+    coordinator.shutdown();
+}
+
+#[test]
+fn a_previous_version_hello_is_refused_by_name() {
+    let registry = MetricsRegistry::new();
+    let mut coordinator = Coordinator::bind(
+        "127.0.0.1:0",
+        CoordinatorConfig {
+            metrics: Some(registry.clone()),
+            ..CoordinatorConfig::default()
+        },
+    )
+    .unwrap();
+    let addr = coordinator.addr();
+
+    // A hand-built FF8D version-1 `Join` with an empty token: magic,
+    // version, reserved flags, one record of kind byte + string length.
+    let mut hello = b"FF8D\x01\x00\x00\x00\x05\x00\x00\x00\x01\x00\x00\x00\x00".to_vec();
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .write_all(&(hello.len() as u32).to_le_bytes())
+        .unwrap();
+    stream.write_all(&hello).unwrap();
+
+    // One typed reply naming the version, then a closed stream.
+    match read_msg(&mut stream).unwrap() {
+        TrainMsg::Error { code, message } => {
+            assert_eq!(code, ErrorCode::UnexpectedHello);
+            assert!(
+                message.contains("unsupported format version 1"),
+                "{message}"
+            );
+        }
+        other => panic!("expected a typed error, got {other:?}"),
+    }
+    assert_eq!(stream.read(&mut [0u8; 1]).unwrap(), 0, "stream stays open");
+    assert_eq!(
+        settled_counter(&registry, "dist.coord.errors.unexpected_hello", 1),
+        1
+    );
+
+    // Only the version was wrong with that frame, and the coordinator
+    // still serves the next connection.
+    hello[4] = 2;
+    assert!(matches!(decode_msg(&hello), Ok(TrainMsg::Join { .. })));
+    assert!(pull_cluster_traces(addr, 0).is_ok());
     coordinator.shutdown();
 }
 

@@ -18,9 +18,7 @@
 //! so response timing leaks neither how many prefix bytes matched nor
 //! which configured token was closest. Error replies carry the typed
 //! [`crate::ErrorCode::Unauthorized`] and never echo the presented token.
-//! An empty policy ([`AuthPolicy::default`]) keeps the pre-v3 behavior:
-//! everything is open, including requests from v1/v2 clients that cannot
-//! send tokens at all.
+//! An empty policy ([`AuthPolicy::default`]) keeps everything open.
 
 use crate::protocol::MAX_AUTH_TOKEN_LEN;
 
@@ -60,9 +58,7 @@ impl AuthToken {
 }
 
 /// The server's token list. [`AuthPolicy::default`] is **open**: no tokens
-/// configured means no authentication required, which is what keeps v1/v2
-/// clients (who cannot send tokens) working against servers that have not
-/// opted into auth.
+/// configured means no authentication required.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct AuthPolicy {
     tokens: Vec<AuthToken>,

@@ -4,7 +4,7 @@
 
 use crate::protocol::{
     read_frame, write_frame_meta, Frame, FrameMeta, WireHealthState, WireMode, WireStats,
-    DEFAULT_MAX_FRAME_BYTES,
+    DEFAULT_MAX_FRAME_BYTES, MAX_AUTH_TOKEN_LEN,
 };
 use crate::retry::RetryPolicy;
 use crate::{NetError, Result};
@@ -120,8 +120,21 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// As [`Client::connect`].
+    /// As [`Client::connect`], plus [`NetError::Frame`] when
+    /// [`ClientConfig::token`] exceeds the wire's
+    /// [`MAX_AUTH_TOKEN_LEN`]-byte bound (checked here, once, so no request
+    /// can reach the encoder with a token it must refuse).
     pub fn connect_with(addr: impl ToSocketAddrs, config: ClientConfig) -> Result<Self> {
+        if let Some(token) = &config.token {
+            if token.len() > MAX_AUTH_TOKEN_LEN {
+                return Err(NetError::Frame {
+                    message: format!(
+                        "auth token of {} bytes exceeds the {MAX_AUTH_TOKEN_LEN}-byte limit",
+                        token.len()
+                    ),
+                });
+            }
+        }
         let addr = addr
             .to_socket_addrs()
             .map_err(NetError::from)?
@@ -529,6 +542,24 @@ mod tests {
             outcome.map(|_| ()),
             Err(NetError::Io { .. }) | Err(NetError::Timeout) | Err(NetError::Closed)
         ));
+    }
+
+    #[test]
+    fn oversized_tokens_are_refused_at_connect() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let dial = |token_len: usize| {
+            Client::connect_with(
+                listener.local_addr().unwrap(),
+                ClientConfig {
+                    token: Some("x".repeat(token_len)),
+                    ..ClientConfig::default()
+                },
+            )
+        };
+        assert!(dial(MAX_AUTH_TOKEN_LEN).is_ok());
+        // Unchecked, the first request would panic in the frame encoder.
+        let outcome = dial(MAX_AUTH_TOKEN_LEN + 1).and_then(|mut client| client.shutdown_server());
+        assert!(matches!(outcome, Err(NetError::Frame { .. })));
     }
 
     #[test]

@@ -26,8 +26,9 @@
 //!    [`ff_serve::FrozenModel`] calls (per-row quantization). A server can
 //!    front a whole [`ff_serve::ModelRegistry`]
 //!    ([`NetServer::bind_registry`]): requests route by the model id in
-//!    their frame header, models hot-swap under live traffic, and bearer-token
-//!    auth with per-model ACLs ([`AuthPolicy`]) guards predictions.
+//!    their frame header, models hot-swap under live traffic, and
+//!    bearer-token auth with per-model ACLs ([`AuthPolicy`]) guards
+//!    predictions.
 //! 3. **Client** ([`Client`]) — blocking connect/reconnect,
 //!    single-prediction and one-frame-batch calls, pipelined request waves
 //!    that collapse N round-trips into one, deadline stamping, model

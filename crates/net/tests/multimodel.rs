@@ -11,8 +11,10 @@ use ff_core::checkpoint::latest;
 use ff_core::{Algorithm, Checkpoint, TrainOptions, TrainSession};
 use ff_data::{synthetic_mnist, SyntheticConfig};
 use ff_models::small_mlp;
+use ff_net::protocol::{read_frame_meta, write_frame_meta};
 use ff_net::{
-    AuthPolicy, AuthToken, Client, ClientConfig, ErrorCode, NetConfig, NetError, NetServer,
+    AuthPolicy, AuthToken, Client, ClientConfig, ErrorCode, Frame, FrameMeta, NetConfig, NetError,
+    NetServer, DEFAULT_MAX_FRAME_BYTES,
 };
 use ff_serve::{FrozenModel, ModelRegistry, ServeConfig, ServeMode, DEFAULT_MODEL_ID};
 use ff_tensor::Tensor;
@@ -145,6 +147,18 @@ fn two_models_one_port_with_hot_swap_and_auth() {
     let info = candidate_client.health().unwrap();
     assert_eq!(info.input_features, FEATURES);
     assert_eq!(info.model_version, 1);
+
+    // On the wire, a reply echoes the request's model id, never its token.
+    let mut raw = std::net::TcpStream::connect(addr).unwrap();
+    let presented = FrameMeta {
+        model_id: CANDIDATE_ID,
+        token: Some(TENANT_TOKEN.to_string()),
+    };
+    let probe = Frame::Health { id: 1 };
+    write_frame_meta(&mut raw, &probe, &presented, DEFAULT_MAX_FRAME_BYTES).unwrap();
+    let (_, echoed) = read_frame_meta(&mut raw, DEFAULT_MAX_FRAME_BYTES).unwrap();
+    assert_eq!(echoed, FrameMeta::for_model(CANDIDATE_ID));
+    drop(raw);
 
     // --- Auth: typed Unauthorized, never a served prediction. ---
     // No token at all.

@@ -261,6 +261,43 @@ fn idle_connections_are_reaped_freeing_their_slot() {
 }
 
 #[test]
+fn a_previous_version_frame_is_refused_by_name() {
+    let server = NetServer::bind(frozen(25), "127.0.0.1:0", base_config()).unwrap();
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+
+    // A hand-built FF8P version-2 `Stats { id: 1 }`, valid in that dialect:
+    // magic, version, reserved flags, one body record of kind byte + id.
+    let mut frame = b"FF8P\x02\x00\x00\x00\x09\x00\x00\x00\x03".to_vec();
+    frame.extend_from_slice(&1u64.to_le_bytes());
+    stream
+        .write_all(&(frame.len() as u32).to_le_bytes())
+        .unwrap();
+    stream.write_all(&frame).unwrap();
+
+    // One typed reply naming the version, then a closed stream.
+    match read_frame(&mut stream, DEFAULT_MAX_FRAME_BYTES).unwrap() {
+        Frame::Error { code, message, .. } => {
+            assert_eq!(code, ErrorCode::Protocol);
+            assert!(
+                message.contains("unsupported format version 2"),
+                "{message}"
+            );
+        }
+        other => panic!("expected a typed error, got {other:?}"),
+    }
+    assert_eq!(stream.read(&mut [0u8; 1]).unwrap(), 0, "stream stays open");
+
+    // The server still serves the next connection.
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    assert_eq!(client.health().unwrap().input_features, FEATURES);
+    client.close();
+    server.shutdown();
+}
+
+#[test]
 fn retries_ride_through_a_mid_frame_server_death_and_restart() {
     // A fake server accepts one connection, reads the request, then dies
     // mid-reply: length prefix promising 64 bytes, 10 bytes delivered,

@@ -6,7 +6,7 @@
 //! One process serving one frozen model cannot host multi-tenant load, and
 //! picking up retrained weights required a restart. The [`ModelRegistry`]
 //! fixes both: entries are addressed by a `u16` model id (the id the `FF8P`
-//! protocol carries in its header flags word from version 3 on), and each
+//! protocol carries in its header flags word), and each
 //! entry's model can be **replaced while it is being served** — the
 //! train-and-serve-in-one-process story, fed by rotating `FF8C` checkpoints
 //! ([`ModelRegistry::swap_from_checkpoint`]).
@@ -45,8 +45,7 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
-/// The model id requests address when they do not say otherwise —
-/// version-1/-2 `FF8P` peers (whose header has no model id) land here.
+/// The model id requests address when they do not say otherwise.
 pub const DEFAULT_MODEL_ID: u16 = 0;
 
 /// One registry slot: a named model behind an epoch pointer, plus the
@@ -287,8 +286,8 @@ pub struct ModelRegistry {
 
 impl ModelRegistry {
     /// Creates a registry serving `model` as the default entry
-    /// ([`DEFAULT_MODEL_ID`], named `"default"`) — what version-1/-2 wire
-    /// peers and id-less in-process callers get.
+    /// ([`DEFAULT_MODEL_ID`], named `"default"`) — what id-less callers
+    /// get.
     pub fn new(model: FrozenModel) -> Self {
         let entry = ModelEntry::new(DEFAULT_MODEL_ID, "default".to_string(), model);
         let mut entries = BTreeMap::new();

@@ -29,8 +29,8 @@ use std::sync::{Arc, Mutex};
 ///
 /// `dispatched_ns`/`completed_ns` are coordinator-clock offsets from step
 /// start; `decoded_ns`/`computed_ns`/`encoded_ns` are worker-clock offsets
-/// from the moment the worker received the task bytes (zero for local
-/// shards and for workers speaking a pre-trace protocol version).
+/// from the moment the worker received the task bytes (zero only for
+/// shards the coordinator computed locally).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ShardSpan {
     /// Index of the shard within the step's task list.
@@ -142,8 +142,7 @@ impl ClusterSpan {
             && self.shards.iter().all(|s| s.completed_ns > 0)
     }
 
-    /// `true` when every remote shard carries all three worker-side stamps
-    /// (a shard computed by a pre-trace-version worker reports zeros).
+    /// `true` when every remote shard carries all three worker-side stamps.
     pub fn has_worker_stamps(&self) -> bool {
         self.shards
             .iter()

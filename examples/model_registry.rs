@@ -50,8 +50,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let production = FrozenModel::freeze(&stable, 10)?;
 
     // 2. One registry, two entries: the production model is the default
-    //    (served to v1/v2 clients and any v3 client that does not pick a
-    //    model), and a fresh candidate starts from random weights.
+    //    (served to any client that does not pick a model), and a fresh
+    //    candidate starts from random weights.
     let mut rng = StdRng::seed_from_u64(2);
     let mut candidate_net = small_mlp(784, &[64], 10, &mut rng);
     let registry = ModelRegistry::new(production);

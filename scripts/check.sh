@@ -4,7 +4,8 @@
 # Usage:
 #   scripts/check.sh          # fmt --check, clippy -D warnings, doc -D warnings,
 #                             # release build (workspace + ff_bench), tests
-#                             # (incl. doc-tests)
+#                             # (incl. doc-tests), then the two sizes ROADMAP
+#                             # tracks (src lines, public items)
 #   scripts/check.sh --fast   # skip the release build (lints + debug tests only)
 #
 # This wraps the tier-1 verify flow from ROADMAP.md (`cargo build --release &&
@@ -104,11 +105,16 @@ if [[ "$fast" -eq 0 ]]; then
     # Cluster-trace smoke gate: a capture-all 2-worker FF8D run must yield
     # one wire-dumpable ClusterSpan per training step with every coordinator
     # phase and worker stamp present and monotonic, per-kind wire accounting
-    # that adds up against the protocol's known frame counts, v1↔v2 interop
-    # that stays bit-exact, and populated pipeline stage histograms
+    # that adds up against the protocol's known frame counts, a previous-
+    # version hello refused by name, and populated pipeline stage histograms
     # (crates/dist/tests/cluster_trace.rs).
     echo "==> cluster-trace smoke gate (release)"
     cargo test -q --release -p ff-dist --test cluster_trace
 fi
+
+# The two sizes ROADMAP tracks — quote these in the PR description.
+src_files() { find crates -path '*/src/*' -name '*.rs'; }
+echo "==> crates/*/src lines: $(src_files | xargs cat | wc -l)"
+echo "==> public items: $(src_files | xargs grep -rhE '^\s*pub (fn|struct|enum|trait|const|type|mod|static) ' | wc -l)"
 
 echo "All checks passed."
