@@ -405,13 +405,15 @@ fn bench_train_cluster(c: &mut Criterion) {
 /// epoch with observability fully off vs capture-all tracing (every step
 /// sampled, every frame and byte accounted, every span committed) — the
 /// *worst-case* instrumented configuration, not the production sampled one.
-/// The gate is `dist_trace_overhead ≤ 3%`, recorded into
-/// `BENCH_train.json`.
+/// The gate is `dist_trace_overhead ≤ 3%`.
 ///
 /// Each configuration is timed as the **best of `waves`** epochs over a
 /// persistent cluster (minimum is the noise-robust estimator for a fixed
 /// workload — both configurations train the exact same batches to the
-/// exact same bits, asserted every wave).
+/// exact same bits, asserted every wave). The signed overhead is recorded
+/// beside the disabled run's own wave-to-wave spread (slowest / fastest
+/// wave − 1), so a reader can tell an overhead from this box's noise; the
+/// gate itself is checked in `main`, after `BENCH_train.json` is written.
 fn bench_dist_trace_overhead(c: &mut Criterion) {
     let measuring = c.measuring();
     let waves: usize = if measuring { 10 } else { 2 };
@@ -431,7 +433,7 @@ fn bench_dist_trace_overhead(c: &mut Criterion) {
     .expect("reference run");
     let reference = weight_bits(&mut reference_net);
 
-    let best_epoch_secs = |config: CoordinatorConfig| -> f64 {
+    let wave_secs = |config: CoordinatorConfig| -> Vec<f64> {
         let mut coordinator = Coordinator::bind("127.0.0.1:0", config).expect("bind");
         let addr = coordinator.addr();
         let workers: Vec<_> = (0..2)
@@ -460,23 +462,27 @@ fn bench_dist_trace_overhead(c: &mut Criterion) {
         };
         let mut net = paper_net();
         epoch(&mut net); // warm caches, packed panels, worker replicas
-        let mut best = f64::INFINITY;
-        for _ in 0..waves {
-            let mut net = paper_net();
-            let start = Instant::now();
-            epoch(&mut net);
-            best = best.min(start.elapsed().as_secs_f64());
-        }
+        let secs = (0..waves)
+            .map(|_| {
+                let mut net = paper_net();
+                let start = Instant::now();
+                epoch(&mut net);
+                start.elapsed().as_secs_f64()
+            })
+            .collect();
         coordinator.shutdown();
         for handle in workers {
             handle.join().expect("worker thread").expect("worker run");
         }
-        best
+        secs
     };
+    let fastest = |secs: &[f64]| secs.iter().copied().fold(f64::INFINITY, f64::min);
 
-    let disabled = best_epoch_secs(CoordinatorConfig::default());
+    let disabled_waves = wave_secs(CoordinatorConfig::default());
+    let disabled = fastest(&disabled_waves);
+    let disabled_spread = disabled_waves.iter().copied().fold(0.0, f64::max) / disabled - 1.0;
     let registry = MetricsRegistry::new();
-    let instrumented = best_epoch_secs(CoordinatorConfig {
+    let instrumented = fastest(&wave_secs(CoordinatorConfig {
         metrics: Some(registry.clone()),
         trace: TraceSettings {
             capacity: 256,
@@ -484,7 +490,7 @@ fn bench_dist_trace_overhead(c: &mut Criterion) {
             ..TraceSettings::default()
         },
         ..CoordinatorConfig::default()
-    });
+    }));
     let overhead = instrumented / disabled - 1.0;
 
     // Surface what the instrumented run measured: how the cluster's bytes
@@ -496,25 +502,24 @@ fn bench_dist_trace_overhead(c: &mut Criterion) {
     let recomputed = registry.counter("dist.coord.recompute.worker_death").get();
     println!(
         "    dist_trace: disabled {:.3}ms instrumented {:.3}ms overhead {:+.2}% \
-         (param_sync {:.1}% of {} wire bytes, {} shard(s) recomputed)",
+         (disabled spread {:.2}%; param_sync {:.1}% of {} wire bytes, {} shard(s) recomputed)",
         disabled * 1e3,
         instrumented * 1e3,
         overhead * 100.0,
+        disabled_spread * 100.0,
         sync_share * 100.0,
         total,
         recomputed
     );
     if measuring {
-        c.record_metric("train_cluster/dist_trace_overhead", overhead.max(0.0));
+        c.record_metric(DIST_TRACE_OVERHEAD, overhead);
+        c.record_metric("train_cluster/dist_trace_disabled_spread", disabled_spread);
         c.record_metric("train_cluster/param_sync_byte_share", sync_share);
         c.record_metric("train_cluster/worker_death_recomputes", recomputed as f64);
-        assert!(
-            overhead <= 0.03,
-            "cluster tracing costs {:.1}% of epoch throughput (gate: 3%)",
-            overhead * 100.0
-        );
     }
 }
+
+const DIST_TRACE_OVERHEAD: &str = "train_cluster/dist_trace_overhead";
 
 criterion::criterion_group!(
     benches,
@@ -524,4 +529,23 @@ criterion::criterion_group!(
     bench_train_cluster,
     bench_dist_trace_overhead
 );
-criterion::criterion_main!(benches);
+
+/// `criterion_main!` plus the cluster-tracing gate, checked only after the
+/// baseline is on disk so a tripped gate still leaves the value it tripped on.
+fn main() {
+    let mut criterion = Criterion::default();
+    benches(&mut criterion);
+    criterion.write_json_baseline(&criterion::default_baseline_path());
+    if let Some(overhead) = criterion
+        .metrics()
+        .iter()
+        .find(|m| m.id == DIST_TRACE_OVERHEAD)
+        .map(|m| m.value)
+    {
+        assert!(
+            overhead <= 0.03,
+            "cluster tracing costs {:.1}% of epoch throughput (gate: 3%)",
+            overhead * 100.0
+        );
+    }
+}

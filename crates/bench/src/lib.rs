@@ -1,63 +1,13 @@
 //! # ff-bench
 //!
-//! Shared fixtures for the Criterion benchmarks that regenerate the paper's
-//! evaluation artefacts. One bench target exists per table/figure plus two
-//! micro-benchmarks (INT8 vs FP32 GEMM, quantization throughput).
+//! Criterion micro-benchmarks of the INT8 GEMM engine (`bench_gemm`) and of
+//! the FF-INT8 training step (`bench_train`). The crate has no library code;
+//! it exists to own the two bench targets. Run one with
+//! `cargo bench -p ff-bench --bench <target>`; each writes a
+//! `BENCH_<target>.json` baseline into `crates/bench/`.
 //!
-//! Run everything with `cargo bench --workspace`; each target prints the
-//! measured timings that stand in for the wall-clock comparisons of the
-//! paper's evaluation.
+//! Performance claims cite the repository benchmark (`ff_bench/`, described
+//! by the root `BENCHMARK.json`), not these targets.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-use ff_core::TrainOptions;
-use ff_data::{synthetic_cifar10, synthetic_mnist, Dataset, SyntheticConfig};
-
-/// A small MNIST stand-in used by the training benchmarks.
-pub fn bench_mnist() -> (Dataset, Dataset) {
-    synthetic_mnist(&SyntheticConfig {
-        train_size: 256,
-        test_size: 64,
-        noise_std: 0.3,
-        max_shift: 1,
-        seed: 7,
-    })
-}
-
-/// A small CIFAR-10 stand-in used by the convolutional benchmarks.
-pub fn bench_cifar10() -> (Dataset, Dataset) {
-    synthetic_cifar10(&SyntheticConfig {
-        train_size: 96,
-        test_size: 32,
-        noise_std: 0.3,
-        max_shift: 1,
-        seed: 7,
-    })
-}
-
-/// Single-epoch training options used by the benchmarks.
-pub fn bench_options() -> TrainOptions {
-    TrainOptions {
-        epochs: 1,
-        batch_size: 32,
-        learning_rate: 0.1,
-        eval_every: 10,
-        max_eval_samples: 32,
-        ..TrainOptions::default()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fixtures_are_small() {
-        let (train, test) = bench_mnist();
-        assert_eq!(train.len(), 256);
-        assert_eq!(test.len(), 64);
-        assert_eq!(bench_cifar10().0.image_shape(), &[3, 32, 32]);
-        assert_eq!(bench_options().epochs, 1);
-    }
-}

@@ -11,8 +11,8 @@ use serde::{Deserialize, Serialize};
 /// Trains `net` on `train_set` with the requested algorithm and returns the
 /// per-epoch history (the same network is used for evaluation on `test_set`).
 ///
-/// This is the entry point used by the experiment binaries that regenerate
-/// the paper's tables and figures. It is a thin wrapper over
+/// The paper-claim tests (`tests/paper_claims.rs`) train through this entry
+/// point. It is a thin wrapper over
 /// [`TrainSession::run`]; construct a [`TrainSession`] directly to step a
 /// run batch by batch, observe typed [`crate::TrainEvent`]s, stop early, or
 /// checkpoint/resume it.
@@ -49,8 +49,7 @@ pub fn train(
     TrainSession::new(net, train_set, test_set, algorithm, options)?.run()
 }
 
-/// A training run bundled with the algorithm that produced it — the unit the
-/// experiment harness aggregates into the paper's tables.
+/// A training run bundled with the algorithm that produced it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TrainingReport {
     /// Label of the training algorithm (e.g. `"FF-INT8"`).

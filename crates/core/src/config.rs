@@ -76,8 +76,8 @@ impl Algorithm {
 
     /// Parses a canonical label back into its algorithm.
     ///
-    /// Matching is case-insensitive and also accepts `_` for `-`, so CLI
-    /// flags like `--algo=bp_int8` work. The no-look-ahead FF variants
+    /// Matching is case-insensitive and also accepts `_` for `-`, so
+    /// flag-style spellings like `bp_int8` parse. The no-look-ahead FF variants
     /// accept both the report label (`"FF-INT8 (no look-ahead)"`) and the
     /// flag-friendly short form (`"FF-INT8-NOLA"`).
     ///
@@ -141,17 +141,6 @@ impl Algorithm {
             self,
             Algorithm::BpInt8 | Algorithm::BpUi8 | Algorithm::BpGdai8 | Algorithm::FfInt8 { .. }
         )
-    }
-
-    /// The five algorithms compared in the paper's Table V, in table order.
-    pub fn table5_lineup() -> Vec<Algorithm> {
-        vec![
-            Algorithm::BpFp32,
-            Algorithm::BpInt8,
-            Algorithm::BpUi8,
-            Algorithm::BpGdai8,
-            Algorithm::FfInt8 { lookahead: true },
-        ]
     }
 }
 
@@ -420,15 +409,22 @@ impl TrainOptions {
 mod tests {
     use super::*;
 
+    const ALL: [Algorithm; 8] = [
+        Algorithm::BpFp32,
+        Algorithm::BpInt8,
+        Algorithm::BpUi8,
+        Algorithm::BpGdai8,
+        Algorithm::FfInt8 { lookahead: true },
+        Algorithm::FfInt8 { lookahead: false },
+        Algorithm::FfFp32 { lookahead: true },
+        Algorithm::FfFp32 { lookahead: false },
+    ];
+
     #[test]
     fn labels_are_distinct() {
-        let labels: Vec<String> = Algorithm::table5_lineup()
-            .iter()
-            .map(|a| a.label())
-            .collect();
-        assert_eq!(labels.len(), 5);
+        let labels: Vec<String> = ALL.iter().map(|a| a.label()).collect();
         let unique: std::collections::HashSet<_> = labels.iter().collect();
-        assert_eq!(unique.len(), 5);
+        assert_eq!(unique.len(), labels.len());
         assert_eq!(labels[0], "BP-FP32");
         assert_eq!(labels[4], "FF-INT8");
     }
@@ -539,16 +535,7 @@ mod tests {
 
     #[test]
     fn display_matches_label_and_parse_roundtrips() {
-        for algorithm in [
-            Algorithm::BpFp32,
-            Algorithm::BpInt8,
-            Algorithm::BpUi8,
-            Algorithm::BpGdai8,
-            Algorithm::FfInt8 { lookahead: true },
-            Algorithm::FfInt8 { lookahead: false },
-            Algorithm::FfFp32 { lookahead: true },
-            Algorithm::FfFp32 { lookahead: false },
-        ] {
+        for algorithm in ALL {
             assert_eq!(format!("{algorithm}"), algorithm.label());
             assert_eq!(Algorithm::parse(&algorithm.label()).unwrap(), algorithm);
         }

@@ -14,9 +14,8 @@
 //! [`TrainerCore`] trait.
 //!
 //! The unified [`train`] entry point (a thin wrapper over
-//! [`TrainSession::run`]) dispatches on [`Algorithm`], so the experiment
-//! harness can sweep all five training algorithms over the same model and
-//! dataset.
+//! [`TrainSession::run`]) dispatches on [`Algorithm`], so one call site can
+//! sweep all five training algorithms over the same model and dataset.
 //!
 //! # Examples
 //!

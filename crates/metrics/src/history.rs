@@ -160,15 +160,6 @@ impl TrainingHistory {
             .any(|r| !r.train_loss.is_finite() || r.train_loss > first.train_loss * factor)
     }
 
-    /// The per-epoch test-accuracy series (epochs without evaluation are
-    /// skipped).
-    pub fn test_accuracy_series(&self) -> Vec<(usize, f32)> {
-        self.records
-            .iter()
-            .filter_map(|r| r.test_accuracy.map(|a| (r.epoch, a)))
-            .collect()
-    }
-
     /// Total measured wall-clock seconds across all recorded epochs.
     pub fn total_seconds(&self) -> f64 {
         self.records.iter().map(|r| r.seconds).sum()
@@ -256,15 +247,6 @@ mod tests {
         let mut nan = TrainingHistory::new("nan");
         nan.record(0, f32::NAN, 0.0, None);
         assert!(nan.diverged(10.0));
-    }
-
-    #[test]
-    fn accuracy_series_skips_missing() {
-        let h = sample_history();
-        assert_eq!(
-            h.test_accuracy_series(),
-            vec![(0, 0.18), (2, 0.75), (3, 0.83)]
-        );
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! # ff-metrics
 //!
-//! Training histories, accuracy helpers, plain-text table/series formatting,
-//! the bounded-memory latency histogram and the shared atomic event
-//! [`Counter`] used by the FF-INT8 experiments, benchmarks and the
-//! `ff-serve`/`ff-net` stats endpoints.
+//! Training histories, accuracy helpers, plain-text table formatting, the
+//! bounded-memory latency histogram and the shared atomic [`Counter`] and
+//! [`Gauge`] behind the trainers' histories, the `ff-trace` metrics registry
+//! and the `ff-serve` / `ff-net` stats endpoints.
 //!
 //! # Examples
 //!
@@ -29,4 +29,4 @@ pub use counter::Counter;
 pub use gauge::Gauge;
 pub use history::{accuracy, EpochRecord, TrainingHistory};
 pub use latency::{LatencyHistogram, LatencySummary};
-pub use table::{format_series, format_table};
+pub use table::format_table;

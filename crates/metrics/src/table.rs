@@ -1,4 +1,4 @@
-//! Plain-text table and series formatting for experiment output.
+//! Plain-text table formatting for report output.
 
 /// Formats a table with a header row, padding each column to its widest cell.
 ///
@@ -47,24 +47,6 @@ pub fn format_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Formats an `(x, y)` series as aligned two-column text, used for the
-/// accuracy-vs-epoch figures.
-///
-/// # Examples
-///
-/// ```
-/// let s = ff_metrics::format_series("epoch", "accuracy", &[(0, 0.1), (10, 0.9)]);
-/// assert!(s.contains("epoch"));
-/// assert!(s.lines().count() == 3);
-/// ```
-pub fn format_series(x_label: &str, y_label: &str, series: &[(usize, f32)]) -> String {
-    let mut out = format!("{x_label:>8}  {y_label}\n");
-    for (x, y) in series {
-        out.push_str(&format!("{x:>8}  {y:.4}\n"));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,15 +74,7 @@ mod tests {
     }
 
     #[test]
-    fn series_lists_every_point() {
-        let s = format_series("epoch", "acc", &[(1, 0.5), (2, 0.6), (3, 0.7)]);
-        assert_eq!(s.lines().count(), 4);
-        assert!(s.contains("0.7000"));
-    }
-
-    #[test]
     fn empty_inputs_do_not_panic() {
         assert!(format_table(&["A"], &[]).contains('A'));
-        assert_eq!(format_series("x", "y", &[]).lines().count(), 1);
     }
 }

@@ -5,7 +5,8 @@
 //! variants (narrower channels, fewer blocks, smaller spatial extents) so the
 //! accuracy *trends* — which training algorithm learns, diverges, or stalls —
 //! can be reproduced on a CPU within seconds to minutes. Absolute accuracy is
-//! not comparable to the paper; relative ordering is (see `EXPERIMENTS.md`).
+//! not comparable to the paper; relative ordering is (see the README's
+//! "Reproduction status" table).
 
 use ff_nn::{Conv2d, Dense, Flatten, GlobalAvgPool, Layer, ResidualBlock, Sequential};
 use rand::Rng;

@@ -10,9 +10,9 @@
 //!   in `ff-edge` consumes these specs to regenerate Table IV and the
 //!   time/energy/memory columns of Table V.
 //! * a **runnable scaled-down builder** returning an `ff_nn::Sequential`
-//!   network small enough to train on a CPU within the test budget, used for
-//!   the empirical accuracy experiments (Figs. 2 and 6, accuracy column of
-//!   Table V).
+//!   network small enough to train on a CPU within the test budget, used by
+//!   the paper-claim tests (Table I, Figs. 2, 3 and 6) and the accuracy
+//!   column of Table V.
 //!
 //! # Examples
 //!

@@ -77,20 +77,6 @@ impl GradientHistogram {
         let mass: usize = self.counts[start..start + central].iter().sum();
         mass as f32 / total as f32
     }
-
-    /// Renders a simple ASCII sparkline of the histogram, used by the Fig. 3
-    /// experiment binary.
-    pub fn to_sparkline(&self) -> String {
-        const LEVELS: &[char] = &['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
-        let max = self.counts.iter().copied().max().unwrap_or(1).max(1);
-        self.counts
-            .iter()
-            .map(|&c| {
-                let level = (c * (LEVELS.len() - 1) + max / 2) / max;
-                LEVELS[level]
-            })
-            .collect()
-    }
 }
 
 /// Summary statistics of a gradient tensor's distribution.
@@ -183,13 +169,6 @@ mod tests {
         let hs = GradientHistogram::from_tensor(&sharp, 21);
         let hf = GradientHistogram::from_tensor(&flat, 21);
         assert!(hs.central_mass(3) > hf.central_mass(3));
-    }
-
-    #[test]
-    fn sparkline_has_one_char_per_bin() {
-        let t = Tensor::from_slice(&[4], &[-1.0, 0.0, 0.0, 1.0]).unwrap();
-        let h = GradientHistogram::from_tensor(&t, 8);
-        assert_eq!(h.to_sparkline().chars().count(), 8);
     }
 
     #[test]

@@ -140,28 +140,3 @@ fn ff_int8_accuracy_is_competitive_with_fp32_backprop() {
         "FF-INT8 ({ff}) is not in the same band as BP-FP32 ({bp_fp32})"
     );
 }
-
-#[test]
-fn lookahead_does_not_hurt_final_accuracy() {
-    let (train_set, test_set) = dataset();
-    let run = |lookahead: bool| {
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut net = small_mlp(784, &[48, 48], 10, &mut rng);
-        train(
-            &mut net,
-            &train_set,
-            &test_set,
-            Algorithm::FfInt8 { lookahead },
-            &options(8, 0.2),
-        )
-        .expect("training failed")
-        .best_test_accuracy()
-        .unwrap()
-    };
-    let without = run(false);
-    let with = run(true);
-    assert!(
-        with + 0.1 >= without,
-        "look-ahead ({with}) regressed accuracy vs vanilla FF ({without})"
-    );
-}
