@@ -2,8 +2,8 @@
 //!
 //! Training histories, accuracy helpers, plain-text table formatting, the
 //! bounded-memory latency histogram and the shared atomic [`Counter`] and
-//! [`Gauge`] behind the trainers' histories, the `ff-trace` metrics registry
-//! and the `ff-serve` / `ff-net` stats endpoints.
+//! [`Gauge`] that the `ff-trace` metrics registry and the `ff-serve` /
+//! `ff-net` stats endpoints are built on.
 //!
 //! # Examples
 //!

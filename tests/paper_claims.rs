@@ -102,7 +102,10 @@ fn fig2_int8_backprop_does_not_diverge_on_a_residual_cnn() {
         let losses = losses(&history);
         println!("fig2: {algorithm} train loss {losses:?}");
         assert!(!history.diverged(5.0), "{algorithm} losses {losses:?}");
-        assert!(losses.last() < losses.first(), "{algorithm} losses {losses:?}");
+        assert!(
+            losses.last() < losses.first(),
+            "{algorithm} losses {losses:?}"
+        );
     }
 }
 
