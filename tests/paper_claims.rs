@@ -46,10 +46,6 @@ fn run(
         .unwrap_or_else(|e| panic!("{algorithm} failed: {e}"))
 }
 
-fn losses(history: &TrainingHistory) -> Vec<f32> {
-    history.records().iter().map(|r| r.train_loss).collect()
-}
-
 /// Table I: direct INT8 backpropagation loses more accuracy against FP32
 /// backpropagation at 3 hidden layers than at 0.
 #[test]
@@ -99,7 +95,7 @@ fn fig2_int8_backprop_does_not_diverge_on_a_residual_cnn() {
             algorithm,
             &options(4, 0.05).with_batch_size(16),
         );
-        let losses = losses(&history);
+        let losses: Vec<f32> = history.records().iter().map(|r| r.train_loss).collect();
         println!("fig2: {algorithm} train loss {losses:?}");
         assert!(!history.diverged(5.0), "{algorithm} losses {losses:?}");
         assert!(
