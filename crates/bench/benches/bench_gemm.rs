@@ -6,17 +6,22 @@
 //! faster than FP32 in hardware"). Three groups are measured:
 //!
 //! - `gemm`: fp32 vs naive-INT8 vs packed-INT8 at square sizes (the
-//!   acceptance gate is packed ≥ 2× naive at 256³ and above);
+//!   acceptance gate is packed ≥ 2× naive at 256³ and above). The packed
+//!   rows run [`ff_quant::int8_matmul_planned`] on a plan built inside
+//!   every iteration, so both operands are packed per call;
 //! - `gemm_paper_shapes`: the shapes the paper's workloads actually run —
 //!   the MNIST dense layer (784→2000), an im2col'd 3×3×32 conv and the
 //!   16-channel first conv of a CIFAR-sized net (`k = 27`, `n = 16`: one
 //!   16-wide strip, where the kernel is call- and epilogue-bound);
-//! - `gemm_threads`: 1/2/4/8-worker sweeps of the packed engine;
+//! - `gemm_threads`: 1/2/4/8-worker sweeps of the packed engine through
+//!   [`ff_quant::int8_matmul_a_bt_shared_rows`] (per-row-scale epilogue),
+//!   the one entry point that takes a caller-set thread count;
 //! - `gemm_train_step`: one INT8 dense training step (input quantize,
 //!   forward GEMM, gradient quantize, gW GEMM) with per-step weight
-//!   requantize+repack (`uncached`, the pre-plan behaviour) vs a cached
-//!   [`ff_quant::QGemmPlan`] (`cached`, what the layers do now). The
-//!   acceptance gate is cached ≥ 1.3× uncached at the paper's layer shapes.
+//!   requantize+repack into a fresh [`ff_quant::QGemmPlan`] (`uncached`,
+//!   the pre-plan behaviour) vs a plan kept across steps (`cached`, what
+//!   the layers do now). The acceptance gate is cached ≥ 1.3× uncached at
+//!   the paper's layer shapes.
 //!
 //! Running with `--bench` (what `cargo bench` passes) writes a
 //! `BENCH_gemm.json` baseline into the bench binary's working directory
@@ -25,8 +30,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ff_quant::gemm::reference;
 use ff_quant::{
-    int8_matmul, int8_matmul_a_bt_fused, int8_matmul_a_bt_planned, int8_matmul_at_b,
-    int8_matmul_at_b_planned, GemmVariant, QGemmPlan, QuantConfig, QuantTensor, Rounding,
+    int8_matmul_a_bt_planned, int8_matmul_a_bt_shared_rows, int8_matmul_at_b_planned,
+    int8_matmul_planned, QGemmPlan, QuantConfig, QuantTensor, Rounding, RowQuantTensor,
+    SharedGemmPlan,
 };
 use ff_tensor::{init, linalg, Tensor};
 use rand::rngs::StdRng;
@@ -39,6 +45,12 @@ fn quant_pair(m: usize, k: usize, n: usize, seed: u64) -> (QuantTensor, QuantTen
     let qa = QuantTensor::quantize_with_rng(&a, QuantConfig::new(Rounding::Nearest), &mut rng);
     let qb = QuantTensor::quantize_with_rng(&b, QuantConfig::new(Rounding::Nearest), &mut rng);
     (qa, qb)
+}
+
+/// `a · b` with `b` packed into a fresh plan: both operands packed per call.
+fn packed_matmul(a: &QuantTensor, b: &QuantTensor) -> Tensor {
+    let mut plan = QGemmPlan::from_quant(b.clone(), 0).expect("plan");
+    int8_matmul_planned(a, &mut plan).expect("packed int8 matmul")
 }
 
 fn bench_gemm(c: &mut Criterion) {
@@ -57,7 +69,7 @@ fn bench_gemm(c: &mut Criterion) {
             bencher.iter(|| reference::int8_matmul(&qa, &qb).expect("naive int8 matmul"));
         });
         group.bench_with_input(BenchmarkId::new("int8_packed", n), &n, |bencher, _| {
-            bencher.iter(|| int8_matmul(&qa, &qb).expect("packed int8 matmul"));
+            bencher.iter(|| packed_matmul(&qa, &qb));
         });
     }
     group.finish();
@@ -87,7 +99,7 @@ fn bench_paper_shapes(c: &mut Criterion) {
             BenchmarkId::new("int8_packed", label),
             &label,
             |bencher, _| {
-                bencher.iter(|| int8_matmul(&qa, &qb).expect("packed int8 matmul"));
+                bencher.iter(|| packed_matmul(&qa, &qb));
             },
         );
     }
@@ -97,14 +109,18 @@ fn bench_paper_shapes(c: &mut Criterion) {
 fn bench_thread_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("gemm_threads");
     group.sample_size(10);
-    let (qa, qb) = quant_pair(256, 256, 256, 3);
+    let mut rng = StdRng::seed_from_u64(3);
+    let a = init::uniform(&[256, 256], -1.0, 1.0, &mut rng);
+    let w = init::uniform(&[256, 256], -1.0, 1.0, &mut rng);
+    let qa = RowQuantTensor::quantize(&a).expect("row quantize");
+    let plan = SharedGemmPlan::from_tensor(&w).expect("shared plan");
     for &threads in &[1usize, 2, 4, 8] {
         group.bench_with_input(
             BenchmarkId::new("int8_packed_256", threads),
             &threads,
             |bencher, &threads| {
                 bencher.iter(|| {
-                    ff_quant::int8_gemm(GemmVariant::AB, &qa, &qb, None, false, Some(threads))
+                    int8_matmul_a_bt_shared_rows(&qa, &plan, None, false, Some(threads))
                         .expect("packed int8 matmul")
                 });
             },
@@ -131,16 +147,18 @@ fn bench_train_step(c: &mut Criterion) {
         let g = init::uniform(&[batch, out_f], -1.0, 1.0, &mut rng);
         let bias = Tensor::zeros(&[out_f]);
         // The pre-plan behaviour: every step requantizes and repacks the
-        // unchanged weight matrix before the forward GEMM.
+        // unchanged weight matrix into a fresh plan before the forward GEMM.
         group.bench_with_input(BenchmarkId::new("uncached", label), &label, |bencher, _| {
             bencher.iter(|| {
                 let mut rng = StdRng::seed_from_u64(12);
                 let q_x = QuantTensor::quantize_with_rng(&x, nearest, &mut rng);
                 let q_w = QuantTensor::quantize_with_rng(&w, nearest, &mut rng);
-                let (y, _) =
-                    int8_matmul_a_bt_fused(&q_x, &q_w, Some(&bias), true).expect("forward");
+                let mut w_plan = QGemmPlan::from_quant(q_w, 0).expect("weight plan");
+                let (y, _) = int8_matmul_a_bt_planned(&q_x, &mut w_plan, Some(&bias), true)
+                    .expect("forward");
+                let mut x_plan = QGemmPlan::from_quant(q_x, 0).expect("input plan");
                 let q_g = QuantTensor::quantize_with_rng(&g, nearest, &mut rng);
-                let gw = int8_matmul_at_b(&q_g, &q_x).expect("gW");
+                let gw = int8_matmul_at_b_planned(&q_g, &mut x_plan).expect("gW");
                 (y, gw)
             });
         });

@@ -6,7 +6,6 @@ use crate::Result;
 use ff_data::Dataset;
 use ff_metrics::TrainingHistory;
 use ff_nn::Sequential;
-use serde::{Deserialize, Serialize};
 
 /// Trains `net` on `train_set` with the requested algorithm and returns the
 /// per-epoch history (the same network is used for evaluation on `test_set`).
@@ -49,34 +48,6 @@ pub fn train(
     TrainSession::new(net, train_set, test_set, algorithm, options)?.run()
 }
 
-/// A training run bundled with the algorithm that produced it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TrainingReport {
-    /// Label of the training algorithm (e.g. `"FF-INT8"`).
-    pub algorithm: String,
-    /// Name of the model that was trained.
-    pub model: String,
-    /// Per-epoch history.
-    pub history: TrainingHistory,
-}
-
-impl TrainingReport {
-    /// Bundles a history with its provenance.
-    pub fn new(algorithm: Algorithm, model: impl Into<String>, history: TrainingHistory) -> Self {
-        TrainingReport {
-            algorithm: algorithm.label(),
-            model: model.into(),
-            history,
-        }
-    }
-
-    /// Final accuracy as a percentage (0–100), the unit used in the paper's
-    /// tables.
-    pub fn accuracy_percent(&self) -> f32 {
-        self.history.final_accuracy().unwrap_or(0.0) * 100.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,15 +83,5 @@ mod tests {
             let history = train(&mut net, &train_set, &test_set, algorithm, &options).unwrap();
             assert_eq!(history.len(), 1, "{}", algorithm.label());
         }
-    }
-
-    #[test]
-    fn report_exposes_percentage() {
-        let mut history = TrainingHistory::new("x");
-        history.record(0, 1.0, 0.5, Some(0.43));
-        let report = TrainingReport::new(Algorithm::BpFp32, "MLP", history);
-        assert_eq!(report.algorithm, "BP-FP32");
-        assert_eq!(report.model, "MLP");
-        assert!((report.accuracy_percent() - 43.0).abs() < 1e-4);
     }
 }

@@ -60,7 +60,7 @@ pub mod optimizer;
 pub mod session;
 pub mod shard;
 
-pub use api::{train, TrainingReport};
+pub use api::train;
 pub use baselines::{BpTrainer, GradientPolicy};
 pub use checkpoint::{
     Checkpoint, EpochProgress, CHECKPOINT_MAGIC, CHECKPOINT_MIN_VERSION, CHECKPOINT_VERSION,

@@ -88,13 +88,6 @@ pub struct TrainingCost {
     pub batch_ops: OpCounts,
 }
 
-impl TrainingCost {
-    /// Memory footprint in mebibytes (the unit of the paper's Table V).
-    pub fn memory_mib(&self) -> f64 {
-        self.memory_bytes as f64 / (1024.0 * 1024.0)
-    }
-}
-
 /// The analytic cost model: a device spec plus accounting rules.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CostModel {
@@ -378,17 +371,6 @@ mod tests {
                 spec.name
             );
         }
-    }
-
-    #[test]
-    fn memory_mib_conversion() {
-        let cost = TrainingCost {
-            time_s: 1.0,
-            energy_j: 1.0,
-            memory_bytes: 512 * 1024 * 1024,
-            batch_ops: OpCounts::default(),
-        };
-        assert!((cost.memory_mib() - 512.0).abs() < 1e-9);
     }
 
     #[test]

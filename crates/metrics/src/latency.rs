@@ -179,18 +179,6 @@ impl LatencyHistogram {
         self.quantile(0.99)
     }
 
-    /// Adds every sample of `other` into `self` (per-worker histograms fold
-    /// into a server-wide one).
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, &b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum_ns += other.sum_ns;
-        self.min_ns = self.min_ns.min(other.min_ns);
-        self.max_ns = self.max_ns.max(other.max_ns);
-    }
-
     /// The histogram of samples recorded since `baseline`, where `baseline`
     /// is an earlier clone of this histogram (per-bucket saturating
     /// subtraction; count and sum are exact).
@@ -355,6 +343,10 @@ mod tests {
         assert_eq!(hist.min(), Duration::from_micros(1));
         let mean = hist.mean().as_nanos();
         assert_eq!(mean, 500_500); // exact: (1..=1000).sum() / 1000 µs
+        let summary = hist.summary();
+        assert_eq!(summary.count, 1000);
+        assert!(summary.p50 <= summary.p95 && summary.p95 <= summary.p99);
+        assert!(summary.to_string().contains("n=1000"));
     }
 
     #[test]
@@ -364,23 +356,6 @@ mod tests {
         for q in [0.0, 0.5, 0.99, 1.0] {
             assert_eq!(hist.quantile(q), Duration::from_nanos(1_000_003));
         }
-    }
-
-    #[test]
-    fn merge_combines_counts_and_extremes() {
-        let mut a = LatencyHistogram::new();
-        let mut b = LatencyHistogram::new();
-        a.record(Duration::from_micros(10));
-        b.record(Duration::from_micros(1000));
-        b.record(Duration::from_micros(2000));
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.min(), Duration::from_micros(10));
-        assert_eq!(a.max(), Duration::from_micros(2000));
-        let summary = a.summary();
-        assert_eq!(summary.count, 3);
-        assert!(summary.p50 <= summary.p95 && summary.p95 <= summary.p99);
-        assert!(summary.to_string().contains("n=3"));
     }
 
     #[test]

@@ -344,7 +344,7 @@ impl Layer for Dense {
 mod tests {
     use super::*;
     use crate::{Optimizer, Sgd};
-    use ff_quant::{int8_matmul_a_bt_fused, Rounding};
+    use ff_quant::Rounding;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -353,11 +353,12 @@ mod tests {
     }
 
     /// What an uncached INT8 forward would produce for the layer's current
-    /// parameters: quantize weight and input from scratch, no plan involved.
+    /// parameters: quantize weight and input from scratch into a fresh plan,
+    /// independent of the layer's cached one.
     fn uncached_int8_forward(layer: &Dense, x: &Tensor) -> Tensor {
         let q_x = QuantTensor::quantize(x, Rounding::Nearest);
-        let q_w = QuantTensor::quantize(layer.weight(), Rounding::Nearest);
-        int8_matmul_a_bt_fused(&q_x, &q_w, Some(layer.bias()), layer.has_fused_relu())
+        let mut plan = QGemmPlan::from_tensor(layer.weight(), 0).unwrap();
+        int8_matmul_a_bt_planned(&q_x, &mut plan, Some(layer.bias()), layer.has_fused_relu())
             .unwrap()
             .0
     }

@@ -6,30 +6,38 @@
 //!
 //! # Engine structure
 //!
-//! All three kernel variants route through **one** blocked micro-kernel:
+//! Every INT8 GEMM goes through **one** engine call, the crate-private
+//! `int8_gemm_prepacked_into(&PackedA, &PackedB, Epilogue, out, mask,
+//! threads)`. The public entry points live in [`crate::plan`]; each packs
+//! its per-call operand, takes the other one from a cached plan, and picks
+//! an epilogue:
 //!
-//! | entry point          | operands            | packing                          |
-//! |----------------------|---------------------|----------------------------------|
-//! | [`int8_matmul`]      | `A[m,k] · B[k,n]`   | `A` row-major, `B` row-major     |
-//! | [`int8_matmul_a_bt`] | `A[m,k] · B[n,k]ᵀ`  | `A` row-major, `B` transposed    |
-//! | [`int8_matmul_at_b`] | `A[k,m]ᵀ · B[k,n]`  | `A` transposed, `B` row-major    |
+//! | entry point                                     | operands           | epilogue                          |
+//! |-------------------------------------------------|--------------------|-----------------------------------|
+//! | [`crate::int8_matmul_a_bt_planned`]             | `A[m,k] · W[n,k]ᵀ` | store, per-tensor scale, bias, ReLU + mask |
+//! | [`crate::int8_matmul_at_b_planned_accumulate`]  | `A[k,m]ᵀ · X[k,n]` | accumulate into the caller's buffer |
+//! | [`crate::int8_matmul_a_bt_shared_rows`]         | `A[m,k] · W[n,k]ᵀ` | store, per-row scale, bias, ReLU  |
+//! | [`crate::int8_matmul_planned`]                  | `A[m,k] · B[k,n]`  | store, per-tensor scale           |
+//! | [`crate::int8_matmul_at_b_planned`]             | `A[k,m]ᵀ · X[k,n]` | store, per-tensor scale           |
+//!
+//! The first three are the product paths (dense/conv forward, weight
+//! gradient, serving); the last two return the product as a new tensor.
 //!
 //! Operands are repacked into contiguous `i16` panels ([`crate::pack`]):
 //! `A` into [`crate::pack::MR`]-row strips, `B` into strips of the width its
 //! column count calls for ([`crate::pack::PackedB::strip_width`]: 16, 32, 48
 //! or [`crate::pack::NR`] = 64), both with depth laid out in **pairs** and
-//! zero-padded at the edges. The
-//! `int8_matmul_*` entry points pack both operands per call;
-//! [`int8_gemm_prepacked`] accepts operands that are already in panel form,
-//! which is how the plan cache ([`crate::plan`]) amortizes weight packing
-//! across training steps. Either way the engine then runs the classic
-//! three-level blocking ([`crate::pack::NC`] columns → [`crate::pack::KC`] depth →
+//! zero-padded at the edges. Which of `A·B`, `A·Bᵀ` and `Aᵀ·B` is computed
+//! is decided at pack time by each operand's [`crate::pack::PackSource`].
+//! The engine then runs the classic three-level blocking
+//! ([`crate::pack::NC`] columns → [`crate::pack::KC`] depth →
 //! [`crate::pack::MC`] rows) with an `MR × strip-width` register tile
-//! accumulated into a per-thread `i32` staging buffer, and shards output row
-//! panels across worker threads with [`ff_tensor::par::shard_rows`] above the
-//! parallel threshold. The micro-kernel, its tile store and the worker loop
-//! are one body, const-generic over the strip width and instantiated once
-//! per width; the packed `B` operand says which instance runs.
+//! accumulated into a per-thread `i32` staging buffer, and shards output
+//! row panels across worker threads with [`ff_tensor::par::shard_rows`]
+//! above the parallel threshold. The micro-kernel, its tile store and the
+//! worker loop are one body, const-generic over the strip width and
+//! instantiated once per width; the packed `B` operand says which instance
+//! runs.
 //!
 //! # The pairwise `i16` micro-kernel
 //!
@@ -41,9 +49,9 @@
 //! cheap 1-µop vector `i16` multiplies/adds, the same arithmetic shape as
 //! x86's `pmaddwd`) and only then widens into the `i32` accumulator —
 //! folding two MACs into roughly half the vector work of a widening `i32`
-//! multiply. Tensors built via [`QuantTensor::from_codes`] may contain
-//! `−128`; when **both** operands do, a pair sum can reach `2·(−128)² =
-//! 32768` and overflow. Packing detects this
+//! multiply. Tensors built via [`crate::QuantTensor::from_codes`] may
+//! contain `−128`; when **both** operands do, a pair sum can reach
+//! `2·(−128)² = 32768` and overflow. Packing detects this
 //! ([`crate::pack::PackedA::has_i8_min`]) and the engine falls back to a
 //! plain `i32` kernel on the same layout, so results stay exact for every
 //! input (a single `−128`-bearing operand is safe: `2·128·127 = 32512`
@@ -56,259 +64,80 @@
 //!
 //! # Fused epilogue
 //!
-//! Dequantization (`acc · scale_a·scale_b`) happens in the epilogue while an
-//! output tile is still cache-hot, optionally fused with a per-column bias
-//! add and ReLU (+ gradient-mask capture) via [`int8_matmul_a_bt_fused`] —
-//! the hook the dense/conv layers use to avoid separate bias/activation
-//! passes over the output. For gradient accumulators the epilogue also has
-//! an **accumulate mode** ([`int8_gemm_prepacked_accumulate`]): `out += acc ·
-//! scale` straight into the caller's buffer, bit-identical to storing the
-//! product and adding it afterwards but without the temporary or the second
-//! pass.
+//! Dequantization happens in the epilogue while an output tile is still
+//! cache-hot. The epilogue has two kinds:
+//!
+//! - **store**: `out = acc · scale`, where the scale is per-tensor
+//!   (`scale_a · scale_b`) or per output row (`row_scale[i] · scale_b`, for
+//!   a per-row-quantized activation batch), optionally fused with a
+//!   per-column bias add and ReLU (+ gradient-mask capture). This is how
+//!   the dense/conv layers avoid separate bias/activation passes over the
+//!   output.
+//! - **accumulate**: `out += acc · scale` straight into the caller's
+//!   gradient buffer, bit-identical to storing the product and adding it
+//!   afterwards but without the temporary or the second pass. It carries
+//!   neither bias nor ReLU, and its type says so.
 
-use crate::pack::{PackSource, PackedA, PackedB, KC, MC, MR, NC};
-use crate::{QuantTensor, Result};
+use crate::pack::{PackedA, PackedB, KC, MC, MR, NC};
+use crate::Result;
 use ff_tensor::par::{shard_rows, worker_count};
 use ff_tensor::{Tensor, TensorError};
 
-/// Which of the three GEMM shapes to compute.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GemmVariant {
-    /// `C = A · B` with `A [m, k]`, `B [k, n]`.
-    AB,
-    /// `C = A · Bᵀ` with `A [m, k]`, `B [n, k]` (dense/conv forward).
-    ABt,
-    /// `C = Aᵀ · B` with `A [k, m]`, `B [k, n]` (weight gradients).
-    AtB,
-}
-
-fn check_rank2(q: &QuantTensor, op: &'static str) -> Result<(usize, usize)> {
-    if q.shape().len() != 2 {
-        return Err(TensorError::RankMismatch {
+/// Returns `shape` as `[rows, cols]`, or a rank error naming `op`.
+pub(crate) fn rank2(shape: &[usize], op: &'static str) -> Result<[usize; 2]> {
+    match *shape {
+        [rows, cols] => Ok([rows, cols]),
+        _ => Err(TensorError::RankMismatch {
             expected: 2,
-            actual: q.shape().len(),
+            actual: shape.len(),
+            op,
+        }),
+    }
+}
+
+/// The shape check behind every GEMM entry point: `a` and `b` must be rank 2
+/// and agree on the shared depth, which is axis `a_k` of `a` and axis `b_k`
+/// of `b` (`A·B`: 1, 0; `A·Bᵀ`: 1, 1; `Aᵀ·B`: 0, 0). Returns both shapes;
+/// errors name `op`.
+pub(crate) fn check_operands(
+    a: &[usize],
+    a_k: usize,
+    b: &[usize],
+    b_k: usize,
+    op: &'static str,
+) -> Result<([usize; 2], [usize; 2])> {
+    let (a2, b2) = (rank2(a, op)?, rank2(b, op)?);
+    if a2[a_k] != b2[b_k] {
+        return Err(TensorError::ShapeMismatch {
+            left: a.to_vec(),
+            right: b.to_vec(),
             op,
         });
     }
-    Ok((q.shape()[0], q.shape()[1]))
+    Ok((a2, b2))
 }
 
-fn resolve_dims(
-    variant: GemmVariant,
-    a: &QuantTensor,
-    b: &QuantTensor,
-) -> Result<(usize, usize, usize)> {
-    let op = match variant {
-        GemmVariant::AB => "int8_matmul",
-        GemmVariant::ABt => "int8_matmul_a_bt",
-        GemmVariant::AtB => "int8_matmul_at_b",
-    };
-    let (a0, a1) = check_rank2(a, op)?;
-    let (b0, b1) = check_rank2(b, op)?;
-    let (m, ka, kb, n) = match variant {
-        GemmVariant::AB => (a0, a1, b0, b1),
-        GemmVariant::ABt => (a0, a1, b1, b0),
-        GemmVariant::AtB => (a1, a0, b0, b1),
-    };
-    if ka != kb {
-        return Err(TensorError::ShapeMismatch {
-            left: a.shape().to_vec(),
-            right: b.shape().to_vec(),
-            op,
-        });
-    }
-    Ok((m, ka, n))
-}
-
-/// The full-control engine entry point: computes the requested variant with
-/// an optional fused epilogue and an optional explicit thread count.
+/// The one engine call: validates shapes, shards `out` (and `mask`) into
+/// row panels and runs [`gemm_worker`] on each. `out` is the row-major
+/// `m × n` product, overwritten or accumulated into as the epilogue says;
+/// only its length is checked, so a higher-rank accumulator with the same
+/// flat layout (a conv weight gradient `[oc, ic, kh, kw]`) can be passed as
+/// is. `mask`, when given with a ReLU store epilogue, receives the ReLU
+/// gradient mask (`1.0` where the pre-activation was positive).
 ///
-/// - `bias`: per-column bias (length `n`) added after dequantization.
-/// - `relu`: clamp negatives to zero; the returned second tensor is the
-///   gradient mask (`1.0` where the pre-activation was positive).
-/// - `threads`: `None` picks automatically ([`ff_tensor::par::worker_count`]);
-///   `Some(t)` forces `t` workers (benchmarks use this for thread sweeps).
+/// The logical shape comes from the panels (`m` from `packed_a`, `n` from
+/// `packed_b`). `threads`: `None` picks automatically
+/// ([`ff_tensor::par::worker_count`]); `Some(t)` forces `t` workers.
 ///
 /// # Errors
 ///
-/// Returns rank/shape errors when the operands are not conformable or the
-/// bias length is not `n`.
-pub fn int8_gemm(
-    variant: GemmVariant,
-    a: &QuantTensor,
-    b: &QuantTensor,
-    bias: Option<&Tensor>,
-    relu: bool,
-    threads: Option<usize>,
-) -> Result<(Tensor, Option<Tensor>)> {
-    let (m, k, n) = resolve_dims(variant, a, b)?;
-    let (packed_a, packed_b) = match variant {
-        GemmVariant::AB => (
-            PackedA::pack(a.codes(), m, k, PackSource::RowMajor),
-            PackedB::pack(b.codes(), k, n, PackSource::RowMajor),
-        ),
-        GemmVariant::ABt => (
-            PackedA::pack(a.codes(), m, k, PackSource::RowMajor),
-            PackedB::pack(b.codes(), k, n, PackSource::Transposed),
-        ),
-        GemmVariant::AtB => (
-            PackedA::pack(a.codes(), m, k, PackSource::Transposed),
-            PackedB::pack(b.codes(), k, n, PackSource::RowMajor),
-        ),
-    };
-    int8_gemm_prepacked(
-        &packed_a,
-        &packed_b,
-        a.scale() * b.scale(),
-        bias,
-        relu,
-        threads,
-    )
-}
-
-/// The pre-packed engine entry point: runs the blocked kernel over operands
-/// that are **already** in panel form, skipping the per-call `O(mk + kn)`
-/// quantize-and-pack tax.
-///
-/// This is the primitive the plan cache ([`crate::plan`]) builds on: a
-/// layer's weight is packed once per optimizer step and this function is
-/// called with the cached panels every forward/backward. The logical GEMM
-/// shape is recovered from the panels (`m` from `packed_a`, `n` from
-/// `packed_b`); which of the three variants is computed was decided at pack
-/// time by the [`PackSource`] the operands were packed with.
-///
-/// `scale` is the product of the two operands' quantization scales, applied
-/// during the dequantization epilogue. `bias`, `relu` and `threads` behave
-/// exactly as in [`int8_gemm`].
-///
-/// # Errors
-///
-/// Returns a shape error when the operands' packed depths disagree or the
-/// bias length is not `n`.
-pub fn int8_gemm_prepacked(
+/// Returns a shape error when the packed depths disagree, `out` does not
+/// hold `m · n` elements, the bias length is not `n`, or a per-row scale
+/// slice is not one scale per output row.
+pub(crate) fn int8_gemm_prepacked_into(
     packed_a: &PackedA,
     packed_b: &PackedB,
-    scale: f32,
-    bias: Option<&Tensor>,
-    relu: bool,
-    threads: Option<usize>,
-) -> Result<(Tensor, Option<Tensor>)> {
-    let epilogue = Epilogue {
-        scale: ScaleSpec::Uniform(scale),
-        bias,
-        relu,
-        accumulate: false,
-    };
-    int8_gemm_prepacked_inner(packed_a, packed_b, &epilogue, relu, threads)
-}
-
-/// [`int8_gemm_prepacked`] with a **per-row** dequantization scale and no
-/// gradient-mask output — the inference entry point.
-///
-/// Output row `i` is dequantized with `row_scales[i] * b_scale`, which is
-/// what a per-row-quantized activation batch ([`crate::RowQuantTensor`])
-/// against a shared per-tensor weight plan needs: every output row then
-/// depends only on its own input row, so results are bit-identical no matter
-/// how rows are batched together. `relu` clamps negatives in the epilogue;
-/// no mask is produced because inference has no backward pass.
-///
-/// # Errors
-///
-/// Returns shape errors when the packed depths disagree, `row_scales` is not
-/// one scale per output row, or the bias length is not `n`.
-pub fn int8_gemm_prepacked_rowscale(
-    packed_a: &PackedA,
-    packed_b: &PackedB,
-    row_scales: &[f32],
-    b_scale: f32,
-    bias: Option<&Tensor>,
-    relu: bool,
-    threads: Option<usize>,
-) -> Result<Tensor> {
-    if row_scales.len() != packed_a.m {
-        return Err(TensorError::ShapeMismatch {
-            left: vec![row_scales.len()],
-            right: vec![packed_a.m],
-            op: "int8_gemm_prepacked_rowscale row_scales",
-        });
-    }
-    let epilogue = Epilogue {
-        scale: ScaleSpec::PerRow {
-            row_scales,
-            b_scale,
-        },
-        bias,
-        relu,
-        accumulate: false,
-    };
-    Ok(int8_gemm_prepacked_inner(packed_a, packed_b, &epilogue, false, threads)?.0)
-}
-
-/// [`int8_gemm_prepacked`] in **accumulate mode**: the epilogue adds each
-/// dequantized element into `out` (`out[i, j] += acc · scale`) instead of
-/// storing it, so a gradient accumulator receives the product without a
-/// temporary `m × n` tensor or a second pass over it.
-///
-/// Per element this is the same two roundings — the `acc · scale` product,
-/// then the add — as [`int8_gemm_prepacked`] followed by
-/// `Tensor::add_assign`, hence bit-identical to that sequence.
-///
-/// `out` is read as the row-major `m × n` product; only its length is
-/// checked, so a higher-rank accumulator with the same flat layout (a conv
-/// weight gradient `[oc, ic, kh, kw]`) can be passed as is.
-///
-/// # Errors
-///
-/// Returns a shape error when the operands' packed depths disagree or `out`
-/// does not hold `m · n` elements.
-pub fn int8_gemm_prepacked_accumulate(
-    packed_a: &PackedA,
-    packed_b: &PackedB,
-    scale: f32,
-    out: &mut [f32],
-    threads: Option<usize>,
-) -> Result<()> {
-    let epilogue = Epilogue {
-        scale: ScaleSpec::Uniform(scale),
-        bias: None,
-        relu: false,
-        accumulate: true,
-    };
-    int8_gemm_prepacked_into(packed_a, packed_b, &epilogue, out, None, threads)
-}
-
-fn int8_gemm_prepacked_inner(
-    packed_a: &PackedA,
-    packed_b: &PackedB,
-    epilogue: &Epilogue<'_>,
-    want_mask: bool,
-    threads: Option<usize>,
-) -> Result<(Tensor, Option<Tensor>)> {
-    let (m, n) = (packed_a.m, packed_b.n);
-    let mut out = vec![0.0f32; m * n];
-    let mut mask = want_mask.then(|| vec![0.0f32; m * n]);
-    int8_gemm_prepacked_into(
-        packed_a,
-        packed_b,
-        epilogue,
-        &mut out,
-        mask.as_deref_mut(),
-        threads,
-    )?;
-    let out = Tensor::from_vec(&[m, n], out)?;
-    let mask = mask
-        .map(|mask| Tensor::from_vec(&[m, n], mask))
-        .transpose()?;
-    Ok((out, mask))
-}
-
-/// The one engine driver: validates shapes, shards `out` (and `mask`) into
-/// row panels and runs [`gemm_worker`] on each. `out` is overwritten or
-/// accumulated into as the epilogue says.
-fn int8_gemm_prepacked_into(
-    packed_a: &PackedA,
-    packed_b: &PackedB,
-    epilogue: &Epilogue<'_>,
+    epilogue: Epilogue<'_>,
     out: &mut [f32],
     mask: Option<&mut [f32]>,
     threads: Option<usize>,
@@ -318,23 +147,32 @@ fn int8_gemm_prepacked_into(
         return Err(TensorError::ShapeMismatch {
             left: vec![m, packed_a.k],
             right: vec![packed_b.k, n],
-            op: "int8_gemm_prepacked",
+            op: "int8_gemm_prepacked_into",
         });
     }
     if out.len() != m * n {
         return Err(TensorError::ShapeMismatch {
             left: vec![out.len()],
             right: vec![m, n],
-            op: "int8_gemm_prepacked output",
+            op: "int8_gemm_prepacked_into output",
         });
     }
-    if let Some(bias) = epilogue.bias {
-        if bias.len() != n {
+    if let Epilogue::Store { scale, bias, .. } = epilogue {
+        if let Some(bias) = bias.filter(|bias| bias.len() != n) {
             return Err(TensorError::ShapeMismatch {
                 left: bias.shape().to_vec(),
                 right: vec![n],
-                op: "int8_gemm bias",
+                op: "int8_gemm_prepacked_into bias",
             });
+        }
+        if let Scale::PerRow { row_scales, .. } = scale {
+            if row_scales.len() != m {
+                return Err(TensorError::ShapeMismatch {
+                    left: vec![row_scales.len()],
+                    right: vec![m],
+                    op: "int8_gemm_prepacked_into row_scales",
+                });
+            }
         }
     }
     let threads = threads.unwrap_or_else(|| worker_count(m * n * k, m.div_ceil(MR)));
@@ -353,27 +191,27 @@ fn int8_gemm_prepacked_into(
                 64 => gemm_worker::<64>,
                 width => unreachable!("PackedB never packs {width}-column strips"),
             };
-            worker(packed_a, packed_b, first_row, panel, mask_panel, epilogue);
+            worker(packed_a, packed_b, first_row, panel, mask_panel, &epilogue);
         },
     )
 }
 
 /// How the epilogue dequantizes `i32` accumulators into `f32` output.
 #[derive(Debug, Clone, Copy)]
-enum ScaleSpec<'a> {
+pub(crate) enum Scale<'a> {
     /// One scale for the whole output (product of two per-tensor scales).
-    Uniform(f32),
+    PerTensor(f32),
     /// Per-output-row scales: row `i` uses `row_scales[i] * b_scale`
     /// (per-row-quantized `A` against a per-tensor-quantized `B`).
     PerRow { row_scales: &'a [f32], b_scale: f32 },
 }
 
-impl ScaleSpec<'_> {
+impl Scale<'_> {
     #[inline]
     fn for_row(&self, row: usize) -> f32 {
         match *self {
-            ScaleSpec::Uniform(s) => s,
-            ScaleSpec::PerRow {
+            Scale::PerTensor(s) => s,
+            Scale::PerRow {
                 row_scales,
                 b_scale,
             } => row_scales[row] * b_scale,
@@ -381,17 +219,42 @@ impl ScaleSpec<'_> {
     }
 }
 
-/// The fused post-GEMM pass: dequantization scale(s), optional per-column
-/// bias, optional ReLU clamp — stored into the output, or (without bias and
-/// ReLU) added onto it.
+/// The fused post-GEMM pass.
 #[derive(Debug, Clone, Copy)]
-struct Epilogue<'a> {
-    scale: ScaleSpec<'a>,
-    bias: Option<&'a Tensor>,
-    relu: bool,
-    /// `out += acc · scale` instead of `out = …`; only built by
-    /// [`int8_gemm_prepacked_accumulate`], which sets neither bias nor ReLU.
-    accumulate: bool,
+pub(crate) enum Epilogue<'a> {
+    /// `out = acc · scale (+ bias[j])`, then clamped by ReLU if `relu`.
+    Store {
+        /// Dequantization scale(s).
+        scale: Scale<'a>,
+        /// Optional per-column bias (length `n`).
+        bias: Option<&'a Tensor>,
+        /// Clamp negatives to zero (and fill the mask, when one is given).
+        relu: bool,
+    },
+    /// `out += acc · scale` — a gradient accumulator; no bias, no ReLU.
+    Accumulate {
+        /// The per-tensor dequantization scale.
+        scale: f32,
+    },
+}
+
+impl Epilogue<'_> {
+    /// The plain per-tensor store: `out = acc · scale`.
+    pub(crate) fn store(scale: f32) -> Self {
+        Epilogue::Store {
+            scale: Scale::PerTensor(scale),
+            bias: None,
+            relu: false,
+        }
+    }
+
+    #[inline]
+    fn scale_for_row(&self, row: usize) -> f32 {
+        match self {
+            Epilogue::Store { scale, .. } => scale.for_row(row),
+            Epilogue::Accumulate { scale } => *scale,
+        }
+    }
 }
 
 /// Runs the blocked kernel for one thread's panel of output rows.
@@ -409,7 +272,7 @@ fn gemm_worker<const NR: usize>(
     mut mask_panel: Option<&mut [f32]>,
     epilogue: &Epilogue<'_>,
 ) {
-    let bias = epilogue.bias.map(Tensor::data);
+    let relu = matches!(epilogue, Epilogue::Store { relu: true, .. });
     let n = packed_b.n;
     let k2 = packed_a.k2;
     if n == 0 {
@@ -468,28 +331,29 @@ fn gemm_worker<const NR: usize>(
             for r in 0..mc_real {
                 let acc_row = &cbuf[r * nc_pad..r * nc_pad + nc_real];
                 let row = ic + r;
-                let scale = epilogue.scale.for_row(first_row + row);
+                let scale = epilogue.scale_for_row(first_row + row);
                 let out_row = &mut panel[row * n + jc..row * n + jc + nc_real];
-                match bias {
-                    // Accumulate mode carries neither bias nor ReLU.
-                    None if epilogue.accumulate => {
+                match *epilogue {
+                    Epilogue::Accumulate { .. } => {
                         for (o, &acc) in out_row.iter_mut().zip(acc_row) {
                             *o += acc as f32 * scale;
                         }
                     }
-                    Some(bias) => {
-                        let bias_seg = &bias[jc..jc + nc_real];
+                    Epilogue::Store {
+                        bias: Some(bias), ..
+                    } => {
+                        let bias_seg = &bias.data()[jc..jc + nc_real];
                         for ((o, &acc), &bj) in out_row.iter_mut().zip(acc_row).zip(bias_seg) {
                             *o = acc as f32 * scale + bj;
                         }
                     }
-                    None => {
+                    Epilogue::Store { bias: None, .. } => {
                         for (o, &acc) in out_row.iter_mut().zip(acc_row) {
                             *o = acc as f32 * scale;
                         }
                     }
                 }
-                if epilogue.relu {
+                if relu {
                     match mask_panel.as_deref_mut() {
                         Some(mask_panel) => {
                             let mask_row = &mut mask_panel[row * n + jc..row * n + jc + nc_real];
@@ -598,92 +462,6 @@ fn store_tile<const NR: usize>(
     }
 }
 
-/// Multiplies two quantized matrices `[m, k] × [k, n]`, accumulating in `i32`
-/// and returning the dequantized `f32` result.
-///
-/// # Errors
-///
-/// Returns rank or shape errors when the operands are not conformable.
-///
-/// # Examples
-///
-/// ```
-/// use ff_quant::{int8_matmul, QuantTensor, Rounding};
-/// use ff_tensor::Tensor;
-///
-/// # fn main() -> Result<(), ff_tensor::TensorError> {
-/// let a = QuantTensor::quantize(&Tensor::from_vec(&[1, 2], vec![1.0, 2.0])?, Rounding::Nearest);
-/// let b = QuantTensor::quantize(&Tensor::from_vec(&[2, 1], vec![0.5, 0.25])?, Rounding::Nearest);
-/// let c = int8_matmul(&a, &b)?;
-/// assert!((c.data()[0] - 1.0).abs() < 0.05);
-/// # Ok(())
-/// # }
-/// ```
-pub fn int8_matmul(a: &QuantTensor, b: &QuantTensor) -> Result<Tensor> {
-    Ok(int8_gemm(GemmVariant::AB, a, b, None, false, None)?.0)
-}
-
-/// Multiplies `a [m, k]` by the transpose of `b [n, k]`, i.e. `a × bᵀ`,
-/// accumulating in `i32` and dequantizing the result.
-///
-/// This is the kernel used by dense layers whose weights are stored
-/// `[out, in]` and by the im2col convolution path.
-///
-/// # Errors
-///
-/// Returns rank or shape errors when the operands are not conformable.
-pub fn int8_matmul_a_bt(a: &QuantTensor, b: &QuantTensor) -> Result<Tensor> {
-    Ok(int8_gemm(GemmVariant::ABt, a, b, None, false, None)?.0)
-}
-
-/// [`int8_matmul_a_bt`] with the fused epilogue: per-column `bias` added
-/// after dequantization and an optional ReLU whose gradient mask is returned
-/// alongside the output. This is the entry point the dense/conv forward
-/// passes use so no separate bias/activation pass touches the output again.
-///
-/// # Errors
-///
-/// Returns rank/shape errors when operands are not conformable or `bias` is
-/// not a length-`n` vector.
-///
-/// # Examples
-///
-/// ```
-/// use ff_quant::{int8_matmul_a_bt_fused, QuantTensor, Rounding};
-/// use ff_tensor::Tensor;
-///
-/// # fn main() -> Result<(), ff_tensor::TensorError> {
-/// let x = QuantTensor::quantize(&Tensor::from_vec(&[1, 2], vec![1.0, -1.0])?, Rounding::Nearest);
-/// let w = QuantTensor::quantize(&Tensor::from_vec(&[2, 2], vec![1.0, 0.0, 0.0, 1.0])?, Rounding::Nearest);
-/// let bias = Tensor::from_vec(&[2], vec![0.0, 0.0])?;
-/// let (y, mask) = int8_matmul_a_bt_fused(&x, &w, Some(&bias), true)?;
-/// assert!(y.data()[1] == 0.0); // ReLU clamped the negative lane
-/// assert_eq!(mask.unwrap().data()[1], 0.0);
-/// # Ok(())
-/// # }
-/// ```
-pub fn int8_matmul_a_bt_fused(
-    a: &QuantTensor,
-    b: &QuantTensor,
-    bias: Option<&Tensor>,
-    relu: bool,
-) -> Result<(Tensor, Option<Tensor>)> {
-    int8_gemm(GemmVariant::ABt, a, b, bias, relu, None)
-}
-
-/// Multiplies the transpose of `a [k, m]` by `b [k, n]`, i.e. `aᵀ × b`,
-/// accumulating in `i32` and dequantizing the result.
-///
-/// This is the kernel used for weight gradients `gW = gYᵀ · A` where both the
-/// output gradient and the cached input are INT8 (paper Fig. 4).
-///
-/// # Errors
-///
-/// Returns rank or shape errors when the operands are not conformable.
-pub fn int8_matmul_at_b(a: &QuantTensor, b: &QuantTensor) -> Result<Tensor> {
-    Ok(int8_gemm(GemmVariant::AtB, a, b, None, false, None)?.0)
-}
-
 /// Counts the `i8` multiply and add operations performed by an
 /// `[m, k] × [k, n]` INT8 GEMM, matching the accounting used in the paper's
 /// Table IV (one MUL and one ADD per fused MAC).
@@ -700,7 +478,7 @@ pub mod reference {
     //! them bit-exactly for every shape (asserted by the property tests and
     //! compared against in `bench_gemm`). They are not used on any hot path.
 
-    use super::{check_rank2, resolve_dims, GemmVariant};
+    use super::check_operands;
     use crate::{QuantTensor, Result};
     use ff_tensor::Tensor;
 
@@ -709,8 +487,24 @@ pub mod reference {
     /// # Errors
     ///
     /// Returns rank or shape errors when the operands are not conformable.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use ff_quant::gemm::reference;
+    /// use ff_quant::{QuantTensor, Rounding};
+    /// use ff_tensor::Tensor;
+    ///
+    /// # fn main() -> Result<(), ff_tensor::TensorError> {
+    /// let a = QuantTensor::quantize(&Tensor::from_vec(&[1, 2], vec![1.0, 2.0])?, Rounding::Nearest);
+    /// let b = QuantTensor::quantize(&Tensor::from_vec(&[2, 1], vec![0.5, 0.25])?, Rounding::Nearest);
+    /// let c = reference::int8_matmul(&a, &b)?;
+    /// assert!((c.data()[0] - 1.0).abs() < 0.05);
+    /// # Ok(())
+    /// # }
+    /// ```
     pub fn int8_matmul(a: &QuantTensor, b: &QuantTensor) -> Result<Tensor> {
-        let (m, k, n) = resolve_dims(GemmVariant::AB, a, b)?;
+        let ([m, k], [_, n]) = check_operands(a.shape(), 1, b.shape(), 0, "int8_matmul")?;
         let mut acc = vec![0i32; m * n];
         let a_codes = a.codes();
         let b_codes = b.codes();
@@ -737,9 +531,7 @@ pub mod reference {
     ///
     /// Returns rank or shape errors when the operands are not conformable.
     pub fn int8_matmul_a_bt(a: &QuantTensor, b: &QuantTensor) -> Result<Tensor> {
-        let (m, ka) = check_rank2(a, "int8_matmul_a_bt")?;
-        let (_, k, n) = resolve_dims(GemmVariant::ABt, a, b)?;
-        debug_assert_eq!(ka, k);
+        let ([m, k], [n, _]) = check_operands(a.shape(), 1, b.shape(), 1, "int8_matmul_a_bt")?;
         let a_codes = a.codes();
         let b_codes = b.codes();
         let mut out = vec![0.0f32; m * n];
@@ -765,7 +557,7 @@ pub mod reference {
     ///
     /// Returns rank or shape errors when the operands are not conformable.
     pub fn int8_matmul_at_b(a: &QuantTensor, b: &QuantTensor) -> Result<Tensor> {
-        let (m, k, n) = resolve_dims(GemmVariant::AtB, a, b)?;
+        let ([k, m], [_, n]) = check_operands(a.shape(), 0, b.shape(), 0, "int8_matmul_at_b")?;
         let a_codes = a.codes();
         let b_codes = b.codes();
         let mut acc = vec![0i32; m * n];
@@ -795,7 +587,11 @@ pub mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{QuantConfig, Rounding};
+    use crate::pack::PackSource;
+    use crate::{
+        int8_matmul_a_bt_planned, int8_matmul_at_b_planned, int8_matmul_planned, QGemmPlan,
+        QuantConfig, QuantTensor, Rounding,
+    };
     use ff_tensor::linalg;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -811,13 +607,32 @@ mod tests {
         quantize(&t, seed)
     }
 
+    fn plan(b: &QuantTensor) -> QGemmPlan {
+        QGemmPlan::from_quant(b.clone(), 0).unwrap()
+    }
+
+    /// `a · b` through the engine, `b` served from a fresh plan.
+    fn packed_ab(a: &QuantTensor, b: &QuantTensor) -> Result<Tensor> {
+        int8_matmul_planned(a, &mut plan(b))
+    }
+
+    /// `a · bᵀ` through the engine, `b` served from a fresh plan.
+    fn packed_a_bt(a: &QuantTensor, b: &QuantTensor) -> Result<Tensor> {
+        Ok(int8_matmul_a_bt_planned(a, &mut plan(b), None, false)?.0)
+    }
+
+    /// `aᵀ · b` through the engine, `b` served from a fresh plan.
+    fn packed_at_b(a: &QuantTensor, b: &QuantTensor) -> Result<Tensor> {
+        int8_matmul_at_b_planned(a, &mut plan(b))
+    }
+
     #[test]
     fn int8_matmul_approximates_fp32_matmul() {
         let mut rng = StdRng::seed_from_u64(3);
         let a = ff_tensor::init::uniform(&[8, 16], -1.0, 1.0, &mut rng);
         let b = ff_tensor::init::uniform(&[16, 4], -1.0, 1.0, &mut rng);
         let exact = linalg::matmul(&a, &b).unwrap();
-        let approx = int8_matmul(&quantize(&a, 1), &quantize(&b, 2)).unwrap();
+        let approx = packed_ab(&quantize(&a, 1), &quantize(&b, 2)).unwrap();
         let rel_err = exact.sub(&approx).unwrap().frobenius_norm() / exact.frobenius_norm();
         assert!(rel_err < 0.05, "relative error {rel_err}");
     }
@@ -829,9 +644,9 @@ mod tests {
         let b = ff_tensor::init::uniform(&[3, 7], -1.0, 1.0, &mut rng);
         let qa = quantize(&a, 1);
         let qb = quantize(&b, 2);
-        let direct = int8_matmul_a_bt(&qa, &qb).unwrap();
+        let direct = packed_a_bt(&qa, &qb).unwrap();
         let bt = linalg::transpose(&b).unwrap();
-        let explicit = int8_matmul(&qa, &quantize(&bt, 2)).unwrap();
+        let explicit = packed_ab(&qa, &quantize(&bt, 2)).unwrap();
         let diff = direct.sub(&explicit).unwrap().max_abs();
         assert!(diff < 1e-2, "diff {diff}");
     }
@@ -840,10 +655,13 @@ mod tests {
     fn shape_errors_are_reported() {
         let a = quantize(&Tensor::ones(&[2, 3]), 0);
         let b = quantize(&Tensor::ones(&[4, 5]), 0);
-        assert!(int8_matmul(&a, &b).is_err());
-        assert!(int8_matmul_a_bt(&a, &b).is_err());
+        assert!(packed_ab(&a, &b).is_err());
+        assert!(packed_a_bt(&a, &b).is_err());
+        assert!(reference::int8_matmul(&a, &b).is_err());
+        assert!(reference::int8_matmul_a_bt(&a, &b).is_err());
         let v = quantize(&Tensor::ones(&[3]), 0);
-        assert!(int8_matmul(&v, &a).is_err());
+        assert!(packed_ab(&v, &a).is_err());
+        assert!(reference::int8_matmul(&v, &a).is_err());
     }
 
     #[test]
@@ -853,12 +671,14 @@ mod tests {
         let b = ff_tensor::init::uniform(&[6, 5], -1.0, 1.0, &mut rng);
         let qa = quantize(&a, 1);
         let qb = quantize(&b, 2);
-        let direct = int8_matmul_at_b(&qa, &qb).unwrap();
+        let direct = packed_at_b(&qa, &qb).unwrap();
         let at = linalg::transpose(&a).unwrap();
-        let explicit = int8_matmul(&quantize(&at, 1), &qb).unwrap();
+        let explicit = packed_ab(&quantize(&at, 1), &qb).unwrap();
         let diff = direct.sub(&explicit).unwrap().max_abs();
         assert!(diff < 2e-2, "diff {diff}");
-        assert!(int8_matmul_at_b(&qa, &quantize(&Tensor::ones(&[3, 3]), 0)).is_err());
+        let ones = quantize(&Tensor::ones(&[3, 3]), 0);
+        assert!(packed_at_b(&qa, &ones).is_err());
+        assert!(reference::int8_matmul_at_b(&qa, &ones).is_err());
     }
 
     #[test]
@@ -872,60 +692,20 @@ mod tests {
         ] {
             let qa = random_quant(&[m, k], (m * 1000 + k) as u64);
             let qb = random_quant(&[k, n], (k * 1000 + n) as u64);
-            let packed = int8_matmul(&qa, &qb).unwrap();
+            let packed = packed_ab(&qa, &qb).unwrap();
             let naive = reference::int8_matmul(&qa, &qb).unwrap();
             assert_eq!(packed.data(), naive.data(), "AB shape ({m},{k},{n})");
 
             let qbt = random_quant(&[n, k], (n * 999 + k) as u64);
-            let packed = int8_matmul_a_bt(&qa, &qbt).unwrap();
+            let packed = packed_a_bt(&qa, &qbt).unwrap();
             let naive = reference::int8_matmul_a_bt(&qa, &qbt).unwrap();
             assert_eq!(packed.data(), naive.data(), "ABt shape ({m},{k},{n})");
 
             let qat = random_quant(&[k, m], (k * 998 + m) as u64);
-            let packed = int8_matmul_at_b(&qat, &qb).unwrap();
+            let packed = packed_at_b(&qat, &qb).unwrap();
             let naive = reference::int8_matmul_at_b(&qat, &qb).unwrap();
             assert_eq!(packed.data(), naive.data(), "AtB shape ({m},{k},{n})");
         }
-    }
-
-    #[test]
-    fn explicit_thread_counts_are_exact() {
-        let qa = random_quant(&[37, 65], 5);
-        let qb = random_quant(&[29, 65], 6);
-        let naive = reference::int8_matmul_a_bt(&qa, &qb).unwrap();
-        for threads in [1, 2, 4, 8] {
-            let (out, _) =
-                int8_gemm(GemmVariant::ABt, &qa, &qb, None, false, Some(threads)).unwrap();
-            assert_eq!(out.data(), naive.data(), "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn fused_epilogue_matches_separate_passes() {
-        let qa = random_quant(&[12, 31], 7);
-        let qb = random_quant(&[9, 31], 8);
-        let bias = Tensor::from_vec(&[9], (0..9).map(|i| i as f32 / 4.0 - 1.0).collect()).unwrap();
-        let (fused, mask) = int8_matmul_a_bt_fused(&qa, &qb, Some(&bias), true).unwrap();
-        let mask = mask.unwrap();
-        let separate = reference::int8_matmul_a_bt(&qa, &qb)
-            .unwrap()
-            .add_row_broadcast(&bias)
-            .unwrap();
-        for ((&f, &s), &mk) in fused.data().iter().zip(separate.data()).zip(mask.data()) {
-            if s > 0.0 {
-                assert_eq!(f, s);
-                assert_eq!(mk, 1.0);
-            } else {
-                assert_eq!(f, 0.0);
-                assert_eq!(mk, 0.0);
-            }
-        }
-        // Bias-only epilogue: no mask, negatives retained.
-        let (biased, mask) = int8_matmul_a_bt_fused(&qa, &qb, Some(&bias), false).unwrap();
-        assert!(mask.is_none());
-        assert_eq!(biased.data(), separate.data());
-        // Bad bias length.
-        assert!(int8_matmul_a_bt_fused(&qa, &qb, Some(&Tensor::ones(&[4])), false).is_err());
     }
 
     #[test]
@@ -942,7 +722,7 @@ mod tests {
             .collect();
         let qa = QuantTensor::from_codes(&[6, k], a_codes, 0.01).unwrap();
         let qb = QuantTensor::from_codes(&[k, 9], b_codes, 0.02).unwrap();
-        let packed = int8_matmul(&qa, &qb).unwrap();
+        let packed = packed_ab(&qa, &qb).unwrap();
         let naive = reference::int8_matmul(&qa, &qb).unwrap();
         assert_eq!(packed.data(), naive.data());
 
@@ -951,14 +731,16 @@ mod tests {
         let worst: Vec<i8> = vec![i8::MIN; 6 * k];
         let qa_min = QuantTensor::from_codes(&[6, k], worst, 0.01).unwrap();
         let qb_max = QuantTensor::from_codes(&[k, 9], vec![127i8; k * 9], 0.02).unwrap();
-        let packed = int8_matmul(&qa_min, &qb_max).unwrap();
+        let packed = packed_ab(&qa_min, &qb_max).unwrap();
         let naive = reference::int8_matmul(&qa_min, &qb_max).unwrap();
         assert_eq!(packed.data(), naive.data());
     }
 
     /// Every strip width the packer can choose, their edges, and widths that
-    /// span several column blocks — for all three variants and all three
-    /// epilogue kinds, on the pairwise kernel and on the `i8::MIN` fallback.
+    /// span several column blocks — for all three variants and every
+    /// epilogue (per-tensor store with bias, ReLU and mask; per-row store;
+    /// accumulate), on the pairwise kernel and on the `i8::MIN` fallback,
+    /// with caller-set thread counts splitting the output into row panels.
     #[test]
     fn every_strip_width_matches_reference_in_every_variant_and_epilogue() {
         let codes = |len: usize, salt: usize, with_min: bool| -> Vec<i8> {
@@ -979,6 +761,7 @@ mod tests {
             out
         };
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let relu = |v: f32| if v > 0.0 { v } else { 0.0 };
         let (sa, sb) = (0.013f32, 0.0071f32);
         for n in [1usize, 15, 16, 17, 27, 32, 33, 48, 49, 144, 255, 256, 2000] {
             // m = 70 crosses the MC row block on the im2col width.
@@ -994,16 +777,16 @@ mod tests {
                 let expected = reference::int8_matmul(&qa, &qb).unwrap();
                 let case = format!("n={n} i8::MIN={with_min}");
                 for (variant, naive, packed) in [
-                    ("AB", expected.clone(), int8_matmul(&qa, &qb).unwrap()),
+                    ("AB", expected.clone(), packed_ab(&qa, &qb).unwrap()),
                     (
                         "ABt",
                         reference::int8_matmul_a_bt(&qa, &qb_t).unwrap(),
-                        int8_matmul_a_bt(&qa, &qb_t).unwrap(),
+                        packed_a_bt(&qa, &qb_t).unwrap(),
                     ),
                     (
                         "AtB",
                         reference::int8_matmul_at_b(&qa_t, &qb).unwrap(),
-                        int8_matmul_at_b(&qa_t, &qb).unwrap(),
+                        packed_at_b(&qa_t, &qb).unwrap(),
                     ),
                 ] {
                     assert_eq!(
@@ -1018,8 +801,8 @@ mod tests {
                     );
                 }
 
-                // The other two epilogues, over each way of packing the
-                // same logical operands.
+                // Each epilogue straight through the engine, over each way
+                // of packing the same logical operands.
                 let acc: Vec<i32> = (0..m * n)
                     .map(|idx| {
                         let (i, j) = (idx / n, idx % n);
@@ -1033,6 +816,14 @@ mod tests {
                 let bias =
                     Tensor::from_vec(&[n], (0..n).map(|j| (j % 9) as f32 * 0.5 - 2.0).collect())
                         .unwrap();
+                let biased: Vec<f32> = (0..m * n)
+                    .map(|idx| acc[idx] as f32 * (sa * sb) + bias.data()[idx % n])
+                    .collect();
+                let stored: Vec<f32> = biased.iter().map(|&v| relu(v)).collect();
+                let stored_mask: Vec<f32> = biased
+                    .iter()
+                    .map(|&v| if v > 0.0 { 1.0 } else { 0.0 })
+                    .collect();
                 let accumulated: Vec<f32> = init
                     .iter()
                     .zip(&acc)
@@ -1041,12 +832,7 @@ mod tests {
                 let row_scaled: Vec<f32> = (0..m * n)
                     .map(|idx| {
                         let (i, j) = (idx / n, idx % n);
-                        let v = acc[idx] as f32 * (row_scales[i] * sb) + bias.data()[j];
-                        if v > 0.0 {
-                            v
-                        } else {
-                            0.0
-                        }
+                        relu(acc[idx] as f32 * (row_scales[i] * sb) + bias.data()[j])
                     })
                     .collect();
                 for (packing, packed_a, packed_b) in [
@@ -1061,29 +847,45 @@ mod tests {
                         PackedB::pack(&b_t, k, n, PackSource::Transposed),
                     ),
                 ] {
-                    let mut out = init.clone();
-                    int8_gemm_prepacked_accumulate(&packed_a, &packed_b, sa * sb, &mut out, None)
-                        .unwrap();
-                    assert_eq!(
-                        bits(&out),
-                        bits(&accumulated),
-                        "{case} {packing} accumulate"
-                    );
-                    let out = int8_gemm_prepacked_rowscale(
-                        &packed_a,
-                        &packed_b,
-                        &row_scales,
-                        sb,
-                        Some(&bias),
-                        true,
-                        Some(2),
-                    )
-                    .unwrap();
-                    assert_eq!(
-                        bits(out.data()),
-                        bits(&row_scaled),
-                        "{case} {packing} row scale"
-                    );
+                    for threads in [1, 3] {
+                        let case = format!("{case} {packing} threads={threads}");
+                        let run = |epilogue, out: &mut [f32], mask: Option<&mut [f32]>| {
+                            int8_gemm_prepacked_into(
+                                &packed_a,
+                                &packed_b,
+                                epilogue,
+                                out,
+                                mask,
+                                Some(threads),
+                            )
+                            .unwrap();
+                        };
+                        let (mut out, mut mask) = (vec![0.0; m * n], vec![0.0; m * n]);
+                        let store = Epilogue::Store {
+                            scale: Scale::PerTensor(sa * sb),
+                            bias: Some(&bias),
+                            relu: true,
+                        };
+                        run(store, &mut out, Some(&mut mask));
+                        assert_eq!(bits(&out), bits(&stored), "{case} store");
+                        assert_eq!(bits(&mask), bits(&stored_mask), "{case} store mask");
+
+                        let mut out = vec![0.0; m * n];
+                        let per_row = Epilogue::Store {
+                            scale: Scale::PerRow {
+                                row_scales: &row_scales,
+                                b_scale: sb,
+                            },
+                            bias: Some(&bias),
+                            relu: true,
+                        };
+                        run(per_row, &mut out, None);
+                        assert_eq!(bits(&out), bits(&row_scaled), "{case} row scale");
+
+                        let mut out = init.clone();
+                        run(Epilogue::Accumulate { scale: sa * sb }, &mut out, None);
+                        assert_eq!(bits(&out), bits(&accumulated), "{case} accumulate");
+                    }
                 }
             }
         }
@@ -1100,7 +902,7 @@ mod tests {
     fn identity_quantized_matmul_is_near_exact() {
         let a = Tensor::from_vec(&[2, 2], vec![1.0, 0.5, -0.5, 0.25]).unwrap();
         let id = Tensor::from_vec(&[2, 2], vec![1.0, 0.0, 0.0, 1.0]).unwrap();
-        let out = int8_matmul(&quantize(&a, 1), &quantize(&id, 2)).unwrap();
+        let out = packed_ab(&quantize(&a, 1), &quantize(&id, 2)).unwrap();
         for (x, y) in out.data().iter().zip(a.data()) {
             assert!((x - y).abs() < 0.02);
         }

@@ -14,20 +14,25 @@
 //! three GEMM variants (`A·B`, `A·Bᵀ`, `Aᵀ·B`): operands are repacked into
 //! `i16` panels ([`pack`]), tiled `NC → KC → MC`, sharded across worker
 //! threads by output row panels, and dequantized in a fused epilogue that
-//! can also apply a bias and ReLU ([`int8_matmul_a_bt_fused`]). Operands
-//! that persist across steps — layer weights above all — are quantized and
-//! packed **once** into a cached [`QGemmPlan`] ([`plan`]) and fed to the
-//! engine through [`gemm::int8_gemm_prepacked`], so per-step GEMM cost
-//! scales with the activations only; the plan is rebuilt lazily when the
-//! optimizer bumps the owning layer's parameter version. For inference,
-//! the immutable [`SharedGemmPlan`] packs a weight's panels eagerly and is
-//! `Sync`, and [`int8_matmul_a_bt_shared_rows`] runs it against a
-//! **per-row-quantized** activation batch ([`RowQuantTensor`]) through the
-//! per-row-scale epilogue — making results independent of how samples are
-//! batched, the contract `ff-serve`'s micro-batcher is built on. The naive
-//! triple-loop kernels survive as test oracles in [`gemm::reference`]; the
-//! blocked engine — planned or not — matches them bit-exactly for every
-//! shape. See [`gemm`] for the kernel design, [`pack`] for the panel
+//! either stores (with an optional bias and ReLU) or accumulates into a
+//! gradient buffer. One crate-private engine call runs it; the public way
+//! in is five entry points over a plan ([`plan`]). Operands that persist
+//! across steps — layer weights above all — are quantized and packed
+//! **once** into a cached [`QGemmPlan`], so per-step GEMM cost scales with
+//! the activations only; the plan is rebuilt lazily when the optimizer
+//! bumps the owning layer's parameter version. Training runs
+//! [`int8_matmul_a_bt_planned`] (dense/conv forward, fused bias + ReLU) and
+//! [`int8_matmul_at_b_planned_accumulate`] (weight gradient, added onto the
+//! layer's accumulator in the epilogue); [`int8_matmul_planned`] and
+//! [`int8_matmul_at_b_planned`] return a product as a new tensor. For
+//! inference, the immutable [`SharedGemmPlan`] packs a weight's panels
+//! eagerly and is `Sync`, and [`int8_matmul_a_bt_shared_rows`] runs it
+//! against a **per-row-quantized** activation batch ([`RowQuantTensor`])
+//! through the per-row-scale epilogue — making results independent of how
+//! samples are batched, the contract `ff-serve`'s micro-batcher is built
+//! on. The naive triple-loop kernels survive as test oracles in
+//! [`gemm::reference`]; every entry point matches them bit-exactly for
+//! every shape. See [`gemm`] for the kernel design, [`pack`] for the panel
 //! layout, and [`plan`] for the caching and invalidation contract.
 //!
 //! # Examples
@@ -58,11 +63,7 @@ pub mod pack;
 pub mod plan;
 pub mod stats;
 
-pub use gemm::{
-    int8_gemm, int8_gemm_op_count, int8_gemm_prepacked, int8_gemm_prepacked_accumulate,
-    int8_gemm_prepacked_rowscale, int8_matmul, int8_matmul_a_bt, int8_matmul_a_bt_fused,
-    int8_matmul_at_b, GemmVariant,
-};
+pub use gemm::int8_gemm_op_count;
 pub use plan::{
     int8_matmul_a_bt_planned, int8_matmul_a_bt_shared_rows, int8_matmul_at_b_planned,
     int8_matmul_at_b_planned_accumulate, int8_matmul_planned, QGemmPlan, SharedGemmPlan,

@@ -12,18 +12,20 @@
 //! pack a tensor **once**, then reuse the panels across every
 //! `int8_matmul_*` call until the underlying values change.
 //!
+//! The plan always plays the `B` operand; the other operand (activations or
+//! output gradients) is packed per call by the entry point. These entry
+//! points are the crate's only way into the GEMM engine ([`crate::gemm`]).
+//!
 //! # What a plan holds
 //!
 //! A [`QGemmPlan`] owns the quantized codes and per-tensor scale (a
-//! [`QuantTensor`]) plus up to four lazily-built panel packings — one per
-//! role the tensor can play in the three GEMM variants:
+//! [`QuantTensor`]) plus up to two lazily-built panel packings — one per
+//! `B` role the tensor can play:
 //!
-//! | accessor                            | role                | variant(s)     |
-//! |-------------------------------------|---------------------|----------------|
-//! | [`QGemmPlan::packed_as_a`]          | `A`, stored `[m,k]` | `A·B`, `A·Bᵀ`  |
-//! | [`QGemmPlan::packed_as_a_transposed`]| `A`, stored `[k,m]`| `Aᵀ·B`         |
-//! | [`QGemmPlan::packed_as_b`]          | `B`, stored `[k,n]` | `A·B`, `Aᵀ·B`  |
-//! | [`QGemmPlan::packed_as_b_transposed`]| `B`, stored `[n,k]`| `A·Bᵀ`         |
+//! | accessor                              | role                | variant(s)     |
+//! |---------------------------------------|---------------------|----------------|
+//! | [`QGemmPlan::packed_as_b`]            | `B`, stored `[k,n]` | `A·B`, `Aᵀ·B`  |
+//! | [`QGemmPlan::packed_as_b_transposed`] | `B`, stored `[n,k]` | `A·Bᵀ`         |
 //!
 //! Each packing is built on first use and cached for the plan's lifetime, so
 //! a dense layer's weight plan pays the `[n,k]`-transposed B packing once
@@ -41,9 +43,9 @@
 //! parameter version that optimizers bump through
 //! `ParamRefMut::version` on every step, and rebuild the plan iff the tag no
 //! longer matches. Quantization uses deterministic nearest rounding, so a
-//! rebuilt plan over unchanged weights is bit-identical and the cached path
-//! always matches the uncached one exactly (enforced by the property tests
-//! in `tests/proptests.rs`).
+//! rebuilt plan over unchanged weights is bit-identical, and every planned
+//! entry point matches the naive [`crate::gemm::reference`] oracle exactly
+//! (enforced by the property tests in `tests/proptests.rs`).
 //!
 //! # Examples
 //!
@@ -68,10 +70,11 @@
 //! # }
 //! ```
 //!
-//! The planned path is bit-exact with the per-call path:
+//! The planned path is bit-exact with the naive reference kernel:
 //!
 //! ```
-//! use ff_quant::{int8_matmul_a_bt, int8_matmul_a_bt_planned, QGemmPlan, QuantTensor, Rounding};
+//! use ff_quant::gemm::reference;
+//! use ff_quant::{int8_matmul_a_bt_planned, QGemmPlan, QuantTensor, Rounding};
 //! use ff_tensor::Tensor;
 //!
 //! # fn main() -> Result<(), ff_tensor::TensorError> {
@@ -81,42 +84,28 @@
 //! let qx = QuantTensor::quantize(&x, Rounding::Nearest);
 //! let mut plan = QGemmPlan::from_quant(qw.clone(), 7)?;
 //! let (planned, _) = int8_matmul_a_bt_planned(&qx, &mut plan, None, false)?;
-//! let unplanned = int8_matmul_a_bt(&qx, &qw)?;
-//! assert_eq!(planned.data(), unplanned.data());
+//! let naive = reference::int8_matmul_a_bt(&qx, &qw)?;
+//! assert_eq!(planned.data(), naive.data());
 //! # Ok(())
 //! # }
 //! ```
 
-use crate::gemm::{
-    int8_gemm_prepacked, int8_gemm_prepacked_accumulate, int8_gemm_prepacked_rowscale,
-};
+use crate::gemm::{check_operands, int8_gemm_prepacked_into, rank2, Epilogue, Scale};
 use crate::pack::{PackSource, PackedA, PackedB};
 use crate::{QuantTensor, Result, Rounding, RowQuantTensor};
-use ff_tensor::{Tensor, TensorError};
+use ff_tensor::Tensor;
 
-/// A reusable GEMM operand: quantized codes, per-tensor scale, and cached
-/// packed panels for every role the tensor can play in the INT8 engine.
+/// A reusable GEMM `B` operand: quantized codes, per-tensor scale, and
+/// cached packed panels for both `B` roles the tensor can play in the INT8
+/// engine.
 ///
 /// See the [module docs](self) for the caching and invalidation contract.
 #[derive(Debug, Clone)]
 pub struct QGemmPlan {
     quant: QuantTensor,
     version: u64,
-    packed_a: Option<PackedA>,
-    packed_a_t: Option<PackedA>,
     packed_b: Option<PackedB>,
     packed_b_t: Option<PackedB>,
-}
-
-fn check_rank2(shape: &[usize]) -> Result<(usize, usize)> {
-    if shape.len() != 2 {
-        return Err(TensorError::RankMismatch {
-            expected: 2,
-            actual: shape.len(),
-            op: "QGemmPlan",
-        });
-    }
-    Ok((shape[0], shape[1]))
 }
 
 impl QGemmPlan {
@@ -128,9 +117,9 @@ impl QGemmPlan {
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::RankMismatch`] when `tensor` is not rank 2.
+    /// Returns [`ff_tensor::TensorError::RankMismatch`] when `tensor` is not rank 2.
     pub fn from_tensor(tensor: &Tensor, version: u64) -> Result<Self> {
-        check_rank2(tensor.shape())?;
+        rank2(tensor.shape(), "QGemmPlan")?;
         Self::from_quant(QuantTensor::quantize(tensor, Rounding::Nearest), version)
     }
 
@@ -140,14 +129,12 @@ impl QGemmPlan {
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::RankMismatch`] when `quant` is not rank 2.
+    /// Returns [`ff_tensor::TensorError::RankMismatch`] when `quant` is not rank 2.
     pub fn from_quant(quant: QuantTensor, version: u64) -> Result<Self> {
-        check_rank2(quant.shape())?;
+        rank2(quant.shape(), "QGemmPlan")?;
         Ok(QGemmPlan {
             quant,
             version,
-            packed_a: None,
-            packed_a_t: None,
             packed_b: None,
             packed_b_t: None,
         })
@@ -172,36 +159,6 @@ impl QGemmPlan {
     /// The stored (row-major) shape of the planned tensor.
     pub fn shape(&self) -> &[usize] {
         self.quant.shape()
-    }
-
-    /// Panels for the `A` role of `A·B` / `A·Bᵀ` (stored `[m, k]`), built on
-    /// first use and cached.
-    pub fn packed_as_a(&mut self) -> &PackedA {
-        if self.packed_a.is_none() {
-            let (m, k) = (self.quant.shape()[0], self.quant.shape()[1]);
-            self.packed_a = Some(PackedA::pack(
-                self.quant.codes(),
-                m,
-                k,
-                PackSource::RowMajor,
-            ));
-        }
-        self.packed_a.as_ref().expect("packed_a just built")
-    }
-
-    /// Panels for the `A` role of `Aᵀ·B` (stored `[k, m]`), built on first
-    /// use and cached.
-    pub fn packed_as_a_transposed(&mut self) -> &PackedA {
-        if self.packed_a_t.is_none() {
-            let (k, m) = (self.quant.shape()[0], self.quant.shape()[1]);
-            self.packed_a_t = Some(PackedA::pack(
-                self.quant.codes(),
-                m,
-                k,
-                PackSource::Transposed,
-            ));
-        }
-        self.packed_a_t.as_ref().expect("packed_a_t just built")
     }
 
     /// Panels for the `B` role of `A·B` / `Aᵀ·B` (stored `[k, n]`), built on
@@ -239,11 +196,9 @@ impl QGemmPlan {
     /// panel is roughly twice the size of the INT8 codes it covers, padded to
     /// tile boundaries).
     pub fn packed_bytes(&self) -> usize {
-        let a = self.packed_a.as_ref().map_or(0, PackedA::byte_size);
-        let at = self.packed_a_t.as_ref().map_or(0, PackedA::byte_size);
         let b = self.packed_b.as_ref().map_or(0, PackedB::byte_size);
         let bt = self.packed_b_t.as_ref().map_or(0, PackedB::byte_size);
-        a + at + b + bt
+        b + bt
     }
 }
 
@@ -293,9 +248,9 @@ impl SharedGemmPlan {
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::RankMismatch`] when `tensor` is not rank 2.
+    /// Returns [`ff_tensor::TensorError::RankMismatch`] when `tensor` is not rank 2.
     pub fn from_tensor(tensor: &Tensor) -> Result<Self> {
-        check_rank2(tensor.shape())?;
+        rank2(tensor.shape(), "QGemmPlan")?;
         Self::from_quant(QuantTensor::quantize(tensor, Rounding::Nearest))
     }
 
@@ -304,9 +259,9 @@ impl SharedGemmPlan {
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::RankMismatch`] when `quant` is not rank 2.
+    /// Returns [`ff_tensor::TensorError::RankMismatch`] when `quant` is not rank 2.
     pub fn from_quant(quant: QuantTensor) -> Result<Self> {
-        let (n, k) = check_rank2(quant.shape())?;
+        let [n, k] = rank2(quant.shape(), "QGemmPlan")?;
         let packed_b_t = PackedB::pack(quant.codes(), k, n, PackSource::Transposed);
         Ok(SharedGemmPlan { quant, packed_b_t })
     }
@@ -346,9 +301,9 @@ impl SharedGemmPlan {
 /// rows (the foundation of `ff-serve`'s micro-batching correctness).
 /// Bias/ReLU fuse into the epilogue; no gradient mask is produced.
 ///
-/// `threads` behaves as in [`crate::int8_gemm`]: `None` picks automatically,
-/// `Some(t)` forces `t` workers (serving engines pin this to `1` and get
-/// their parallelism from concurrent worker threads instead).
+/// `threads`: `None` picks the worker count automatically, `Some(t)` forces
+/// `t` workers (serving engines pin this to `1` and get their parallelism
+/// from concurrent worker threads instead).
 ///
 /// # Errors
 ///
@@ -361,43 +316,42 @@ pub fn int8_matmul_a_bt_shared_rows(
     relu: bool,
     threads: Option<usize>,
 ) -> Result<Tensor> {
-    if a.cols() != plan.shape()[1] {
-        return Err(TensorError::ShapeMismatch {
-            left: vec![a.rows(), a.cols()],
-            right: plan.shape().to_vec(),
-            op: "int8_matmul_a_bt_shared_rows",
-        });
-    }
-    let packed_a = PackedA::pack(a.codes(), a.rows(), a.cols(), PackSource::RowMajor);
-    int8_gemm_prepacked_rowscale(
-        &packed_a,
-        plan.packed_as_b_transposed(),
-        a.scales(),
-        plan.scale(),
+    let ([m, k], [n, _]) = check_operands(
+        &[a.rows(), a.cols()],
+        1,
+        plan.shape(),
+        1,
+        "int8_matmul_a_bt_shared_rows",
+    )?;
+    let packed_a = PackedA::pack(a.codes(), m, k, PackSource::RowMajor);
+    let epilogue = Epilogue::Store {
+        scale: Scale::PerRow {
+            row_scales: a.scales(),
+            b_scale: plan.scale(),
+        },
         bias,
         relu,
+    };
+    let mut out = vec![0.0f32; m * n];
+    int8_gemm_prepacked_into(
+        &packed_a,
+        plan.packed_as_b_transposed(),
+        epilogue,
+        &mut out,
+        None,
         threads,
-    )
+    )?;
+    Tensor::from_vec(&[m, n], out)
 }
 
-fn check_operand_rank2(q: &QuantTensor, op: &'static str) -> Result<(usize, usize)> {
-    if q.shape().len() != 2 {
-        return Err(TensorError::RankMismatch {
-            expected: 2,
-            actual: q.shape().len(),
-            op,
-        });
-    }
-    Ok((q.shape()[0], q.shape()[1]))
-}
-
-/// `a [m, k] × planᵀ` where the plan wraps a `[n, k]` tensor — the planned
-/// version of [`crate::int8_matmul_a_bt_fused`], used by dense/conv forward
-/// passes with a cached weight plan.
+/// `a [m, k] × planᵀ` where the plan wraps a `[n, k]` tensor — the forward
+/// GEMM of the dense/conv layers, with a cached weight plan.
 ///
 /// `a` is packed per call (activations change every step); the plan's
-/// transposed-`B` panels are reused across calls. Bias/ReLU fuse into the
-/// dequantization epilogue exactly as in the unplanned entry point.
+/// transposed-`B` panels are reused across calls. The epilogue dequantizes
+/// with `a.scale() · plan.scale()`, adds the per-column `bias` and, with
+/// `relu`, clamps negatives and returns the ReLU gradient mask (`1.0` where
+/// the pre-activation was positive) beside the output.
 ///
 /// # Errors
 ///
@@ -409,30 +363,33 @@ pub fn int8_matmul_a_bt_planned(
     bias: Option<&Tensor>,
     relu: bool,
 ) -> Result<(Tensor, Option<Tensor>)> {
-    let (m, k) = check_operand_rank2(a, "int8_matmul_a_bt_planned")?;
-    let (_, kb) = (plan.shape()[0], plan.shape()[1]);
-    if k != kb {
-        return Err(TensorError::ShapeMismatch {
-            left: a.shape().to_vec(),
-            right: plan.shape().to_vec(),
-            op: "int8_matmul_a_bt_planned",
-        });
-    }
+    let ([m, k], [n, _]) =
+        check_operands(a.shape(), 1, plan.shape(), 1, "int8_matmul_a_bt_planned")?;
     let packed_a = PackedA::pack(a.codes(), m, k, PackSource::RowMajor);
-    let scale = a.scale() * plan.scale();
-    int8_gemm_prepacked(
-        &packed_a,
-        plan.packed_as_b_transposed(),
-        scale,
+    let epilogue = Epilogue::Store {
+        scale: Scale::PerTensor(a.scale() * plan.scale()),
         bias,
         relu,
+    };
+    let mut out = vec![0.0f32; m * n];
+    let mut mask = relu.then(|| vec![0.0f32; m * n]);
+    int8_gemm_prepacked_into(
+        &packed_a,
+        plan.packed_as_b_transposed(),
+        epilogue,
+        &mut out,
+        mask.as_deref_mut(),
         None,
-    )
+    )?;
+    let mask = mask
+        .map(|mask| Tensor::from_vec(&[m, n], mask))
+        .transpose()?;
+    Ok((Tensor::from_vec(&[m, n], out)?, mask))
 }
 
 /// `aᵀ × plan` where `a` is stored `[k, m]` and the plan wraps a `[k, n]`
-/// tensor — the planned version of [`crate::int8_matmul_at_b`], used for
-/// weight gradients `gW = gYᵀ · X` with the forward pass's cached input plan.
+/// tensor — the weight gradient `gW = gYᵀ · X` with the forward pass's
+/// cached input plan, returned as a new tensor.
 ///
 /// `a` (the output gradient) is packed per call; the plan's row-major `B`
 /// panels are built on the first backward call and reused by later ones —
@@ -448,7 +405,17 @@ pub fn int8_matmul_a_bt_planned(
 /// Returns rank/shape errors when the operands are not conformable.
 pub fn int8_matmul_at_b_planned(a: &QuantTensor, plan: &mut QGemmPlan) -> Result<Tensor> {
     let (packed_a, packed_b, scale) = at_b_operands(a, plan)?;
-    Ok(int8_gemm_prepacked(&packed_a, packed_b, scale, None, false, None)?.0)
+    let (m, n) = (packed_a.m, packed_b.n);
+    let mut out = vec![0.0f32; m * n];
+    int8_gemm_prepacked_into(
+        &packed_a,
+        packed_b,
+        Epilogue::store(scale),
+        &mut out,
+        None,
+        None,
+    )?;
+    Tensor::from_vec(&[m, n], out)
 }
 
 /// [`int8_matmul_at_b_planned`] in accumulate mode: adds `aᵀ × plan` into
@@ -456,9 +423,11 @@ pub fn int8_matmul_at_b_planned(a: &QuantTensor, plan: &mut QGemmPlan) -> Result
 /// dense/conv layers add a backward call's weight gradient onto their
 /// accumulator with no temporary and no second pass.
 ///
-/// `out` is read as the row-major `[m, n]` product; see
-/// [`crate::gemm::int8_gemm_prepacked_accumulate`] for the bit-identity
-/// contract.
+/// Per element this is the same two roundings — the `acc · scale` product,
+/// then the add — as [`int8_matmul_at_b_planned`] followed by
+/// `Tensor::add_assign`, hence bit-identical to that sequence. `out` is read
+/// as the row-major `[m, n]` product; only its length is checked, so a conv
+/// weight gradient `[oc, ic, kh, kw]` can be passed as is.
 ///
 /// # Errors
 ///
@@ -470,7 +439,14 @@ pub fn int8_matmul_at_b_planned_accumulate(
     out: &mut [f32],
 ) -> Result<()> {
     let (packed_a, packed_b, scale) = at_b_operands(a, plan)?;
-    int8_gemm_prepacked_accumulate(&packed_a, packed_b, scale, out, None)
+    int8_gemm_prepacked_into(
+        &packed_a,
+        packed_b,
+        Epilogue::Accumulate { scale },
+        out,
+        None,
+        None,
+    )
 }
 
 /// Validates and packs the operands of `aᵀ × plan`: the per-call transposed
@@ -480,45 +456,38 @@ fn at_b_operands<'p>(
     a: &QuantTensor,
     plan: &'p mut QGemmPlan,
 ) -> Result<(PackedA, &'p PackedB, f32)> {
-    let (ka, m) = check_operand_rank2(a, "int8_matmul_at_b_planned")?;
-    let kb = plan.shape()[0];
-    if ka != kb {
-        return Err(TensorError::ShapeMismatch {
-            left: a.shape().to_vec(),
-            right: plan.shape().to_vec(),
-            op: "int8_matmul_at_b_planned",
-        });
-    }
-    let packed_a = PackedA::pack(a.codes(), m, ka, PackSource::Transposed);
+    let ([k, m], _) = check_operands(a.shape(), 0, plan.shape(), 0, "int8_matmul_at_b_planned")?;
+    let packed_a = PackedA::pack(a.codes(), m, k, PackSource::Transposed);
     let scale = a.scale() * plan.scale();
     Ok((packed_a, plan.packed_as_b(), scale))
 }
 
-/// `a [m, k] × plan` where the plan wraps a `[k, n]` tensor — the planned
-/// version of [`crate::int8_matmul`].
+/// `a [m, k] × plan` where the plan wraps a `[k, n]` tensor.
 ///
 /// # Errors
 ///
 /// Returns rank/shape errors when the operands are not conformable.
 pub fn int8_matmul_planned(a: &QuantTensor, plan: &mut QGemmPlan) -> Result<Tensor> {
-    let (m, k) = check_operand_rank2(a, "int8_matmul_planned")?;
-    let kb = plan.shape()[0];
-    if k != kb {
-        return Err(TensorError::ShapeMismatch {
-            left: a.shape().to_vec(),
-            right: plan.shape().to_vec(),
-            op: "int8_matmul_planned",
-        });
-    }
+    let ([m, k], [_, n]) = check_operands(a.shape(), 1, plan.shape(), 0, "int8_matmul_planned")?;
     let packed_a = PackedA::pack(a.codes(), m, k, PackSource::RowMajor);
     let scale = a.scale() * plan.scale();
-    Ok(int8_gemm_prepacked(&packed_a, plan.packed_as_b(), scale, None, false, None)?.0)
+    let mut out = vec![0.0f32; m * n];
+    int8_gemm_prepacked_into(
+        &packed_a,
+        plan.packed_as_b(),
+        Epilogue::store(scale),
+        &mut out,
+        None,
+        None,
+    )?;
+    Tensor::from_vec(&[m, n], out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{int8_matmul, int8_matmul_a_bt_fused, int8_matmul_at_b, QuantConfig};
+    use crate::gemm::reference;
+    use crate::QuantConfig;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -559,7 +528,7 @@ mod tests {
         plan.packed_as_b_transposed();
         assert_eq!(plan.packed_bytes(), after_bt);
         // A different role adds its own panels.
-        plan.packed_as_a();
+        plan.packed_as_b();
         assert!(plan.packed_bytes() > after_bt);
     }
 
@@ -568,24 +537,35 @@ mod tests {
         let qa = random_quant(&[9, 31], 3);
         let qw = random_quant(&[7, 31], 4);
         let bias = Tensor::from_vec(&[7], (0..7).map(|i| i as f32 / 3.0 - 1.0).collect()).unwrap();
-        let (unplanned, mask_u) = int8_matmul_a_bt_fused(&qa, &qw, Some(&bias), true).unwrap();
+        let biased = reference::int8_matmul_a_bt(&qa, &qw)
+            .unwrap()
+            .add_row_broadcast(&bias)
+            .unwrap();
         let mut plan = QGemmPlan::from_quant(qw, 0).unwrap();
         for _ in 0..2 {
-            let (planned, mask_p) =
+            let (planned, mask) =
                 int8_matmul_a_bt_planned(&qa, &mut plan, Some(&bias), true).unwrap();
-            assert_eq!(planned.data(), unplanned.data());
-            assert_eq!(
-                mask_p.as_ref().unwrap().data(),
-                mask_u.as_ref().unwrap().data()
-            );
+            let mask = mask.unwrap();
+            for ((&p, &b), &mk) in planned.data().iter().zip(biased.data()).zip(mask.data()) {
+                let positive = b > 0.0;
+                assert_eq!(p, if positive { b } else { 0.0 });
+                assert_eq!(mk, if positive { 1.0 } else { 0.0 });
+            }
+            // Bias-only epilogue: no mask, negatives retained.
+            let (planned, mask) =
+                int8_matmul_a_bt_planned(&qa, &mut plan, Some(&bias), false).unwrap();
+            assert!(mask.is_none());
+            assert_eq!(planned.data(), biased.data());
         }
+        let bad_bias = Tensor::ones(&[4]);
+        assert!(int8_matmul_a_bt_planned(&qa, &mut plan, Some(&bad_bias), false).is_err());
     }
 
     #[test]
     fn planned_at_b_matches_unplanned() {
         let q_grad = random_quant(&[33, 70], 5);
         let q_input = random_quant(&[33, 27], 6);
-        let unplanned = int8_matmul_at_b(&q_grad, &q_input).unwrap();
+        let unplanned = reference::int8_matmul_at_b(&q_grad, &q_input).unwrap();
         let mut plan = QGemmPlan::from_quant(q_input, 0).unwrap();
         for _ in 0..2 {
             let planned = int8_matmul_at_b_planned(&q_grad, &mut plan).unwrap();
@@ -597,7 +577,7 @@ mod tests {
     fn planned_ab_matches_unplanned() {
         let qa = random_quant(&[5, 12], 7);
         let qb = random_quant(&[12, 9], 8);
-        let unplanned = int8_matmul(&qa, &qb).unwrap();
+        let unplanned = reference::int8_matmul(&qa, &qb).unwrap();
         let mut plan = QGemmPlan::from_quant(qb, 0).unwrap();
         let planned = int8_matmul_planned(&qa, &mut plan).unwrap();
         assert_eq!(planned.data(), unplanned.data());

@@ -3,18 +3,15 @@
 //! The GEMM properties are the contract of the packed engine: INT32
 //! accumulation is order-independent, so for **any** shape — including
 //! degenerate `m = 1` / `k = 1` and sizes that are not multiples of the
-//! `MR`/`NR`/`MC`/`KC`/`NC` tiles — the blocked, packed, multi-threaded
-//! kernels must match the naive triple-loop oracles in
-//! `ff_quant::gemm::reference` **bit-exactly**.
+//! `MR`/`NR`/`MC`/`KC`/`NC` tiles — every planned entry point must match
+//! the naive triple-loop oracles in `ff_quant::gemm::reference`
+//! **bit-exactly**.
 
 use ff_quant::gemm::reference;
-use ff_quant::pack::{PackSource, PackedA, PackedB};
 use ff_quant::{
-    compute_scale, int8_gemm, int8_gemm_prepacked, int8_gemm_prepacked_accumulate, int8_matmul,
-    int8_matmul_a_bt, int8_matmul_a_bt_fused, int8_matmul_a_bt_planned,
-    int8_matmul_a_bt_shared_rows, int8_matmul_at_b, int8_matmul_at_b_planned,
-    int8_matmul_at_b_planned_accumulate, int8_matmul_planned, quantize_value, GemmVariant,
-    QGemmPlan, QuantConfig, QuantTensor, Rounding, RowQuantTensor, SharedGemmPlan,
+    compute_scale, int8_matmul_a_bt_planned, int8_matmul_a_bt_shared_rows,
+    int8_matmul_at_b_planned, int8_matmul_at_b_planned_accumulate, int8_matmul_planned,
+    quantize_value, QGemmPlan, QuantConfig, QuantTensor, Rounding, RowQuantTensor, SharedGemmPlan,
 };
 use ff_tensor::{linalg, Tensor};
 use proptest::prelude::*;
@@ -25,6 +22,27 @@ fn random_quant(shape: &[usize], seed: u64) -> QuantTensor {
     let mut rng = StdRng::seed_from_u64(seed);
     let t = ff_tensor::init::uniform(shape, -1.0, 1.0, &mut rng);
     QuantTensor::quantize_with_rng(&t, QuantConfig::new(Rounding::Nearest), &mut rng)
+}
+
+fn plan(b: &QuantTensor) -> QGemmPlan {
+    QGemmPlan::from_quant(b.clone(), 0).unwrap()
+}
+
+/// `a · b` through the engine, `b` served from a fresh plan.
+fn packed_ab(a: &QuantTensor, b: &QuantTensor) -> Tensor {
+    int8_matmul_planned(a, &mut plan(b)).unwrap()
+}
+
+/// `a · bᵀ` through the engine, `b` served from a fresh plan.
+fn packed_a_bt(a: &QuantTensor, b: &QuantTensor) -> Tensor {
+    int8_matmul_a_bt_planned(a, &mut plan(b), None, false)
+        .unwrap()
+        .0
+}
+
+/// `aᵀ · b` through the engine, `b` served from a fresh plan.
+fn packed_at_b(a: &QuantTensor, b: &QuantTensor) -> Tensor {
+    int8_matmul_at_b_planned(a, &mut plan(b)).unwrap()
 }
 
 fn bits(values: &[f32]) -> Vec<u32> {
@@ -84,7 +102,7 @@ proptest! {
         let exact = linalg::matmul(&a, &b).unwrap();
         let qa = QuantTensor::quantize_with_rng(&a, QuantConfig::default(), &mut rng);
         let qb = QuantTensor::quantize_with_rng(&b, QuantConfig::default(), &mut rng);
-        let approx = int8_matmul(&qa, &qb).unwrap();
+        let approx = packed_ab(&qa, &qb);
         let rel = exact.sub(&approx).unwrap().frobenius_norm() / (exact.frobenius_norm() + 1e-6);
         prop_assert!(rel < 0.1, "relative error {rel}");
     }
@@ -104,7 +122,7 @@ proptest! {
     ) {
         let qa = random_quant(&[m, k], seed);
         let qb = random_quant(&[k, n], seed ^ 0xABCD);
-        let packed = int8_matmul(&qa, &qb).unwrap();
+        let packed = packed_ab(&qa, &qb);
         let naive = reference::int8_matmul(&qa, &qb).unwrap();
         prop_assert_eq!(packed.data(), naive.data());
     }
@@ -115,7 +133,7 @@ proptest! {
     ) {
         let qa = random_quant(&[m, k], seed);
         let qbt = random_quant(&[n, k], seed ^ 0xBEEF);
-        let packed = int8_matmul_a_bt(&qa, &qbt).unwrap();
+        let packed = packed_a_bt(&qa, &qbt);
         let naive = reference::int8_matmul_a_bt(&qa, &qbt).unwrap();
         prop_assert_eq!(packed.data(), naive.data());
     }
@@ -126,7 +144,7 @@ proptest! {
     ) {
         let qat = random_quant(&[k, m], seed);
         let qb = random_quant(&[k, n], seed ^ 0xF00D);
-        let packed = int8_matmul_at_b(&qat, &qb).unwrap();
+        let packed = packed_at_b(&qat, &qb);
         let naive = reference::int8_matmul_at_b(&qat, &qb).unwrap();
         prop_assert_eq!(packed.data(), naive.data());
     }
@@ -142,21 +160,8 @@ proptest! {
         let (m, k, n) = (56 + m_extra, 120 + k_extra, 56 + n_extra);
         let qa = random_quant(&[m, k], seed);
         let qb = random_quant(&[k, n], seed ^ 0x51DE);
-        let packed = int8_matmul(&qa, &qb).unwrap();
+        let packed = packed_ab(&qa, &qb);
         let naive = reference::int8_matmul(&qa, &qb).unwrap();
-        prop_assert_eq!(packed.data(), naive.data());
-    }
-
-    #[test]
-    fn explicit_thread_counts_match_reference(threads in 1usize..=8, seed in 0u64..200) {
-        // n = 27 is one ragged 32-column strip; m = 33 is odd so the last
-        // thread panel is a partial MR strip.
-        let qa = random_quant(&[33, 70], seed);
-        let qbt = random_quant(&[27, 70], seed ^ 0x7EAD);
-        let (packed, mask) =
-            int8_gemm(GemmVariant::ABt, &qa, &qbt, None, false, Some(threads)).unwrap();
-        prop_assert!(mask.is_none());
-        let naive = reference::int8_matmul_a_bt(&qa, &qbt).unwrap();
         prop_assert_eq!(packed.data(), naive.data());
     }
 
@@ -168,17 +173,17 @@ proptest! {
         let (m, k, n) = (21, 300, 300);
         let qa = random_quant(&[m, k], seed);
         let qb = random_quant(&[k, n], seed ^ 0xD00F);
-        let packed = int8_matmul(&qa, &qb).unwrap();
+        let packed = packed_ab(&qa, &qb);
         let naive = reference::int8_matmul(&qa, &qb).unwrap();
         prop_assert_eq!(packed.data(), naive.data());
 
         let qbt = random_quant(&[n, k], seed ^ 0x1CED);
-        let packed = int8_matmul_a_bt(&qa, &qbt).unwrap();
+        let packed = packed_a_bt(&qa, &qbt);
         let naive = reference::int8_matmul_a_bt(&qa, &qbt).unwrap();
         prop_assert_eq!(packed.data(), naive.data());
 
         let qat = random_quant(&[k, m], seed ^ 0xFEED);
-        let packed = int8_matmul_at_b(&qat, &qb).unwrap();
+        let packed = packed_at_b(&qat, &qb);
         let naive = reference::int8_matmul_at_b(&qat, &qb).unwrap();
         prop_assert_eq!(packed.data(), naive.data());
     }
@@ -187,33 +192,22 @@ proptest! {
 
     #[test]
     fn accumulate_epilogue_matches_store_then_add_bit_exactly(
-        m in 1usize..80, k in 0usize..40, n in 1usize..300, threads in 1usize..=4, seed in 0u64..1000
+        m in 1usize..80, k in 0usize..40, n in 1usize..300, seed in 0u64..1000
     ) {
         // m crosses MC = 64 and odd MR strips, n takes every strip width
-        // and crosses NC = 256, k is odd, even or zero, and explicit thread
-        // counts split the accumulator into several MR-aligned panels.
-        let qa = random_quant(&[m, k], seed);
+        // and crosses NC = 256, and k is odd, even or zero. The oracle
+        // stores the product, then adds it onto the accumulator.
+        let qat = random_quant(&[k, m], seed);
         let qb = random_quant(&[k, n], seed ^ 0xACC0);
-        let packed_a = PackedA::pack(qa.codes(), m, k, PackSource::RowMajor);
-        let packed_b = PackedB::pack(qb.codes(), k, n, PackSource::RowMajor);
-        let scale = qa.scale() * qb.scale();
         let mut rng = StdRng::seed_from_u64(seed ^ 0x1217);
         let initial = ff_tensor::init::uniform(&[m, n], -0.01, 0.01, &mut rng);
 
-        let (product, _) =
-            int8_gemm_prepacked(&packed_a, &packed_b, scale, None, false, Some(threads)).unwrap();
         let mut expected = initial.clone();
-        expected.add_assign(&product).unwrap();
+        expected.add_assign(&reference::int8_matmul_at_b(&qat, &qb).unwrap()).unwrap();
 
         let mut accumulated = initial;
-        int8_gemm_prepacked_accumulate(
-            &packed_a,
-            &packed_b,
-            scale,
-            accumulated.data_mut(),
-            Some(threads),
-        )
-        .unwrap();
+        int8_matmul_at_b_planned_accumulate(&qat, &mut plan(&qb), accumulated.data_mut())
+            .unwrap();
         prop_assert_eq!(bits(accumulated.data()), bits(expected.data()));
     }
 
@@ -262,22 +256,21 @@ proptest! {
         }
     }
 
-    // ---- cached plans vs per-call quantize+pack ---------------------------
+    // ---- cached plans, reused, vs the reference oracles --------------------
 
     #[test]
     fn planned_a_bt_is_bit_exact_with_uncached_for_arbitrary_shapes(
         m in 1usize..48, k in 1usize..48, n in 1usize..48, seed in 0u64..1000
     ) {
         // The weight-plan contract: a cached, pre-packed B operand must give
-        // the same bits as packing the same codes on every call — for any
-        // shape, and on every reuse of the plan.
+        // the oracle's bits — for any shape, and on every reuse of the plan.
         let qa = random_quant(&[m, k], seed);
         let qw = random_quant(&[n, k], seed ^ 0x9A7E);
-        let uncached = int8_matmul_a_bt(&qa, &qw).unwrap();
+        let naive = reference::int8_matmul_a_bt(&qa, &qw).unwrap();
         let mut plan = QGemmPlan::from_quant(qw, 0).unwrap();
         for _reuse in 0..2 {
             let (planned, _) = int8_matmul_a_bt_planned(&qa, &mut plan, None, false).unwrap();
-            prop_assert_eq!(planned.data(), uncached.data());
+            prop_assert_eq!(planned.data(), naive.data());
         }
     }
 
@@ -286,15 +279,15 @@ proptest! {
         batch in 1usize..48, out in 1usize..48, inp in 1usize..48, seed in 0u64..1000
     ) {
         // The input-plan contract used by the backward gW GEMM: gYᵀ · X with
-        // X served from a cached plan matches the per-call path bit-exactly,
+        // X served from a cached plan matches the oracle bit-exactly,
         // including on the second (look-ahead) backward.
         let q_grad = random_quant(&[batch, out], seed);
         let q_input = random_quant(&[batch, inp], seed ^ 0x1A5B);
-        let uncached = int8_matmul_at_b(&q_grad, &q_input).unwrap();
+        let naive = reference::int8_matmul_at_b(&q_grad, &q_input).unwrap();
         let mut plan = QGemmPlan::from_quant(q_input, 0).unwrap();
         for _reuse in 0..2 {
             let planned = int8_matmul_at_b_planned(&q_grad, &mut plan).unwrap();
-            prop_assert_eq!(planned.data(), uncached.data());
+            prop_assert_eq!(planned.data(), naive.data());
         }
     }
 
@@ -304,10 +297,10 @@ proptest! {
     ) {
         let qa = random_quant(&[m, k], seed);
         let qb = random_quant(&[k, n], seed ^ 0xC0DE);
-        let uncached = int8_matmul(&qa, &qb).unwrap();
+        let naive = reference::int8_matmul(&qa, &qb).unwrap();
         let mut plan = QGemmPlan::from_quant(qb, 0).unwrap();
         let planned = int8_matmul_planned(&qa, &mut plan).unwrap();
-        prop_assert_eq!(planned.data(), uncached.data());
+        prop_assert_eq!(planned.data(), naive.data());
     }
 
     #[test]
@@ -318,13 +311,17 @@ proptest! {
         let qw = random_quant(&[n, k], seed ^ 0xFA5E);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x77);
         let bias = ff_tensor::init::uniform(&[n], -0.5, 0.5, &mut rng);
-        let (uncached, mask_u) = int8_matmul_a_bt_fused(&qa, &qw, Some(&bias), true).unwrap();
+        // Bias without ReLU: the oracle plus a broadcast add, bit for bit,
+        // with negatives kept and no mask.
+        let biased = reference::int8_matmul_a_bt(&qa, &qw)
+            .unwrap()
+            .add_row_broadcast(&bias)
+            .unwrap();
         let mut plan = QGemmPlan::from_quant(qw, 0).unwrap();
-        let (planned, mask_p) =
-            int8_matmul_a_bt_planned(&qa, &mut plan, Some(&bias), true).unwrap();
-        prop_assert_eq!(planned.data(), uncached.data());
-        let (mask_p, mask_u) = (mask_p.unwrap(), mask_u.unwrap());
-        prop_assert_eq!(mask_p.data(), mask_u.data());
+        let (planned, mask) =
+            int8_matmul_a_bt_planned(&qa, &mut plan, Some(&bias), false).unwrap();
+        prop_assert!(mask.is_none());
+        prop_assert_eq!(planned.data(), biased.data());
     }
 
     // ---- shared (inference) plans and per-row scales ----------------------
@@ -396,7 +393,8 @@ proptest! {
         let qbt = random_quant(&[n, k], seed ^ 0xCAFE);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xB1A5);
         let bias = ff_tensor::init::uniform(&[n], -0.5, 0.5, &mut rng);
-        let (fused, mask) = int8_matmul_a_bt_fused(&qa, &qbt, Some(&bias), true).unwrap();
+        let (fused, mask) =
+            int8_matmul_a_bt_planned(&qa, &mut plan(&qbt), Some(&bias), true).unwrap();
         let mask = mask.unwrap();
         let separate = reference::int8_matmul_a_bt(&qa, &qbt)
             .unwrap()
