@@ -1,13 +1,14 @@
 //! # ff-codec
 //!
-//! The shared binary-codec machinery behind the workspace's `FF8*` artifact
-//! family: the `FF8S` frozen-model format (`ff-serve`) and the `FF8C`
-//! training-checkpoint format (`ff-core`).
+//! The shared binary-codec machinery behind the workspace's `FF8*` family:
+//! the `FF8S` frozen-model and `FF8C` training-checkpoint files (`ff-serve`,
+//! `ff-core`) and the `FF8P` serving and `FF8D` cluster-training wire
+//! protocols (`ff-net`, `ff-dist`).
 //!
-//! Both formats follow the same conventions, which this crate encodes once:
+//! All four follow the same conventions, which this crate encodes once:
 //!
 //! - a 4-byte magic followed by a little-endian `u16` format version and a
-//!   reserved `u16` flags word;
+//!   `u16` flags word;
 //! - **length-prefixed records**: every variable-sized section is written as
 //!   a `u32` byte length followed by exactly that many payload bytes, so a
 //!   reader can skip or bound-check a section before parsing it;
@@ -15,7 +16,14 @@
 //!   bit patterns (round-trips are bit-exact by construction);
 //! - **panic-free reading**: every read is preceded by a remaining-length
 //!   check and malformed input maps to a typed [`CodecError`], never a
-//!   panic — the property the fuzz suites of both formats assert.
+//!   panic.
+//!
+//! The two wire protocols additionally share the [`wire`] core: one
+//! length-prefixed envelope with a frame cap, one `(value, tag, name)`
+//! [`wire::CodeTable`] behind their message kinds and error codes, and one
+//! exhaustive [`wire::sweep`] that holds both to the canonical-form
+//! contract — a decode that succeeds re-encodes to exactly the bytes it
+//! came from.
 //!
 //! [`Writer`] builds an artifact; [`Reader`] walks one. Consumers wrap
 //! [`CodecError`] in their own error type (`ServeError`, `CoreError`) via a
@@ -49,6 +57,8 @@
 
 use bytes::{Buf, BufMut, BytesMut};
 use std::fmt;
+
+pub mod wire;
 
 /// Convenience result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, CodecError>;

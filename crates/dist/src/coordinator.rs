@@ -20,7 +20,7 @@
 
 use crate::protocol::{
     decode_msg, encode_msg, read_msg, read_msg_bytes, write_msg, write_msg_bytes, ErrorCode,
-    ShardStamps, TrainMsg, KIND_COUNT,
+    ShardStamps, TrainMsg, CODES, TRAIN_KIND_COUNT,
 };
 use crate::{DistError, Result};
 use ff_core::shard::{compute_shard, reduce_shard_grads, shard_tasks, ShardGrads};
@@ -111,8 +111,8 @@ struct WireCounters {
 
 impl WireCounters {
     fn new(metrics: Option<&MetricsRegistry>) -> Self {
-        let mut frames = Vec::with_capacity(KIND_COUNT);
-        let mut bytes = Vec::with_capacity(KIND_COUNT);
+        let mut frames = Vec::with_capacity(TRAIN_KIND_COUNT);
+        let mut bytes = Vec::with_capacity(TRAIN_KIND_COUNT);
         for name in TrainMsg::kind_names() {
             let f = Counter::new();
             let b = Counter::new();
@@ -171,9 +171,7 @@ impl Shared {
                 message: message.to_string(),
             },
         );
-        if let Some(slot) = ErrorCode::all().iter().position(|c| *c == code) {
-            self.errors[slot].inc();
-        }
+        self.errors[CODES.index(code)].inc();
     }
 }
 
@@ -198,7 +196,6 @@ impl Coordinator {
         let cluster = ClusterFlightRecorder::new(config.trace);
         let wire = WireCounters::new(config.metrics.as_ref());
         let errors: Vec<Counter> = ErrorCode::all()
-            .iter()
             .map(|code| {
                 let counter = Counter::new();
                 if let Some(metrics) = &config.metrics {

@@ -1,5 +1,6 @@
 //! The distributed-training error type.
 
+use ff_codec::wire::FrameError;
 use ff_core::CoreError;
 
 /// Errors produced by the distributed training stack.
@@ -49,6 +50,19 @@ impl From<ff_codec::CodecError> for DistError {
     fn from(e: ff_codec::CodecError) -> Self {
         DistError::Protocol {
             message: e.to_string(),
+        }
+    }
+}
+
+/// The shared envelope's failures: end of stream and socket errors are
+/// [`DistError::Io`], the frame cap is [`DistError::Protocol`].
+impl From<FrameError> for DistError {
+    fn from(e: FrameError) -> Self {
+        match e {
+            FrameError::Io(e) => e.into(),
+            e @ FrameError::TooLarge { .. } => DistError::Protocol {
+                message: e.to_string(),
+            },
         }
     }
 }

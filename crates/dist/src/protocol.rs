@@ -1,11 +1,17 @@
 //! The `FF8D` distributed-training wire protocol.
 //!
-//! One frame = a `u32` little-endian byte length followed by an `FF8D`
-//! artifact built with the shared [`ff_codec`] writer: 4 magic bytes, a
-//! `u16` version, a reserved flags word, then a single length-prefixed
-//! record whose first byte is the message kind. Everything rides the same
-//! panic-free codec as the `FF8C`/`FF8S`/`FF8P` formats — malformed input
-//! maps to a typed error, never a panic, and the fuzz suite asserts it.
+//! One frame = the shared [`ff_codec::wire`] envelope (a `u32`
+//! little-endian byte length, capped at [`MAX_FRAME_BYTES`]) around an
+//! `FF8D` artifact built with the shared [`ff_codec`] writer: 4 magic
+//! bytes, a `u16` version, a flags word that must be zero, then a single
+//! length-prefixed record whose first byte is the message kind. Kinds and
+//! [`ErrorCode`]s are declared in `(value, tag, name)`
+//! [`ff_codec::wire::CodeTable`]s, like `FF8P`'s. Everything rides the same
+//! panic-free codec as the `FF8C`/`FF8S`/`FF8P` formats: malformed input —
+//! unknown tags and non-zero flags included — maps to a typed error, never
+//! a panic, and a message that decodes re-encodes to exactly its bytes.
+//! `tests/determinism_prop.rs` asserts both with the exhaustive
+//! [`ff_codec::wire::sweep`] over [`sample_msgs`].
 //!
 //! Message flow:
 //!
@@ -30,6 +36,7 @@
 //! not.)
 
 use crate::{DistError, Result};
+use ff_codec::wire::{self, CodeTable};
 use ff_codec::{Reader, Writer};
 use ff_core::shard::{ShardGrads, ShardTask};
 use ff_core::{EvalSplit, Precision, StepSpans, TrainEvent};
@@ -55,34 +62,38 @@ const MAX_STRING: usize = 4096;
 /// Upper bound on tensor rank accepted off the wire.
 const MAX_DIMS: usize = 8;
 
-/// Message kind tags (the first byte of every frame's record).
-mod kind {
-    pub const JOIN: u8 = 1;
-    pub const JOIN_ACK: u8 = 2;
-    pub const PARAM_SYNC: u8 = 3;
-    pub const SUBMIT_BATCH: u8 = 4;
-    pub const SHARD_RESULT: u8 = 5;
-    pub const EVENT: u8 = 6;
-    pub const PULL_CHECKPOINT: u8 = 7;
-    pub const CHECKPOINT_REPLY: u8 = 8;
-    pub const SUBSCRIBE: u8 = 9;
-    pub const LEAVE: u8 = 10;
-    pub const SHUTDOWN: u8 = 11;
-    pub const ERROR: u8 = 12;
-    pub const TRACE_DUMP: u8 = 13;
-    pub const TRACE_DUMP_REPLY: u8 = 14;
+// One row per message kind: its wire tag (the first byte of every frame's
+// record) and its `dist.wire.<kind>.*` name. The row position is
+// `TrainMsg::kind_index`.
+ff_codec::wire_kinds! {
+    TrainMsg => MsgKind in KINDS {
+        Join = 1, "join";
+        JoinAck = 2, "join_ack";
+        ParamSync = 3, "param_sync";
+        SubmitBatch = 4, "submit_batch";
+        ShardResult = 5, "shard_result";
+        Event = 6, "event";
+        PullCheckpoint = 7, "pull_checkpoint";
+        CheckpointReply = 8, "checkpoint_reply";
+        Subscribe = 9, "subscribe";
+        Leave = 10, "leave";
+        Shutdown = 11, "shutdown";
+        Error = 12, "error";
+        TraceDump = 13, "trace_dump";
+        TraceDumpReply = 14, "trace_dump_reply";
+    }
 }
 
 /// Number of message kinds — sizes the per-kind wire counters.
-pub const KIND_COUNT: usize = 14;
+pub const TRAIN_KIND_COUNT: usize = KINDS.0.len();
 
 /// A machine-readable reason on [`TrainMsg::Error`] frames, so the
 /// coordinator can count rejections per cause instead of one aggregate.
-/// Unknown tags decode as [`ErrorCode::Unspecified`].
+/// Peers are built from one commit, so a tag without a row is a typed
+/// decode error.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ErrorCode {
-    /// No specific code (genuinely uncategorized, or a tag this build does
-    /// not know).
+    /// No specific code.
     #[default]
     Unspecified,
     /// The presented cluster token did not match.
@@ -93,47 +104,25 @@ pub enum ErrorCode {
     UnexpectedHello,
 }
 
+/// One row per code: variant, wire tag, and the `<code>` in the
+/// coordinator's `dist.coord.errors.<code>` counters.
+pub(crate) const CODES: CodeTable<ErrorCode> = CodeTable(&[
+    (ErrorCode::Unspecified, 0, "unspecified"),
+    (ErrorCode::BadToken, 1, "bad_token"),
+    (ErrorCode::NoCheckpoint, 2, "no_checkpoint"),
+    (ErrorCode::UnexpectedHello, 3, "unexpected_hello"),
+]);
+
 impl ErrorCode {
-    /// The wire tag.
-    fn to_u8(self) -> u8 {
-        match self {
-            ErrorCode::Unspecified => 0,
-            ErrorCode::BadToken => 1,
-            ErrorCode::NoCheckpoint => 2,
-            ErrorCode::UnexpectedHello => 3,
-        }
-    }
-
-    /// Decodes a wire tag; unknown tags degrade to
-    /// [`ErrorCode::Unspecified`] rather than failing the frame.
-    fn from_u8(tag: u8) -> Self {
-        match tag {
-            1 => ErrorCode::BadToken,
-            2 => ErrorCode::NoCheckpoint,
-            3 => ErrorCode::UnexpectedHello,
-            _ => ErrorCode::Unspecified,
-        }
-    }
-
     /// Stable snake_case name — the `<code>` in the coordinator's
     /// `dist.coord.errors.<code>` counters.
     pub fn name(self) -> &'static str {
-        match self {
-            ErrorCode::Unspecified => "unspecified",
-            ErrorCode::BadToken => "bad_token",
-            ErrorCode::NoCheckpoint => "no_checkpoint",
-            ErrorCode::UnexpectedHello => "unexpected_hello",
-        }
+        CODES.name(self)
     }
 
-    /// Every code, for pre-minting one counter per cause.
-    pub fn all() -> [ErrorCode; 4] {
-        [
-            ErrorCode::Unspecified,
-            ErrorCode::BadToken,
-            ErrorCode::NoCheckpoint,
-            ErrorCode::UnexpectedHello,
-        ]
+    /// Every code, in wire order, for pre-minting one counter per cause.
+    pub fn all() -> impl Iterator<Item = ErrorCode> {
+        CODES.values()
     }
 }
 
@@ -242,48 +231,18 @@ impl TrainMsg {
     /// Zero-based kind index, aligned with [`TrainMsg::kind_names`] —
     /// what the per-kind wire counters are indexed by.
     pub fn kind_index(&self) -> usize {
-        match self {
-            TrainMsg::Join { .. } => 0,
-            TrainMsg::JoinAck { .. } => 1,
-            TrainMsg::ParamSync { .. } => 2,
-            TrainMsg::SubmitBatch { .. } => 3,
-            TrainMsg::ShardResult { .. } => 4,
-            TrainMsg::Event { .. } => 5,
-            TrainMsg::PullCheckpoint => 6,
-            TrainMsg::CheckpointReply { .. } => 7,
-            TrainMsg::Subscribe => 8,
-            TrainMsg::Leave => 9,
-            TrainMsg::Shutdown => 10,
-            TrainMsg::Error { .. } => 11,
-            TrainMsg::TraceDump { .. } => 12,
-            TrainMsg::TraceDumpReply { .. } => 13,
-        }
+        KINDS.index(self.kind())
     }
 
     /// Stable snake_case kind name — the `<kind>` in `dist.wire.<kind>.*`
     /// metric names.
     pub fn kind_name(&self) -> &'static str {
-        Self::kind_names()[self.kind_index()]
+        KINDS.name(self.kind())
     }
 
     /// Every kind name, indexed by [`TrainMsg::kind_index`].
-    pub fn kind_names() -> [&'static str; KIND_COUNT] {
-        [
-            "join",
-            "join_ack",
-            "param_sync",
-            "submit_batch",
-            "shard_result",
-            "event",
-            "pull_checkpoint",
-            "checkpoint_reply",
-            "subscribe",
-            "leave",
-            "shutdown",
-            "error",
-            "trace_dump",
-            "trace_dump_reply",
-        ]
+    pub fn kind_names() -> [&'static str; TRAIN_KIND_COUNT] {
+        std::array::from_fn(|index| KINDS.0[index].2)
     }
 }
 
@@ -325,21 +284,25 @@ fn get_tensor(r: &mut Reader<'_>) -> Result<Tensor> {
     })
 }
 
-fn put_precision(r: &mut ff_codec::RecordWriter, p: Precision) {
-    r.put_u8(match p {
-        Precision::Fp32 => 0,
-        Precision::Int8 => 1,
-    });
-}
+/// Wire tags of a shard task's [`Precision`].
+const PRECISIONS: CodeTable<Precision> =
+    CodeTable(&[(Precision::Fp32, 0, "fp32"), (Precision::Int8, 1, "int8")]);
 
-fn get_precision(r: &mut Reader<'_>) -> Result<Precision> {
-    match r.get_u8("precision")? {
-        0 => Ok(Precision::Fp32),
-        1 => Ok(Precision::Int8),
-        other => Err(DistError::Protocol {
-            message: format!("unknown precision tag {other}"),
-        }),
-    }
+/// Wire tags of an eval event's [`EvalSplit`].
+const SPLITS: CodeTable<EvalSplit> =
+    CodeTable(&[(EvalSplit::Train, 0, "train"), (EvalSplit::Test, 1, "test")]);
+
+/// Reads a one-byte tag and resolves it through `table`; a tag without a
+/// row is a typed [`DistError::Protocol`].
+fn get_tag<T: Copy + PartialEq>(
+    r: &mut Reader<'_>,
+    table: &CodeTable<T>,
+    what: &'static str,
+) -> Result<T> {
+    let tag = r.get_u8(what)?;
+    table.from_tag(tag).ok_or_else(|| DistError::Protocol {
+        message: format!("unknown {what} {tag}"),
+    })
 }
 
 fn put_event(r: &mut ff_codec::RecordWriter, event: &TrainEvent) {
@@ -377,10 +340,7 @@ fn put_event(r: &mut ff_codec::RecordWriter, event: &TrainEvent) {
         } => {
             r.put_u8(4);
             r.put_u64(*epoch as u64);
-            r.put_u8(match split {
-                EvalSplit::Train => 0,
-                EvalSplit::Test => 1,
-            });
+            r.put_u8(SPLITS.tag(*split));
             r.put_f32(*accuracy);
         }
         TrainEvent::EpochEnd {
@@ -427,23 +387,11 @@ fn get_event(r: &mut Reader<'_>) -> Result<TrainEvent> {
                 update_ns: r.get_u64("update ns")?,
             },
         }),
-        4 => {
-            let epoch = r.get_u64("epoch")? as usize;
-            let split = match r.get_u8("split")? {
-                0 => EvalSplit::Train,
-                1 => EvalSplit::Test,
-                other => {
-                    return Err(DistError::Protocol {
-                        message: format!("unknown eval split tag {other}"),
-                    })
-                }
-            };
-            Ok(TrainEvent::Eval {
-                epoch,
-                split,
-                accuracy: r.get_f32("accuracy")?,
-            })
-        }
+        4 => Ok(TrainEvent::Eval {
+            epoch: r.get_u64("epoch")? as usize,
+            split: get_tag(r, &SPLITS, "eval split")?,
+            accuracy: r.get_f32("accuracy")?,
+        }),
         5 => {
             let epoch = r.get_u64("epoch")? as usize;
             let mean_loss = r.get_f32("mean loss")?;
@@ -542,17 +490,19 @@ fn get_span(r: &mut Reader<'_>) -> Result<ClusterSpan> {
 /// prefix; [`write_msg`] adds it).
 pub fn encode_msg(msg: &TrainMsg) -> Vec<u8> {
     let mut w = Writer::new(&TRAIN_MAGIC, TRAIN_PROTOCOL_VERSION);
-    w.record(|r| match msg {
-        TrainMsg::Join { token } => {
-            r.put_u8(kind::JOIN);
-            r.put_string(token);
-        }
-        TrainMsg::JoinAck { worker_id } => {
-            r.put_u8(kind::JOIN_ACK);
-            r.put_u64(*worker_id);
-        }
+    w.record(|r| {
+        r.put_u8(KINDS.tag(msg.kind()));
+        encode_body(r, msg);
+    });
+    w.into_vec()
+}
+
+/// Writes a message's kind-specific fields (everything after the kind tag).
+fn encode_body(r: &mut ff_codec::RecordWriter, msg: &TrainMsg) {
+    match msg {
+        TrainMsg::Join { token } => r.put_string(token),
+        TrainMsg::JoinAck { worker_id } => r.put_u64(*worker_id),
         TrainMsg::ParamSync { version, params } => {
-            r.put_u8(kind::PARAM_SYNC);
             r.put_u64(*version);
             r.put_u32(params.len() as u32);
             for t in params {
@@ -564,7 +514,6 @@ pub fn encode_msg(msg: &TrainMsg) -> Vec<u8> {
             task,
             trace_id,
         } => {
-            r.put_u8(kind::SUBMIT_BATCH);
             r.put_u64(*step);
             put_tensor(r, &task.pos);
             put_tensor(r, &task.neg);
@@ -575,7 +524,7 @@ pub fn encode_msg(msg: &TrainMsg) -> Vec<u8> {
             r.put_u64(task.loss_divisor as u64);
             r.put_f32(task.theta);
             r.put_f32(task.lambda);
-            put_precision(r, task.precision);
+            r.put_u8(PRECISIONS.tag(task.precision));
             r.put_u64(*trace_id);
         }
         TrainMsg::ShardResult {
@@ -584,7 +533,6 @@ pub fn encode_msg(msg: &TrainMsg) -> Vec<u8> {
             grads,
             stamps,
         } => {
-            r.put_u8(kind::SHARD_RESULT);
             r.put_u64(*step);
             r.put_u64(*shard_index);
             r.put_f32(grads.loss_pos);
@@ -601,38 +549,25 @@ pub fn encode_msg(msg: &TrainMsg) -> Vec<u8> {
             r.put_u64(stamps.computed_ns);
             r.put_u64(stamps.encoded_ns);
         }
-        TrainMsg::Event { event } => {
-            r.put_u8(kind::EVENT);
-            put_event(r, event);
-        }
-        TrainMsg::PullCheckpoint => r.put_u8(kind::PULL_CHECKPOINT),
+        TrainMsg::Event { event } => put_event(r, event),
+        TrainMsg::PullCheckpoint | TrainMsg::Subscribe | TrainMsg::Leave | TrainMsg::Shutdown => {}
         TrainMsg::CheckpointReply { bytes } => {
-            r.put_u8(kind::CHECKPOINT_REPLY);
             r.put_u32(bytes.len() as u32);
             r.put_slice(bytes);
         }
-        TrainMsg::Subscribe => r.put_u8(kind::SUBSCRIBE),
-        TrainMsg::Leave => r.put_u8(kind::LEAVE),
-        TrainMsg::Shutdown => r.put_u8(kind::SHUTDOWN),
         TrainMsg::Error { code, message } => {
-            r.put_u8(kind::ERROR);
             r.put_string(message);
-            r.put_u8(code.to_u8());
+            r.put_u8(CODES.tag(*code));
         }
-        TrainMsg::TraceDump { max } => {
-            r.put_u8(kind::TRACE_DUMP);
-            r.put_u32(*max);
-        }
+        TrainMsg::TraceDump { max } => r.put_u32(*max),
         TrainMsg::TraceDumpReply { dropped, spans } => {
-            r.put_u8(kind::TRACE_DUMP_REPLY);
             r.put_u64(*dropped);
             r.put_u32(spans.len() as u32);
             for span in spans {
                 put_span(r, span);
             }
         }
-    });
-    w.into_vec()
+    }
 }
 
 /// Overwrites the trailing `encoded_ns` stamp of an encoded `ShardResult`
@@ -655,19 +590,25 @@ pub fn stamp_shard_result_encoded_ns(bytes: &mut [u8], encoded_ns: u64) {
 ///
 /// # Errors
 ///
-/// [`DistError::Protocol`] on bad magic/version, truncation, unknown tags,
-/// out-of-range lengths or trailing bytes.
+/// [`DistError::Protocol`] on bad magic/version, non-zero header flags,
+/// truncation, unknown tags, out-of-range lengths or trailing bytes.
 pub fn decode_msg(bytes: &[u8]) -> Result<TrainMsg> {
-    let mut reader = Reader::new(bytes, &TRAIN_MAGIC, TRAIN_PROTOCOL_VERSION)?;
+    let version = TRAIN_PROTOCOL_VERSION..=TRAIN_PROTOCOL_VERSION;
+    let (mut reader, _, flags) = Reader::with_versions_flags(bytes, &TRAIN_MAGIC, version)?;
+    if flags != 0 {
+        return Err(DistError::Protocol {
+            message: format!("header flags {flags:#06x} are reserved"),
+        });
+    }
     let mut r = reader.record("message")?;
-    let msg = match r.get_u8("message kind")? {
-        kind::JOIN => TrainMsg::Join {
+    let msg = match get_tag(&mut r, &KINDS, "message kind")? {
+        MsgKind::Join => TrainMsg::Join {
             token: r.get_string(MAX_STRING, "token")?,
         },
-        kind::JOIN_ACK => TrainMsg::JoinAck {
+        MsgKind::JoinAck => TrainMsg::JoinAck {
             worker_id: r.get_u64("worker id")?,
         },
-        kind::PARAM_SYNC => {
+        MsgKind::ParamSync => {
             let version = r.get_u64("param version")?;
             let count = r.get_u32("param count")? as usize;
             r.ensure_fits(count, 4, "param tensors")?;
@@ -677,7 +618,7 @@ pub fn decode_msg(bytes: &[u8]) -> Result<TrainMsg> {
             }
             TrainMsg::ParamSync { version, params }
         }
-        kind::SUBMIT_BATCH => {
+        MsgKind::SubmitBatch => {
             let step = r.get_u64("step")?;
             let pos = get_tensor(&mut r)?;
             let neg = get_tensor(&mut r)?;
@@ -688,7 +629,7 @@ pub fn decode_msg(bytes: &[u8]) -> Result<TrainMsg> {
             let loss_divisor = r.get_u64("loss divisor")? as usize;
             let theta = r.get_f32("theta")?;
             let lambda = r.get_f32("lambda")?;
-            let precision = get_precision(&mut r)?;
+            let precision = get_tag(&mut r, &PRECISIONS, "precision")?;
             let trace_id = r.get_u64("trace id")?;
             TrainMsg::SubmitBatch {
                 step,
@@ -707,7 +648,7 @@ pub fn decode_msg(bytes: &[u8]) -> Result<TrainMsg> {
                 trace_id,
             }
         }
-        kind::SHARD_RESULT => {
+        MsgKind::ShardResult => {
             let step = r.get_u64("step")?;
             let shard_index = r.get_u64("shard index")?;
             let loss_pos = r.get_f32("positive loss")?;
@@ -735,29 +676,29 @@ pub fn decode_msg(bytes: &[u8]) -> Result<TrainMsg> {
                 stamps,
             }
         }
-        kind::EVENT => TrainMsg::Event {
+        MsgKind::Event => TrainMsg::Event {
             event: get_event(&mut r)?,
         },
-        kind::PULL_CHECKPOINT => TrainMsg::PullCheckpoint,
-        kind::CHECKPOINT_REPLY => {
+        MsgKind::PullCheckpoint => TrainMsg::PullCheckpoint,
+        MsgKind::CheckpointReply => {
             let len = r.get_u32("checkpoint length")? as usize;
             r.ensure_fits(len, 1, "checkpoint bytes")?;
             let mut bytes = vec![0u8; len];
             r.get_slice(&mut bytes, "checkpoint bytes")?;
             TrainMsg::CheckpointReply { bytes }
         }
-        kind::SUBSCRIBE => TrainMsg::Subscribe,
-        kind::LEAVE => TrainMsg::Leave,
-        kind::SHUTDOWN => TrainMsg::Shutdown,
-        kind::ERROR => {
+        MsgKind::Subscribe => TrainMsg::Subscribe,
+        MsgKind::Leave => TrainMsg::Leave,
+        MsgKind::Shutdown => TrainMsg::Shutdown,
+        MsgKind::Error => {
             let message = r.get_string(MAX_STRING, "error message")?;
-            let code = ErrorCode::from_u8(r.get_u8("error code")?);
+            let code = get_tag(&mut r, &CODES, "error code")?;
             TrainMsg::Error { code, message }
         }
-        kind::TRACE_DUMP => TrainMsg::TraceDump {
+        MsgKind::TraceDump => TrainMsg::TraceDump {
             max: r.get_u32("trace dump max")?,
         },
-        kind::TRACE_DUMP_REPLY => {
+        MsgKind::TraceDumpReply => {
             let dropped = r.get_u64("dropped spans")?;
             let count = r.get_u32("span count")? as usize;
             // 8 × u64 + u32 shard count minimum per span.
@@ -767,11 +708,6 @@ pub fn decode_msg(bytes: &[u8]) -> Result<TrainMsg> {
                 spans.push(get_span(&mut r)?);
             }
             TrainMsg::TraceDumpReply { dropped, spans }
-        }
-        other => {
-            return Err(DistError::Protocol {
-                message: format!("unknown message kind {other}"),
-            })
         }
     };
     r.finish("message")?;
@@ -801,18 +737,7 @@ pub fn write_msg(writer: &mut impl Write, msg: &TrainMsg) -> Result<usize> {
 ///
 /// See [`write_msg`].
 pub fn write_msg_bytes(writer: &mut impl Write, bytes: &[u8]) -> Result<usize> {
-    if bytes.len() > MAX_FRAME_BYTES {
-        return Err(DistError::Protocol {
-            message: format!(
-                "frame of {} bytes exceeds the {MAX_FRAME_BYTES}-byte limit",
-                bytes.len()
-            ),
-        });
-    }
-    writer.write_all(&(bytes.len() as u32).to_le_bytes())?;
-    writer.write_all(bytes)?;
-    writer.flush()?;
-    Ok(bytes.len() + 4)
+    Ok(wire::write_frame(writer, bytes, MAX_FRAME_BYTES)?)
 }
 
 /// Reads one length-prefixed `FF8D` frame.
@@ -834,23 +759,12 @@ pub fn read_msg(reader: &mut impl Read) -> Result<TrainMsg> {
 /// [`DistError::Io`] on EOF or socket errors, [`DistError::Protocol`] on
 /// an oversized length prefix.
 pub fn read_msg_bytes(reader: &mut impl Read) -> Result<Vec<u8>> {
-    let mut len_bytes = [0u8; 4];
-    reader.read_exact(&mut len_bytes)?;
-    let len = u32::from_le_bytes(len_bytes) as usize;
-    if len > MAX_FRAME_BYTES {
-        return Err(DistError::Protocol {
-            message: format!(
-                "declared frame length {len} exceeds the {MAX_FRAME_BYTES}-byte limit"
-            ),
-        });
-    }
-    let mut buf = vec![0u8; len];
-    reader.read_exact(&mut buf)?;
-    Ok(buf)
+    Ok(wire::read_frame(reader, MAX_FRAME_BYTES)?)
 }
 
 /// Every message kind with representative payloads — shared by the unit
-/// and fuzz suites so new kinds are automatically covered.
+/// tests and the canonical-decoding sweep so new kinds are automatically
+/// covered.
 pub fn sample_msgs() -> Vec<TrainMsg> {
     let tensor = Tensor::from_vec(&[2, 2], vec![0.5, -1.0, 2.0, 0.25]).expect("literal tensor");
     vec![
@@ -996,19 +910,6 @@ mod tests {
     }
 
     #[test]
-    fn every_truncation_is_a_typed_error() {
-        for msg in sample_msgs() {
-            let bytes = encode_msg(&msg);
-            for len in 0..bytes.len() {
-                assert!(
-                    decode_msg(&bytes[..len]).is_err(),
-                    "a {len}-byte prefix must not decode"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn frame_io_roundtrips_over_a_buffer() {
         let mut wire = Vec::new();
         for msg in sample_msgs() {
@@ -1023,27 +924,28 @@ mod tests {
     }
 
     #[test]
-    fn hostile_length_prefix_is_rejected_before_allocation() {
+    fn envelope_errors_map_to_io_and_protocol() {
         let mut wire = Vec::new();
-        wire.extend_from_slice(&(u32::MAX).to_le_bytes());
-        wire.extend_from_slice(&[0u8; 16]);
+        write_msg(&mut wire, &TrainMsg::Leave).unwrap();
+        for len in [0, 2, wire.len() - 1] {
+            assert!(matches!(
+                read_msg(&mut &wire[..len]),
+                Err(DistError::Io { .. })
+            ));
+        }
+        let oversized = vec![0u8; MAX_FRAME_BYTES + 1];
+        let mut sink = Vec::new();
         assert!(matches!(
-            read_msg(&mut &wire[..]),
+            write_msg_bytes(&mut sink, &oversized),
             Err(DistError::Protocol { .. })
         ));
-    }
-
-    #[test]
-    fn trace_kinds_require_v2_headers() {
-        // Trace kinds or any other: the header version is checked first.
-        for msg in sample_msgs() {
-            let mut bytes = encode_msg(&msg);
-            bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
-            assert!(
-                matches!(decode_msg(&bytes), Err(DistError::Protocol { .. })),
-                "a v1-headered frame must be rejected"
-            );
-        }
+        assert!(sink.is_empty(), "nothing written for an oversized frame");
+        let mut hostile = u32::MAX.to_le_bytes().to_vec();
+        hostile.extend_from_slice(&[0u8; 16]);
+        assert!(matches!(
+            read_msg(&mut &hostile[..]),
+            Err(DistError::Protocol { .. })
+        ));
     }
 
     #[test]
@@ -1084,7 +986,7 @@ mod tests {
     fn kind_names_align_with_kind_indices() {
         let msgs = sample_msgs();
         // sample_msgs carries two Event samples; dedupe by index.
-        let mut seen = [false; KIND_COUNT];
+        let mut seen = [false; TRAIN_KIND_COUNT];
         for msg in &msgs {
             let index = msg.kind_index();
             assert_eq!(TrainMsg::kind_names()[index], msg.kind_name());
@@ -1096,7 +998,7 @@ mod tests {
     #[test]
     fn error_codes_roundtrip_and_name_stably() {
         for code in ErrorCode::all() {
-            assert_eq!(ErrorCode::from_u8(code.to_u8()), code);
+            assert_eq!(CODES.from_tag(CODES.tag(code)), Some(code));
             let msg = TrainMsg::Error {
                 code,
                 message: "x".into(),
@@ -1106,8 +1008,16 @@ mod tests {
                 other => panic!("wrong kind: {other:?}"),
             }
         }
-        // Unknown tags degrade instead of failing the frame.
-        assert_eq!(ErrorCode::from_u8(200), ErrorCode::Unspecified);
+        // Peers share one build: an unknown tag fails the frame.
+        let mut bytes = encode_msg(&TrainMsg::Error {
+            code: ErrorCode::BadToken,
+            message: "x".into(),
+        });
+        *bytes.last_mut().unwrap() = 200;
+        assert!(matches!(
+            decode_msg(&bytes),
+            Err(DistError::Protocol { .. })
+        ));
         assert_eq!(ErrorCode::BadToken.name(), "bad_token");
     }
 }

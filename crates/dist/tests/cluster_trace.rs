@@ -7,14 +7,14 @@
 
 use ff_core::{Algorithm, Precision, TrainOptions, TrainSession};
 use ff_data::{synthetic_mnist, Dataset, SyntheticConfig};
-use ff_dist::protocol::{decode_msg, read_msg, write_msg, ErrorCode, TrainMsg};
+use ff_dist::protocol::{decode_msg, read_msg, write_msg, ErrorCode, TrainMsg, MAX_FRAME_BYTES};
 use ff_dist::{pull_cluster_traces, Coordinator, CoordinatorConfig, PipelineSession, Worker};
 use ff_models::small_mlp;
 use ff_nn::Sequential;
 use ff_trace::{ClusterFlightRecorder, ClusterSpan, MetricsRegistry, TraceSettings};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::io::{Read, Write};
+use std::io::Read;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
@@ -281,10 +281,7 @@ fn a_previous_version_hello_is_refused_by_name() {
     // version, reserved flags, one record of kind byte + string length.
     let mut hello = b"FF8D\x01\x00\x00\x00\x05\x00\x00\x00\x01\x00\x00\x00\x00".to_vec();
     let mut stream = TcpStream::connect(addr).unwrap();
-    stream
-        .write_all(&(hello.len() as u32).to_le_bytes())
-        .unwrap();
-    stream.write_all(&hello).unwrap();
+    ff_codec::wire::write_frame(&mut stream, &hello, MAX_FRAME_BYTES).unwrap();
 
     // One typed reply naming the version, then a closed stream.
     match read_msg(&mut stream).unwrap() {

@@ -1,5 +1,5 @@
 //! Property tests for the distributed determinism contract and the `FF8D`
-//! decoder's panic-freedom.
+//! decoder's canonical form.
 //!
 //! The socketed 2-worker parity run and the chaos (worker-death) cases live
 //! in `parity.rs`; here the *parameter space* gets swept — RNG seeds, stage
@@ -10,11 +10,14 @@
 //! Training cases are expensive (each runs two full trainings), so the two
 //! sweeps drive the proptest strategies through an explicit seeded
 //! [`TestRng`] over a handful of cases instead of the `proptest!` macro's
-//! fixed 64; the cheap decoder-fuzz properties use the macro as usual.
+//! fixed 64. The decoder is swept exhaustively instead of sampled: the
+//! shared [`ff_codec::wire::sweep`] tries every prefix and every byte
+//! offset under every non-zero XOR mask of every sample message, the same
+//! regime `FF8P` runs.
 
 use ff_core::{Algorithm, Precision, TrainOptions, TrainSession};
 use ff_data::{synthetic_mnist, Dataset, SyntheticConfig};
-use ff_dist::protocol::{decode_msg, encode_msg, sample_msgs, TrainMsg};
+use ff_dist::protocol::{decode_msg, encode_msg, sample_msgs};
 use ff_dist::{Coordinator, CoordinatorConfig, DistError, PipelineSession, Worker};
 use ff_models::small_mlp;
 use ff_nn::Sequential;
@@ -161,58 +164,17 @@ fn data_parallel_is_bit_exact_across_seeds_and_worker_counts() {
     }
 }
 
-proptest! {
-    // Arbitrary bytes never panic the decoder — they decode or return a
-    // typed error.
-    #[test]
-    fn decoder_never_panics_on_arbitrary_bytes(
-        len in 0usize..512,
-        fill in proptest::collection::vec(0u8..=255, 512),
-    ) {
-        let _ = decode_msg(&fill[..len]);
-    }
-
-    // Bit-flipped valid frames never panic the decoder either (they land
-    // deeper in the payload parsers than random bytes do).
-    #[test]
-    fn decoder_never_panics_on_corrupted_valid_frames(
-        pick in 0usize..15,
-        position_fraction in 0.0f64..1.0,
-        flip in 1u8..=255,
-    ) {
-        let msgs = sample_msgs();
-        let mut bytes = encode_msg(&msgs[pick % msgs.len()]);
-        let len = bytes.len();
-        let position = ((len as f64) * position_fraction) as usize % len;
-        bytes[position] ^= flip;
-        match decode_msg(&bytes) {
-            // Flips landing in value payloads legitimately decode to a
-            // different message; anything structural must be a typed error.
-            Ok(_) | Err(DistError::Protocol { .. }) => {}
-            Err(other) => prop_assert!(false, "unexpected error kind: {other:?}"),
-        }
-    }
-
-    // Truncating any frame at any point is a typed error, never a panic
-    // or a bogus decode.
-    #[test]
-    fn decoder_rejects_every_truncation(
-        pick in 0usize..15,
-        keep_fraction in 0.0f64..1.0,
-    ) {
-        let msgs = sample_msgs();
-        let bytes = encode_msg(&msgs[pick % msgs.len()]);
-        let keep = ((bytes.len() as f64) * keep_fraction) as usize % bytes.len();
-        prop_assert!(decode_msg(&bytes[..keep]).is_err());
-    }
-
-    // The re-encoding of any decoded sample message is byte-identical —
-    // the codec has one canonical form.
-    #[test]
-    fn decoded_messages_reencode_canonically(pick in 0usize..15) {
-        let msgs = sample_msgs();
-        let bytes = encode_msg(&msgs[pick % msgs.len()]);
-        let decoded: TrainMsg = decode_msg(&bytes).unwrap();
-        prop_assert_eq!(&encode_msg(&decoded), &bytes);
-    }
+/// `FF8D` decoding is panic-free and canonical: the exhaustive
+/// [`ff_codec::wire::sweep`] over every sample message — every strict
+/// prefix is a typed error, and every byte offset under every non-zero XOR
+/// mask is a typed error or a message that re-encodes to exactly the
+/// corrupted bytes.
+#[test]
+fn decoded_messages_reencode_canonically() {
+    let samples: Vec<Vec<u8>> = sample_msgs().iter().map(encode_msg).collect();
+    ff_codec::wire::sweep(
+        &samples,
+        |bytes| decode_msg(bytes).map(|msg| encode_msg(&msg)),
+        |error| matches!(error, DistError::Protocol { .. }),
+    );
 }

@@ -1,16 +1,18 @@
 //! The typed error surface of the network crate.
 //!
 //! Frame decoding never panics: every way bytes off the wire can be
-//! malformed maps to a [`NetError`] variant, which the truncation and
-//! byte-flip fuzz suites exercise exhaustively (mirroring the `FF8S`/`FF8C`
-//! loaders). I/O failures are carried as rendered text so `NetError` stays
+//! malformed maps to a [`NetError`] variant, which the shared
+//! canonical-decoding sweep ([`ff_codec::wire::sweep`]) exercises
+//! exhaustively. I/O failures are carried as rendered text so `NetError` stays
 //! `Clone + PartialEq` like every other error type in the workspace.
 //!
-//! Error **codes** are one table ([`ErrorCode`]): wire byte, display name
-//! and retry classification live in a single row per code, so the server's
-//! replies and the client's retry policy can never disagree about which
-//! failures are safe to retry.
+//! Error **codes** are one [`ff_codec::wire::CodeTable`]: wire byte and
+//! display name live in a single row per code, and the retry
+//! classification is one method beside it, so the server's replies and the
+//! client's retry policy can never disagree about which failures are safe
+//! to retry.
 
+use ff_codec::wire::{CodeTable, FrameError};
 use ff_codec::CodecError;
 use std::fmt;
 use std::time::Duration;
@@ -19,10 +21,10 @@ use std::time::Duration;
 /// client can react (retry, fix the request, give up) without parsing the
 /// human-readable message.
 ///
-/// Every code's wire byte, display name and retryability come from one
-/// shared table — the single source of truth for both sides of the
-/// connection. "Retryable" means the failure is **transient server state**
-/// (overload, drain, restart), so re-sending an *idempotent* request
+/// Every code's wire byte and display name come from one shared table —
+/// the single source of truth for both sides of the connection.
+/// "Retryable" means the failure is **transient server state** (overload,
+/// drain, restart), so re-sending an *idempotent* request
 /// (Predict / Stats / Health) may succeed; request defects
 /// ([`ErrorCode::BadRequest`], [`ErrorCode::Protocol`], ...) and expired
 /// budgets ([`ErrorCode::DeadlineExceeded`]) never are.
@@ -59,55 +61,40 @@ pub enum ErrorCode {
     UnknownModel,
 }
 
-/// One row per code: variant, wire byte, display name, retryable.
-const CODE_TABLE: &[(ErrorCode, u8, &str, bool)] = &[
-    (ErrorCode::BadRequest, 1, "bad request", false),
-    (ErrorCode::ServerClosed, 2, "server closed", true),
-    (ErrorCode::FrameTooLarge, 3, "frame too large", false),
-    (ErrorCode::Protocol, 4, "protocol error", false),
-    (ErrorCode::Internal, 5, "internal error", false),
-    (ErrorCode::Overloaded, 6, "overloaded", true),
-    (ErrorCode::DeadlineExceeded, 7, "deadline exceeded", false),
-    (ErrorCode::Draining, 8, "draining", true),
-    (ErrorCode::Unauthorized, 9, "unauthorized", false),
-    (ErrorCode::UnknownModel, 10, "unknown model", false),
-];
+/// One row per code: variant, wire byte, display name.
+pub(crate) const CODES: CodeTable<ErrorCode> = CodeTable(&[
+    (ErrorCode::BadRequest, 1, "bad request"),
+    (ErrorCode::ServerClosed, 2, "server closed"),
+    (ErrorCode::FrameTooLarge, 3, "frame too large"),
+    (ErrorCode::Protocol, 4, "protocol error"),
+    (ErrorCode::Internal, 5, "internal error"),
+    (ErrorCode::Overloaded, 6, "overloaded"),
+    (ErrorCode::DeadlineExceeded, 7, "deadline exceeded"),
+    (ErrorCode::Draining, 8, "draining"),
+    (ErrorCode::Unauthorized, 9, "unauthorized"),
+    (ErrorCode::UnknownModel, 10, "unknown model"),
+]);
 
 impl ErrorCode {
-    /// Every defined code, in wire order (shared by the fuzz suites).
+    /// Every defined code, in wire order.
     pub fn all() -> impl Iterator<Item = ErrorCode> {
-        CODE_TABLE.iter().map(|row| row.0)
-    }
-
-    fn row(self) -> &'static (ErrorCode, u8, &'static str, bool) {
-        CODE_TABLE
-            .iter()
-            .find(|row| row.0 == self)
-            .expect("every ErrorCode variant has a table row")
-    }
-
-    /// Wire encoding of this code.
-    pub fn to_wire(self) -> u8 {
-        self.row().1
-    }
-
-    /// Decodes a wire byte; unknown codes are `None` (the frame decoder
-    /// turns that into a typed [`NetError::Frame`]).
-    pub fn from_wire(code: u8) -> Option<Self> {
-        CODE_TABLE.iter().find(|row| row.1 == code).map(|row| row.0)
+        CODES.values()
     }
 
     /// `true` when re-sending an **idempotent** request may succeed — the
     /// shared classification used by server replies and the client's
     /// [`crate::RetryPolicy`].
     pub fn is_retryable(self) -> bool {
-        self.row().3
+        matches!(
+            self,
+            ErrorCode::ServerClosed | ErrorCode::Overloaded | ErrorCode::Draining
+        )
     }
 }
 
 impl fmt::Display for ErrorCode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.row().2)
+        f.write_str(CODES.name(*self))
     }
 }
 
@@ -218,6 +205,18 @@ impl From<CodecError> for NetError {
     }
 }
 
+/// The shared envelope's failures: end of stream is [`NetError::Closed`]
+/// (through the `io::Error` mapping below), the cap is
+/// [`NetError::FrameTooLarge`].
+impl From<FrameError> for NetError {
+    fn from(e: FrameError) -> Self {
+        match e {
+            FrameError::TooLarge { len, max } => NetError::FrameTooLarge { len, max },
+            FrameError::Io(e) => e.into(),
+        }
+    }
+}
+
 impl From<std::io::Error> for NetError {
     fn from(e: std::io::Error) -> Self {
         use std::io::ErrorKind;
@@ -270,13 +269,13 @@ mod tests {
     #[test]
     fn error_codes_roundtrip_the_wire() {
         for code in ErrorCode::all() {
-            assert_eq!(ErrorCode::from_wire(code.to_wire()), Some(code));
+            assert_eq!(CODES.from_tag(CODES.tag(code)), Some(code));
             assert!(!code.to_string().is_empty());
         }
-        assert_eq!(ErrorCode::from_wire(0), None);
-        assert_eq!(ErrorCode::from_wire(99), None);
+        assert_eq!(CODES.from_tag(0), None);
+        assert_eq!(CODES.from_tag(99), None);
         // Wire bytes are unique (one row per byte).
-        let mut bytes: Vec<u8> = ErrorCode::all().map(ErrorCode::to_wire).collect();
+        let mut bytes: Vec<u8> = ErrorCode::all().map(|code| CODES.tag(code)).collect();
         bytes.sort_unstable();
         bytes.dedup();
         assert_eq!(bytes.len(), ErrorCode::all().count());

@@ -1,18 +1,21 @@
 //! The versioned `FF8P` wire protocol.
 //!
-//! `FF8P` is the third member of the workspace's `FF8*` artifact family
-//! (after the `FF8S` frozen-model and `FF8C` checkpoint formats) and reuses
-//! the same [`ff_codec`] conventions: 4-byte magic, little-endian `u16`
-//! version, reserved flags word, length-prefixed records, panic-free
-//! checked reads.
+//! `FF8P` is a member of the workspace's `FF8*` artifact family (with the
+//! `FF8S` frozen-model and `FF8C` checkpoint formats and the `FF8D`
+//! cluster protocol) and reuses the same [`ff_codec`] conventions: 4-byte
+//! magic, little-endian `u16` version, flags word, length-prefixed records,
+//! panic-free checked reads. It shares the [`ff_codec::wire`] core with
+//! `FF8D`: the length-prefixed envelope, the `(value, tag, name)` code
+//! table its frame kinds and error codes are declared in, and the
+//! exhaustive canonical-decoding sweep its tests run.
 //!
 //! # Framing
 //!
 //! On a TCP stream, every message is one **frame**:
 //!
 //! ```text
-//! frame_len        u32       — bytes that follow (bounded by the peer's
-//!                              max-frame-size limit)
+//! frame_len        u32       — bytes that follow (the shared envelope,
+//!                              bounded by the peer's max-frame-size limit)
 //! frame            frame_len × u8 — a complete FF8P artifact:
 //!   magic          4 × u8    = "FF8P"
 //!   version        u16       = 3
@@ -64,7 +67,8 @@
 //!                  message string (u32 length + UTF-8)
 //! 134 TraceDumpReply   id u64, dropped u64, count u32, then per trace:
 //!                      seq u64, model_id u32, flags u8 (bit0 sampled,
-//!                      bit1 slow, bit2 completed), deadline_micros i64
+//!                      bit1 slow, bit2 completed, bits 3–7 zero),
+//!                      deadline_micros i64
 //!                      (i64::MIN = none), end_to_end_ns u64, 6 stage
 //!                      stamps as u64 ns since recv (u64::MAX = missing)
 //! 135 MetricsDumpReply id u64, text string (u32 length + UTF-8,
@@ -94,11 +98,16 @@
 //!
 //! Decoding is hardened exactly like the sibling loaders: every declared
 //! count is bounded by the remaining payload before allocation
-//! ([`ff_codec::Reader::ensure_fits`]), unknown kinds/codes and trailing
-//! bytes are typed [`NetError`]s, and the fuzz suite truncates at every
-//! offset and flips random bytes without ever observing a panic.
+//! ([`ff_codec::Reader::ensure_fits`]), and unknown kinds/codes, reserved
+//! bits and trailing bytes are typed [`NetError`]s. Decoding is also
+//! **canonical**: a frame that decodes re-encodes to exactly its bytes.
+//! `tests/protocol.rs` holds every sample frame to both properties with
+//! [`ff_codec::wire::sweep`] — every prefix, and every byte offset under
+//! every non-zero XOR mask, under default and populated [`FrameMeta`].
 
+use crate::error::CODES;
 use crate::{ErrorCode, NetError, Result};
+use ff_codec::wire::{self, CodeTable};
 use ff_codec::{Reader, Writer};
 use ff_metrics::LatencySummary;
 use ff_serve::{RequestTrace, StageSummaries};
@@ -116,23 +125,30 @@ pub const PROTOCOL_VERSION: u16 = 3;
 /// 784 features is ~15 MiB; anything larger should be split).
 pub const DEFAULT_MAX_FRAME_BYTES: usize = 16 * 1024 * 1024;
 
-const KIND_PREDICT: u8 = 1;
-const KIND_PREDICT_BATCH: u8 = 2;
-const KIND_STATS: u8 = 3;
-const KIND_HEALTH: u8 = 4;
-const KIND_SHUTDOWN: u8 = 5;
-const KIND_TRACE_DUMP: u8 = 6;
-const KIND_METRICS_DUMP: u8 = 7;
-const KIND_LABELS: u8 = 129;
-const KIND_STATS_REPLY: u8 = 130;
-const KIND_HEALTH_REPLY: u8 = 131;
-const KIND_SHUTDOWN_ACK: u8 = 132;
-const KIND_ERROR: u8 = 133;
-const KIND_TRACE_DUMP_REPLY: u8 = 134;
-const KIND_METRICS_DUMP_REPLY: u8 = 135;
+// One row per frame kind: its wire tag (high bit set on replies) and its
+// `net.wire.<kind>.*` name. The row position is `Frame::kind_index` — new
+// kinds append.
+ff_codec::wire_kinds! {
+    Frame => FrameKind in KINDS {
+        Predict = 1, "predict";
+        PredictBatch = 2, "predict_batch";
+        Stats = 3, "stats";
+        Health = 4, "health";
+        Shutdown = 5, "shutdown";
+        TraceDump = 6, "trace_dump";
+        MetricsDump = 7, "metrics_dump";
+        Labels = 129, "labels";
+        StatsReply = 130, "stats_reply";
+        HealthReply = 131, "health_reply";
+        ShutdownAck = 132, "shutdown_ack";
+        Error = 133, "error";
+        TraceDumpReply = 134, "trace_dump_reply";
+        MetricsDumpReply = 135, "metrics_dump_reply";
+    }
+}
 
 /// How many distinct frame kinds [`Frame::kind_index`] enumerates.
-pub const FRAME_KIND_COUNT: usize = 14;
+pub const FRAME_KIND_COUNT: usize = KINDS.0.len();
 
 /// Bound on the length of an error reply's message string.
 const MAX_ERROR_MESSAGE_LEN: usize = 4096;
@@ -198,24 +214,11 @@ pub enum WireMode {
     Goodness,
 }
 
-impl WireMode {
-    fn to_wire(self) -> u8 {
-        match self {
-            WireMode::Logits => 0,
-            WireMode::Goodness => 1,
-        }
-    }
-
-    fn from_wire(byte: u8) -> Result<Self> {
-        match byte {
-            0 => Ok(WireMode::Logits),
-            1 => Ok(WireMode::Goodness),
-            other => Err(NetError::Frame {
-                message: format!("unknown serve mode {other}"),
-            }),
-        }
-    }
-}
+/// Wire tags of [`WireMode`].
+const MODES: CodeTable<WireMode> = CodeTable(&[
+    (WireMode::Logits, 0, "logits"),
+    (WireMode::Goodness, 1, "goodness"),
+]);
 
 /// The remote server's lifecycle phase, as reported by
 /// [`Frame::HealthReply`].
@@ -228,24 +231,11 @@ pub enum WireHealthState {
     Draining,
 }
 
-impl WireHealthState {
-    fn to_wire(self) -> u8 {
-        match self {
-            WireHealthState::Ok => 0,
-            WireHealthState::Draining => 1,
-        }
-    }
-
-    fn from_wire(byte: u8) -> Result<Self> {
-        match byte {
-            0 => Ok(WireHealthState::Ok),
-            1 => Ok(WireHealthState::Draining),
-            other => Err(NetError::Frame {
-                message: format!("unknown health state {other}"),
-            }),
-        }
-    }
-}
+/// Wire tags of [`WireHealthState`].
+const HEALTH_STATES: CodeTable<WireHealthState> = CodeTable(&[
+    (WireHealthState::Ok, 0, "ok"),
+    (WireHealthState::Draining, 1, "draining"),
+]);
 
 /// One registry model's serving statistics as carried by a
 /// [`Frame::StatsReply`] — the wire form of [`ff_serve::ModelStats`].
@@ -481,66 +471,28 @@ impl Frame {
         }
     }
 
-    /// `true` for the request kinds a server handles.
+    /// `true` for the request kinds a server handles — the kinds whose
+    /// wire tag has the high bit clear.
     pub fn is_request(&self) -> bool {
-        matches!(
-            self,
-            Frame::Predict { .. }
-                | Frame::PredictBatch { .. }
-                | Frame::Stats { .. }
-                | Frame::Health { .. }
-                | Frame::Shutdown { .. }
-                | Frame::TraceDump { .. }
-                | Frame::MetricsDump { .. }
-        )
+        KINDS.tag(self.kind()) < 0x80
     }
 
     /// A dense 0-based index for this frame's kind — the row into
     /// [`Frame::kind_names`] and any per-kind counter array (see
     /// [`FRAME_KIND_COUNT`]). Stable across releases: new kinds append.
     pub fn kind_index(&self) -> usize {
-        match self {
-            Frame::Predict { .. } => 0,
-            Frame::PredictBatch { .. } => 1,
-            Frame::Stats { .. } => 2,
-            Frame::Health { .. } => 3,
-            Frame::Shutdown { .. } => 4,
-            Frame::TraceDump { .. } => 5,
-            Frame::MetricsDump { .. } => 6,
-            Frame::Labels { .. } => 7,
-            Frame::StatsReply { .. } => 8,
-            Frame::HealthReply { .. } => 9,
-            Frame::ShutdownAck { .. } => 10,
-            Frame::Error { .. } => 11,
-            Frame::TraceDumpReply { .. } => 12,
-            Frame::MetricsDumpReply { .. } => 13,
-        }
+        KINDS.index(self.kind())
     }
 
     /// This kind's stable snake_case name, as used in `net.wire.<kind>.*`
     /// metric names.
     pub fn kind_name(&self) -> &'static str {
-        Self::kind_names()[self.kind_index()]
+        KINDS.name(self.kind())
     }
 
     /// Every kind's name, indexed by [`Frame::kind_index`].
     pub fn kind_names() -> [&'static str; FRAME_KIND_COUNT] {
-        [
-            "predict",
-            "predict_batch",
-            "stats",
-            "health",
-            "shutdown",
-            "trace_dump",
-            "metrics_dump",
-            "labels",
-            "stats_reply",
-            "health_reply",
-            "shutdown_ack",
-            "error",
-            "trace_dump_reply",
-            "metrics_dump_reply",
-        ]
+        std::array::from_fn(|index| KINDS.0[index].2)
     }
 }
 
@@ -610,6 +562,19 @@ fn get_latency_summary(
     })
 }
 
+/// Reads a one-byte tag and resolves it through `table`; a tag without a
+/// row is a typed [`NetError::Frame`].
+fn get_tag<T: Copy + PartialEq>(
+    body: &mut Reader<'_>,
+    table: &CodeTable<T>,
+    what: &'static str,
+) -> Result<T> {
+    let tag = body.get_u8(what)?;
+    table.from_tag(tag).ok_or_else(|| NetError::Frame {
+        message: format!("unknown {what} {tag}"),
+    })
+}
+
 /// [`encode_frame_meta`] with default [`FrameMeta`]: the frame addresses
 /// the default model and carries no auth token (without the outer `u32`
 /// length prefix — [`write_frame`] adds that).
@@ -662,14 +627,23 @@ pub fn encode_frame_meta(frame: &Frame, meta: &FrameMeta) -> Vec<u8> {
         24 + token.len() + payload_estimate,
     );
     writer.record(|r| r.put_string(token));
-    writer.record_sized(payload_estimate, |r| match frame {
+    writer.record_sized(payload_estimate, |r| {
+        r.put_u8(KINDS.tag(frame.kind()));
+        r.put_u64(frame.id());
+        encode_body(r, frame);
+    });
+    writer.into_vec()
+}
+
+/// Writes a frame's kind-specific body fields (everything after the kind
+/// tag and the id).
+fn encode_body(r: &mut ff_codec::RecordWriter, frame: &Frame) {
+    match frame {
         Frame::Predict {
-            id,
             deadline_micros,
             features,
+            ..
         } => {
-            r.put_u8(KIND_PREDICT);
-            r.put_u64(*id);
             r.put_u32(*deadline_micros);
             r.put_u32(features.len() as u32);
             for &x in features {
@@ -677,18 +651,16 @@ pub fn encode_frame_meta(frame: &Frame, meta: &FrameMeta) -> Vec<u8> {
             }
         }
         Frame::PredictBatch {
-            id,
             deadline_micros,
             cols,
             data,
+            ..
         } => {
             assert!(
                 *cols > 0 && data.len() % *cols as usize == 0,
                 "PredictBatch data ({} values) must divide into positive rows of {cols}",
                 data.len()
             );
-            r.put_u8(KIND_PREDICT_BATCH);
-            r.put_u64(*id);
             r.put_u32(*deadline_micros);
             r.put_u32((data.len() / *cols as usize) as u32);
             r.put_u32(*cols);
@@ -696,38 +668,14 @@ pub fn encode_frame_meta(frame: &Frame, meta: &FrameMeta) -> Vec<u8> {
                 r.put_f32(x);
             }
         }
-        Frame::Stats { id } => {
-            r.put_u8(KIND_STATS);
-            r.put_u64(*id);
-        }
-        Frame::Health { id } => {
-            r.put_u8(KIND_HEALTH);
-            r.put_u64(*id);
-        }
-        Frame::Shutdown { id } => {
-            r.put_u8(KIND_SHUTDOWN);
-            r.put_u64(*id);
-        }
-        Frame::Labels { id, labels } => {
-            r.put_u8(KIND_LABELS);
-            r.put_u64(*id);
+        Frame::Labels { labels, .. } => {
             r.put_u32(labels.len() as u32);
             for &label in labels {
                 r.put_u32(label);
             }
         }
-        Frame::TraceDump { id, max } => {
-            r.put_u8(KIND_TRACE_DUMP);
-            r.put_u64(*id);
-            r.put_u32(*max);
-        }
-        Frame::MetricsDump { id } => {
-            r.put_u8(KIND_METRICS_DUMP);
-            r.put_u64(*id);
-        }
-        Frame::StatsReply { id, stats } => {
-            r.put_u8(KIND_STATS_REPLY);
-            r.put_u64(*id);
+        Frame::TraceDump { max, .. } => r.put_u32(*max),
+        Frame::StatsReply { stats, .. } => {
             r.put_u64(stats.requests);
             r.put_u64(stats.batches);
             r.put_u64(stats.max_batch);
@@ -753,44 +701,32 @@ pub fn encode_frame_meta(frame: &Frame, meta: &FrameMeta) -> Vec<u8> {
             }
         }
         Frame::HealthReply {
-            id,
             input_features,
             num_classes,
             mode,
             state,
             model_version,
+            ..
         } => {
-            r.put_u8(KIND_HEALTH_REPLY);
-            r.put_u64(*id);
             r.put_u32(*input_features);
             r.put_u32(*num_classes);
-            r.put_u8(mode.to_wire());
-            r.put_u8(state.to_wire());
+            r.put_u8(MODES.tag(*mode));
+            r.put_u8(HEALTH_STATES.tag(*state));
             r.put_u64(*model_version);
         }
-        Frame::ShutdownAck { id } => {
-            r.put_u8(KIND_SHUTDOWN_ACK);
-            r.put_u64(*id);
-        }
         Frame::Error {
-            id,
             code,
             retry_after_millis,
             message,
+            ..
         } => {
-            r.put_u8(KIND_ERROR);
-            r.put_u64(*id);
-            r.put_u8(code.to_wire());
+            r.put_u8(CODES.tag(*code));
             r.put_u32(*retry_after_millis);
             r.put_string(bounded_error_message(message));
         }
         Frame::TraceDumpReply {
-            id,
-            dropped,
-            traces,
+            dropped, traces, ..
         } => {
-            r.put_u8(KIND_TRACE_DUMP_REPLY);
-            r.put_u64(*id);
             r.put_u64(*dropped);
             r.put_u32(traces.len() as u32);
             for trace in traces {
@@ -815,13 +751,13 @@ pub fn encode_frame_meta(frame: &Frame, meta: &FrameMeta) -> Vec<u8> {
                 }
             }
         }
-        Frame::MetricsDumpReply { id, text } => {
-            r.put_u8(KIND_METRICS_DUMP_REPLY);
-            r.put_u64(*id);
-            r.put_string(bounded_metrics_text(text));
-        }
-    });
-    writer.into_vec()
+        Frame::MetricsDumpReply { text, .. } => r.put_string(bounded_metrics_text(text)),
+        Frame::Stats { .. }
+        | Frame::Health { .. }
+        | Frame::Shutdown { .. }
+        | Frame::MetricsDump { .. }
+        | Frame::ShutdownAck { .. } => {}
+    }
 }
 
 /// Deserializes the bytes produced by [`encode_frame`], discarding the
@@ -853,10 +789,10 @@ pub fn decode_frame_meta(bytes: &[u8]) -> Result<(Frame, FrameMeta)> {
         token: if token.is_empty() { None } else { Some(token) },
     };
     let mut body = reader.record("frame body")?;
-    let kind = body.get_u8("frame kind")?;
+    let kind = get_tag(&mut body, &KINDS, "frame kind")?;
     let id = body.get_u64("frame id")?;
     let frame = match kind {
-        KIND_PREDICT => {
+        FrameKind::Predict => {
             let deadline_micros = body.get_u32("predict deadline")?;
             let count = body.get_u32("feature count")? as usize;
             if count == 0 {
@@ -875,7 +811,7 @@ pub fn decode_frame_meta(bytes: &[u8]) -> Result<(Frame, FrameMeta)> {
                 features,
             }
         }
-        KIND_PREDICT_BATCH => {
+        FrameKind::PredictBatch => {
             let deadline_micros = body.get_u32("batch deadline")?;
             let rows = body.get_u32("batch rows")? as usize;
             let cols = body.get_u32("batch cols")?;
@@ -899,10 +835,10 @@ pub fn decode_frame_meta(bytes: &[u8]) -> Result<(Frame, FrameMeta)> {
                 data,
             }
         }
-        KIND_STATS => Frame::Stats { id },
-        KIND_HEALTH => Frame::Health { id },
-        KIND_SHUTDOWN => Frame::Shutdown { id },
-        KIND_LABELS => {
+        FrameKind::Stats => Frame::Stats { id },
+        FrameKind::Health => Frame::Health { id },
+        FrameKind::Shutdown => Frame::Shutdown { id },
+        FrameKind::Labels => {
             let count = body.get_u32("label count")? as usize;
             body.ensure_fits(count, 4, "labels")?;
             let mut labels = Vec::with_capacity(count);
@@ -911,7 +847,7 @@ pub fn decode_frame_meta(bytes: &[u8]) -> Result<(Frame, FrameMeta)> {
             }
             Frame::Labels { id, labels }
         }
-        KIND_STATS_REPLY => {
+        FrameKind::StatsReply => {
             let requests = body.get_u64("stats requests")?;
             let batches = body.get_u64("stats batches")?;
             let max_batch = body.get_u64("stats max batch")?;
@@ -972,20 +908,20 @@ pub fn decode_frame_meta(bytes: &[u8]) -> Result<(Frame, FrameMeta)> {
                 }),
             }
         }
-        KIND_HEALTH_REPLY => Frame::HealthReply {
+        FrameKind::HealthReply => Frame::HealthReply {
             id,
             input_features: body.get_u32("health input features")?,
             num_classes: body.get_u32("health num classes")?,
-            mode: WireMode::from_wire(body.get_u8("health mode")?)?,
-            state: WireHealthState::from_wire(body.get_u8("health state")?)?,
+            mode: get_tag(&mut body, &MODES, "serve mode")?,
+            state: get_tag(&mut body, &HEALTH_STATES, "health state")?,
             model_version: body.get_u64("health model version")?,
         },
-        KIND_TRACE_DUMP => Frame::TraceDump {
+        FrameKind::TraceDump => Frame::TraceDump {
             id,
             max: body.get_u32("trace dump max")?,
         },
-        KIND_METRICS_DUMP => Frame::MetricsDump { id },
-        KIND_TRACE_DUMP_REPLY => {
+        FrameKind::MetricsDump => Frame::MetricsDump { id },
+        FrameKind::TraceDumpReply => {
             let dropped = body.get_u64("trace dump dropped")?;
             let count = body.get_u32("trace count")? as usize;
             body.ensure_fits(count, TRACE_ENTRY_BYTES, "traces")?;
@@ -997,6 +933,11 @@ pub fn decode_frame_meta(bytes: &[u8]) -> Result<(Frame, FrameMeta)> {
                     message: format!("trace model id {wire_id} exceeds u16"),
                 })?;
                 let trace_flags = body.get_u8("trace flags")?;
+                if trace_flags & !0b111 != 0 {
+                    return Err(NetError::Frame {
+                        message: format!("trace flags {trace_flags:#04x} set reserved bits"),
+                    });
+                }
                 let deadline = body.get_u64("trace deadline")? as i64;
                 let end_to_end_ns = body.get_u64("trace end-to-end")?;
                 let mut stamps = [None; ff_serve::STAGE_COUNT];
@@ -1023,16 +964,13 @@ pub fn decode_frame_meta(bytes: &[u8]) -> Result<(Frame, FrameMeta)> {
                 traces,
             }
         }
-        KIND_METRICS_DUMP_REPLY => Frame::MetricsDumpReply {
+        FrameKind::MetricsDumpReply => Frame::MetricsDumpReply {
             id,
             text: body.get_string(MAX_METRICS_TEXT_LEN, "metrics text")?,
         },
-        KIND_SHUTDOWN_ACK => Frame::ShutdownAck { id },
-        KIND_ERROR => {
-            let code_byte = body.get_u8("error code")?;
-            let code = ErrorCode::from_wire(code_byte).ok_or(NetError::Frame {
-                message: format!("unknown error code {code_byte}"),
-            })?;
+        FrameKind::ShutdownAck => Frame::ShutdownAck { id },
+        FrameKind::Error => {
+            let code = get_tag(&mut body, &CODES, "error code")?;
             let retry_after_millis = body.get_u32("error retry hint")?;
             let message = body.get_string(MAX_ERROR_MESSAGE_LEN, "error message")?;
             Frame::Error {
@@ -1041,11 +979,6 @@ pub fn decode_frame_meta(bytes: &[u8]) -> Result<(Frame, FrameMeta)> {
                 retry_after_millis,
                 message,
             }
-        }
-        other => {
-            return Err(NetError::Frame {
-                message: format!("unknown frame kind {other}"),
-            })
         }
     };
     body.finish("frame body")?;
@@ -1093,45 +1026,7 @@ pub fn write_frame_meta(
     max_frame_bytes: usize,
 ) -> Result<usize> {
     let bytes = encode_frame_meta(frame, meta);
-    if bytes.len() > max_frame_bytes {
-        return Err(NetError::FrameTooLarge {
-            len: bytes.len(),
-            max: max_frame_bytes,
-        });
-    }
-    writer.write_all(&(bytes.len() as u32).to_le_bytes())?;
-    writer.write_all(&bytes)?;
-    writer.flush()?;
-    Ok(bytes.len() + 4)
-}
-
-/// Reads one length-prefixed frame's bytes from `reader` (the part shared
-/// by [`read_frame`] and [`read_frame_meta`]).
-fn read_frame_bytes(reader: &mut impl Read, max_frame_bytes: usize) -> Result<Vec<u8>> {
-    let mut len_bytes = [0u8; 4];
-    reader.read_exact(&mut len_bytes).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            NetError::Closed
-        } else {
-            NetError::from(e)
-        }
-    })?;
-    let len = u32::from_le_bytes(len_bytes) as usize;
-    if len > max_frame_bytes {
-        return Err(NetError::FrameTooLarge {
-            len,
-            max: max_frame_bytes,
-        });
-    }
-    let mut bytes = vec![0u8; len];
-    reader.read_exact(&mut bytes).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            NetError::Closed
-        } else {
-            NetError::from(e)
-        }
-    })?;
-    Ok(bytes)
+    Ok(wire::write_frame(writer, &bytes, max_frame_bytes)?)
 }
 
 /// Reads one length-prefixed frame from `reader`.
@@ -1144,7 +1039,7 @@ fn read_frame_bytes(reader: &mut impl Read, max_frame_bytes: usize) -> Result<Ve
 /// `max_frame_bytes` (the connection cannot be resynchronized afterwards —
 /// callers close it), and decode errors as in [`decode_frame`].
 pub fn read_frame(reader: &mut impl Read, max_frame_bytes: usize) -> Result<Frame> {
-    decode_frame(&read_frame_bytes(reader, max_frame_bytes)?)
+    decode_frame(&wire::read_frame(reader, max_frame_bytes)?)
 }
 
 /// Reads one length-prefixed frame plus its header metadata from `reader`
@@ -1158,12 +1053,12 @@ pub fn read_frame_meta(
     reader: &mut impl Read,
     max_frame_bytes: usize,
 ) -> Result<(Frame, FrameMeta)> {
-    decode_frame_meta(&read_frame_bytes(reader, max_frame_bytes)?)
+    decode_frame_meta(&wire::read_frame(reader, max_frame_bytes)?)
 }
 
-/// Every frame kind, with representative payloads — shared by the unit and
-/// fuzz suites (and usable by downstream protocol tooling) so new kinds are
-/// automatically covered.
+/// Every frame kind, with representative payloads — shared by the unit
+/// tests and the canonical-decoding sweep (and usable by downstream
+/// protocol tooling) so new kinds are automatically covered.
 pub fn sample_frames() -> Vec<Frame> {
     vec![
         Frame::Predict {
@@ -1485,11 +1380,18 @@ mod tests {
         ));
         assert!(wire.is_empty(), "nothing written for an oversized frame");
         write_frame(&mut wire, &frame, DEFAULT_MAX_FRAME_BYTES).unwrap();
-        let mut cursor = std::io::Cursor::new(wire);
+        let mut cursor = std::io::Cursor::new(&wire);
         assert!(matches!(
             read_frame(&mut cursor, 16),
             Err(NetError::FrameTooLarge { len: _, max: 16 })
         ));
+        // End of stream inside the length prefix or the body is `Closed`.
+        for len in [0, 2, wire.len() - 1] {
+            assert_eq!(
+                read_frame(&mut &wire[..len], DEFAULT_MAX_FRAME_BYTES),
+                Err(NetError::Closed)
+            );
+        }
     }
 
     #[test]

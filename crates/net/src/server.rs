@@ -623,21 +623,23 @@ fn connection_reader_loop(
                 continue; // idle connection: keep waiting
             }
         }
-        let len = u32::from_le_bytes(len_bytes) as usize;
-        if len > max {
-            // The stream cannot be resynchronized past an unread giant
-            // frame: answer once, then close.
-            let _ = out_tx.send(Outgoing::Ready {
-                frame: Frame::Error {
-                    id: 0,
-                    code: ErrorCode::FrameTooLarge,
-                    retry_after_millis: 0,
-                    message: format!("frame of {len} bytes exceeds the {max}-byte limit"),
-                },
-                meta: FrameMeta::default(),
-            });
-            return Ok(());
-        }
+        let len = match ff_codec::wire::frame_len(len_bytes, max) {
+            Ok(len) => len,
+            Err(error) => {
+                // The stream cannot be resynchronized past an unread giant
+                // frame: answer once, then close.
+                let _ = out_tx.send(Outgoing::Ready {
+                    frame: Frame::Error {
+                        id: 0,
+                        code: ErrorCode::FrameTooLarge,
+                        retry_after_millis: 0,
+                        message: error.to_string(),
+                    },
+                    meta: FrameMeta::default(),
+                });
+                return Ok(());
+            }
+        };
         let mut bytes = vec![0u8; len];
         match fill_frame_bytes(reader, &mut bytes, shared, true)? {
             Fill::Done => {}

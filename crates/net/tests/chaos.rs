@@ -333,11 +333,7 @@ fn corrupted_requests_get_typed_errors_not_crashes() {
             stream
                 .set_read_timeout(Some(Duration::from_secs(2)))
                 .unwrap();
-            stream
-                .write_all(&(corrupted.len() as u32).to_le_bytes())
-                .unwrap();
-            stream.write_all(&corrupted).unwrap();
-            stream.flush().unwrap();
+            ff_codec::wire::write_frame(&mut stream, &corrupted, DEFAULT_MAX_FRAME_BYTES).unwrap();
             match read_frame(&mut stream, DEFAULT_MAX_FRAME_BYTES) {
                 // A flip in the feature payload still decodes: a real label.
                 Ok(Frame::Labels { .. }) => {}

@@ -272,10 +272,7 @@ fn a_previous_version_frame_is_refused_by_name() {
     // magic, version, reserved flags, one body record of kind byte + id.
     let mut frame = b"FF8P\x02\x00\x00\x00\x09\x00\x00\x00\x03".to_vec();
     frame.extend_from_slice(&1u64.to_le_bytes());
-    stream
-        .write_all(&(frame.len() as u32).to_le_bytes())
-        .unwrap();
-    stream.write_all(&frame).unwrap();
+    ff_codec::wire::write_frame(&mut stream, &frame, DEFAULT_MAX_FRAME_BYTES).unwrap();
 
     // One typed reply naming the version, then a closed stream.
     match read_frame(&mut stream, DEFAULT_MAX_FRAME_BYTES).unwrap() {

@@ -41,11 +41,10 @@ if [[ "$fast" -eq 0 ]]; then
     cargo build --release --offline --manifest-path ff_bench/Cargo.toml
 fi
 
+# Root `default-members` covers every crate, so this also runs every
+# crate's doc-tests.
 echo "==> cargo test -q"
 cargo test -q
-
-echo "==> cargo test -q --doc"
-cargo test -q --doc
 
 if [[ "$fast" -eq 0 ]]; then
     # Serve smoke gate: tiny FF-INT8 model → freeze → save/load → 100
