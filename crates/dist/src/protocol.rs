@@ -892,6 +892,33 @@ mod tests {
         }
     }
 
+    #[test]
+    fn every_truncation_is_a_typed_error() {
+        for msg in sample_msgs() {
+            let bytes = encode_msg(&msg);
+            for len in 0..bytes.len() {
+                assert!(
+                    matches!(decode_msg(&bytes[..len]), Err(DistError::Protocol { .. })),
+                    "a {len}-byte prefix must be a typed error"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn trace_kinds_require_v2_headers() {
+        // Trace kinds or any other: the header version is checked first,
+        // so a previous-version header is refused whatever follows it.
+        for msg in sample_msgs() {
+            let mut bytes = encode_msg(&msg);
+            bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+            assert!(
+                matches!(decode_msg(&bytes), Err(DistError::Protocol { .. })),
+                "a v1-headered frame must be rejected"
+            );
+        }
+    }
+
     /// The live wire bytes, pinned: FNV-1a-64 over the concatenated
     /// encoding of every sample message. Recorded before the per-version
     /// forks were deleted; a change to the constant is a wire-format change.

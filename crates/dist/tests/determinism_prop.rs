@@ -10,14 +10,15 @@
 //! Training cases are expensive (each runs two full trainings), so the two
 //! sweeps drive the proptest strategies through an explicit seeded
 //! [`TestRng`] over a handful of cases instead of the `proptest!` macro's
-//! fixed 64. The decoder is swept exhaustively instead of sampled: the
-//! shared [`ff_codec::wire::sweep`] tries every prefix and every byte
-//! offset under every non-zero XOR mask of every sample message, the same
-//! regime `FF8P` runs.
+//! fixed 64. The decoder is swept exhaustively: the shared
+//! [`ff_codec::wire::sweep`] tries every prefix and every byte offset
+//! under every non-zero XOR mask of every sample message, the same regime
+//! `FF8P` runs. Beside it, every cut of the framed stream, arbitrary bytes
+//! and three-byte corruptions run as cheap properties of their own.
 
 use ff_core::{Algorithm, Precision, TrainOptions, TrainSession};
 use ff_data::{synthetic_mnist, Dataset, SyntheticConfig};
-use ff_dist::protocol::{decode_msg, encode_msg, sample_msgs};
+use ff_dist::protocol::{decode_msg, encode_msg, read_msg, sample_msgs, write_msg};
 use ff_dist::{Coordinator, CoordinatorConfig, DistError, PipelineSession, Worker};
 use ff_models::small_mlp;
 use ff_nn::Sequential;
@@ -177,4 +178,58 @@ fn decoded_messages_reencode_canonically() {
         |bytes| decode_msg(bytes).map(|msg| encode_msg(&msg)),
         |error| matches!(error, DistError::Protocol { .. }),
     );
+}
+
+/// The length-prefixed stream around each sample: a cut inside the prefix
+/// or the body ends in a typed error, never a message.
+#[test]
+fn decoder_rejects_every_truncation() {
+    for msg in sample_msgs() {
+        let mut wire = Vec::new();
+        write_msg(&mut wire, &msg).unwrap();
+        for len in 0..wire.len() {
+            match read_msg(&mut &wire[..len]) {
+                Err(DistError::Io { .. }) | Err(DistError::Protocol { .. }) => {}
+                other => panic!("a {len}-byte stream prefix gave {other:?}"),
+            }
+        }
+    }
+}
+
+proptest! {
+    // Arbitrary bytes (mostly a bad magic or header, unlike the sweep's
+    // corrupted samples) never panic the decoder: a typed error, or a
+    // message that re-encodes to exactly those bytes.
+    #[test]
+    fn decoder_never_panics_on_arbitrary_bytes(
+        len in 0usize..512,
+        fill in proptest::collection::vec(0u8..=255, 512),
+    ) {
+        match decode_msg(&fill[..len]) {
+            Ok(msg) => prop_assert_eq!(encode_msg(&msg), fill[..len].to_vec()),
+            Err(DistError::Protocol { .. }) => {}
+            Err(other) => prop_assert!(false, "unexpected error kind: {other:?}"),
+        }
+    }
+
+    // Three bytes corrupted at once (the sweep corrupts one at a time)
+    // land deeper in the payload parsers: still a typed error or a
+    // canonical decode.
+    #[test]
+    fn decoder_never_panics_on_corrupted_valid_frames(
+        pick in 0usize..64,
+        flips in proptest::collection::vec((0.0f64..1.0, 1u8..=255), 3),
+    ) {
+        let msgs = sample_msgs();
+        let mut bytes = encode_msg(&msgs[pick % msgs.len()]);
+        let len = bytes.len();
+        for (position_fraction, mask) in flips {
+            bytes[((len as f64) * position_fraction) as usize % len] ^= mask;
+        }
+        match decode_msg(&bytes) {
+            Ok(msg) => prop_assert_eq!(encode_msg(&msg), bytes),
+            Err(DistError::Protocol { .. }) => {}
+            Err(other) => prop_assert!(false, "unexpected error kind: {other:?}"),
+        }
+    }
 }

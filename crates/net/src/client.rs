@@ -387,8 +387,8 @@ impl Client {
 
     /// Dumps up to `max` recent per-request traces from the server's
     /// flight recorder (0 = everything currently retained), together with
-    /// the count of traces the recorder dropped under contention. Traces
-    /// arrive oldest-first.
+    /// the count of traces the recorder discarded (non-zero only for a
+    /// zero-capacity ring). Traces arrive oldest-first.
     ///
     /// # Errors
     ///

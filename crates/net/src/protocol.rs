@@ -435,7 +435,7 @@ pub enum Frame {
     TraceDumpReply {
         /// The request's id.
         id: u64,
-        /// Trace commits the recorder lost to ring contention.
+        /// Trace commits the recorder discarded (zero-capacity ring).
         dropped: u64,
         /// Recent committed traces, oldest first.
         traces: Vec<RequestTrace>,

@@ -501,7 +501,9 @@ fn serve_connection(shared: &NetShared, stream: TcpStream) -> Result<()> {
     stream.set_read_timeout(Some(shared.config.read_timeout))?;
     stream.set_write_timeout(Some(shared.config.write_timeout))?;
     let mut reader = std::io::BufReader::new(stream.try_clone()?);
-    let writer = std::io::BufWriter::new(stream);
+    // Unbuffered: the reply writer hands each encoded frame to one
+    // `write_all`.
+    let writer = stream;
 
     let (out_tx, out_rx) = mpsc::channel::<Outgoing>();
     let writer_alive = Arc::new(AtomicBool::new(true));
@@ -735,11 +737,15 @@ fn reply_writer_loop(
                 (frame, meta, Some(permit), Some(trace))
             }
         };
-        // The write stage clock starts once the reply is ready to encode —
-        // it measures serialization plus the socket write, per reply.
+        // A reply never precedes its own bookkeeping: the frame is encoded
+        // into memory, and its wire accounting, write stage, ReplyWritten
+        // stamp and trace commit (the writer holds the last handle) all
+        // land before the one socket write. The write stage therefore
+        // measures serialization, not the send.
         let write_start = trace.is_some().then(Instant::now);
-        let outcome = write_frame_meta(&mut writer, &frame, &meta, max_frame_bytes);
-        if let Ok(written) = &outcome {
+        let mut bytes = Vec::new();
+        let encoded = write_frame_meta(&mut bytes, &frame, &meta, max_frame_bytes);
+        if let Ok(written) = &encoded {
             wire.account(frame.kind_index(), *written as u64);
             if let Some(start) = write_start {
                 write_stage.record(start.elapsed());
@@ -748,11 +754,16 @@ fn reply_writer_loop(
                 }
             }
         }
+        let sent = encoded.is_ok()
+            && writer
+                .write_all(&bytes)
+                .and_then(|()| writer.flush())
+                .is_ok();
         // The admission slot is held until the reply hit the socket (or the
         // peer proved unreachable); dropping the channel on early exit
         // releases the permits of any still-queued replies.
         drop(permit);
-        if outcome.is_err() {
+        if !sent {
             break; // peer gone; reader observes `alive` and closes
         }
     }

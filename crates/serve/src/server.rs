@@ -292,7 +292,7 @@ pub struct PendingPrediction {
     rx: Receiver<Result<Prediction>>,
     /// Present only on the in-process convenience path (where delivery to
     /// the caller *is* the reply-written stage); the network path keeps its
-    /// own handle and stamps after the socket write instead.
+    /// own handle and stamps once the reply is encoded, before the send.
     trace: Option<TraceHandle>,
 }
 
@@ -306,10 +306,14 @@ impl PendingPrediction {
     /// when the server shut down before answering.
     pub fn wait(self) -> Result<Prediction> {
         let result = self.rx.recv().map_err(|_| ServeError::ServerClosed)?;
-        if result.is_ok() {
-            if let Some(trace) = &self.trace {
+        if let Some(trace) = self.trace {
+            if result.is_ok() {
                 trace.stamp(Stage::ReplyWritten);
             }
+            // The worker dropped its handle before replying, so this is
+            // the last one: the trace commits before the caller sees the
+            // result.
+            drop(trace);
         }
         result
     }
@@ -398,8 +402,8 @@ impl ServeHandle {
     /// [`ServeHandle::submit_snapshot`] with a caller-begun [`TraceHandle`]
     /// — the network front-end begins the trace at frame receive (so the
     /// recv→admit span covers auth and admission) and threads the handle
-    /// through here, keeping a clone to stamp [`Stage::ReplyWritten`] after
-    /// the socket write. Stamps [`Stage::Enqueue`] as the request enters
+    /// through here, keeping a clone to stamp [`Stage::ReplyWritten`] once
+    /// the reply is encoded. Stamps [`Stage::Enqueue`] as the request enters
     /// the batch queue.
     ///
     /// # Errors
@@ -819,6 +823,7 @@ fn run_batch(shared: &Shared, batch: Vec<Request>) {
         {
             shared.counters.shed_expired.inc();
             request.snapshot.entry().shed_counters().shed_expired.inc();
+            drop(request.trace);
             let _ = request.reply.send(Err(ServeError::DeadlineExceeded));
             continue;
         }
@@ -830,6 +835,7 @@ fn run_batch(shared: &Shared, batch: Vec<Request>) {
                     request.features.len()
                 ),
             };
+            drop(request.trace);
             let _ = request.reply.send(Err(error));
             continue;
         }
@@ -899,7 +905,10 @@ fn run_group(shared: &Shared, model: &FrozenModel, group: Vec<Request>, assemble
                 .gemm
                 .record_all(std::iter::repeat_n(gemm, rows));
             for ((request, label), latency) in group.into_iter().zip(labels).zip(latencies) {
-                if let Some(trace) = &request.trace {
+                // The worker's handle drops before the reply is sent, so the
+                // caller's handle is the last and commits the trace before
+                // anyone can read the reply.
+                if let Some(trace) = request.trace {
                     trace.stamp_at(Stage::GemmDone, gemm_done);
                 }
                 request.snapshot.entry().record_served(latency);
@@ -914,6 +923,7 @@ fn run_group(shared: &Shared, model: &FrozenModel, group: Vec<Request>, assemble
             // wave-start: the committed trace stays incomplete, which is
             // exactly what the dump should show for an errored request.
             for request in group {
+                drop(request.trace);
                 let _ = request.reply.send(Err(error.clone()));
             }
         }

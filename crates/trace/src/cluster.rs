@@ -16,8 +16,9 @@
 //! unsampled steps and a deterministic nonzero id otherwise — the id that
 //! rides on `SubmitBatch`/`ShardResult` frames so workers know which
 //! results to stamp. Committed spans land in a bounded ring with the same
-//! `try_lock`, never-block-the-trainer commit discipline as the serving
-//! recorder.
+//! commit discipline as the serving recorder: a commit takes the lock,
+//! which a reader holds for one bounded clone, so no span is lost to
+//! contention.
 
 use crate::recorder::splitmix64;
 use crate::{Sampler, TraceSettings};
@@ -160,10 +161,9 @@ struct ClusterInner {
 
 /// The bounded ring of committed [`ClusterSpan`]s.
 ///
-/// Cheap to clone (an [`Arc`]); all clones share one ring. The trainer's
-/// commit path uses `try_lock` — a reader dumping the ring over the wire
-/// can never stall a training step; contended commits are counted in
-/// [`ClusterFlightRecorder::dropped`] instead.
+/// Cheap to clone (an [`Arc`]); all clones share one ring. A reader
+/// dumping the ring over the wire holds its lock for one bounded clone,
+/// so the trainer's commit waits at most that long and is never lost.
 #[derive(Clone)]
 pub struct ClusterFlightRecorder {
     inner: Arc<ClusterInner>,
@@ -208,23 +208,19 @@ impl ClusterFlightRecorder {
         splitmix64(self.inner.settings.seed ^ step) | 1
     }
 
-    /// Commits a finished span into the ring, evicting oldest-first.
-    /// Never blocks: a contended (or zero-capacity) commit is counted in
-    /// [`ClusterFlightRecorder::dropped`] and discarded.
+    /// Commits a finished span into the ring, evicting oldest-first. A
+    /// zero-capacity ring discards the span and counts it in
+    /// [`ClusterFlightRecorder::dropped`].
     pub fn commit(&self, span: ClusterSpan) {
-        match self.inner.ring.try_lock() {
-            Ok(mut ring) => {
-                if self.inner.settings.capacity == 0 {
-                    self.inner.dropped.inc();
-                    return;
-                }
-                while ring.len() >= self.inner.settings.capacity {
-                    ring.pop_front();
-                }
-                ring.push_back(span);
-            }
-            Err(_) => self.inner.dropped.inc(),
+        if self.inner.settings.capacity == 0 {
+            self.inner.dropped.inc();
+            return;
         }
+        let mut ring = self.lock_ring();
+        while ring.len() >= self.inner.settings.capacity {
+            ring.pop_front();
+        }
+        ring.push_back(span);
     }
 
     /// The most recent `max` committed spans in commit order; `0` returns
@@ -254,7 +250,7 @@ impl ClusterFlightRecorder {
         self.inner.settings.capacity
     }
 
-    /// Spans lost to ring contention or a zero-capacity ring.
+    /// Spans discarded by a zero-capacity ring.
     pub fn dropped(&self) -> u64 {
         self.inner.dropped.get()
     }
@@ -385,10 +381,17 @@ mod tests {
     fn commit_survives_a_reader_holding_the_ring() {
         let recorder = ClusterFlightRecorder::new(capture_all());
         let guard = recorder.inner.ring.lock().unwrap();
-        recorder.commit(sample_span(0, 1));
+        // The commit waits out the reader instead of dropping the span.
+        let committer = {
+            let recorder = recorder.clone();
+            std::thread::spawn(move || recorder.commit(sample_span(0, 1)))
+        };
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        assert!(guard.is_empty(), "nothing commits under a held reader");
         drop(guard);
-        assert_eq!(recorder.dropped(), 1);
-        assert!(recorder.is_empty());
+        committer.join().unwrap();
+        assert_eq!(recorder.dropped(), 0);
+        assert_eq!(recorder.len(), 1);
     }
 
     #[test]

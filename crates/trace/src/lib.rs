@@ -27,6 +27,13 @@
 //! to the ring when its last handle drops — so a connection killed
 //! mid-request still commits its (incomplete, flagged) trace.
 //!
+//! The contract the serving stack keeps with it: **a reply never precedes
+//! its own bookkeeping.** Every other handle is dropped before the reply
+//! writer's, which stamps, commits and accounts the reply before sending
+//! it, and a commit waits out a reader's bounded clone of the ring rather
+//! than being dropped — so whoever holds reply N can already see N's wire
+//! accounting, stage histograms and committed trace.
+//!
 //! The same substrate extends past serving into cluster-wide training
 //! observability: [`ClusterFlightRecorder`] rings per-step
 //! [`ClusterSpan`]s whose trace ids ride the `FF8D` training protocol and

@@ -99,32 +99,29 @@ pub(crate) struct RecorderInner {
 }
 
 impl RecorderInner {
-    /// Commits a finished trace into the ring. Uses `try_lock` so a
-    /// reader holding the ring for a dump can never block a serving
-    /// thread mid-drop — contended commits are counted, not waited for.
+    /// Commits a finished trace into the ring. Takes the lock: a reader
+    /// holds it for one bounded clone of the ring, so a commit waits at
+    /// most that long and is never lost to contention — only a
+    /// zero-capacity ring drops (and counts) commits.
     pub(crate) fn commit(&self, trace: RequestTrace) {
-        match self.ring.try_lock() {
-            Ok(mut ring) => {
-                if self.settings.capacity == 0 {
-                    self.dropped.inc();
-                    return;
-                }
-                while ring.len() >= self.settings.capacity {
-                    ring.pop_front();
-                }
-                ring.push_back(trace);
-            }
-            Err(_) => self.dropped.inc(),
+        if self.settings.capacity == 0 {
+            self.dropped.inc();
+            return;
         }
+        let mut ring = self.ring.lock().expect("recorder ring lock poisoned");
+        while ring.len() >= self.settings.capacity {
+            ring.pop_front();
+        }
+        ring.push_back(trace);
     }
 }
 
 /// The fixed-capacity, concurrent ring of committed request traces.
 ///
-/// Cheap to clone (an [`Arc`]); all clones share one ring. Writers never
-/// block: the commit path uses `try_lock` and counts, rather than waits
-/// out, contention. See the [crate docs](crate) for the begin → stamp →
-/// drop lifecycle.
+/// Cheap to clone (an [`Arc`]); all clones share one ring. Readers hold
+/// the ring's lock for one bounded clone, so a committing writer waits at
+/// most that long and no commit is lost. See the [crate docs](crate) for
+/// the begin → stamp → drop lifecycle.
 #[derive(Clone)]
 pub struct FlightRecorder {
     inner: Arc<RecorderInner>,
@@ -217,8 +214,7 @@ impl FlightRecorder {
         self.inner.live.load(Ordering::Acquire)
     }
 
-    /// Commits lost to ring contention (`try_lock` failure) or a
-    /// zero-capacity ring.
+    /// Commits discarded by a zero-capacity ring.
     pub fn dropped(&self) -> u64 {
         self.inner.dropped.get()
     }
@@ -395,10 +391,14 @@ mod tests {
         let recorder = FlightRecorder::new(deterministic(1, 0));
         let guard = recorder.inner.ring.lock().unwrap();
         let trace = recorder.begin(0).expect("sampled");
-        drop(trace); // try_lock fails → counted, not deadlocked
+        // The commit waits out the reader instead of dropping the trace.
+        let committer = std::thread::spawn(move || drop(trace));
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(guard.is_empty(), "nothing commits under a held reader");
         drop(guard);
-        assert_eq!(recorder.dropped(), 1);
-        assert_eq!(recorder.len(), 0);
+        committer.join().unwrap();
+        assert_eq!(recorder.dropped(), 0);
+        assert_eq!(recorder.len(), 1);
         assert_eq!(recorder.live(), 0);
     }
 }

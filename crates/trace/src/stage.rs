@@ -36,7 +36,8 @@ pub enum Stage {
     WaveStart = 3,
     /// The wave's GEMM (and activation walk) finished.
     GemmDone = 4,
-    /// The reply left the socket (or, in-process, was delivered).
+    /// The reply is encoded and ready for its one socket write (or,
+    /// in-process, was delivered).
     ReplyWritten = 5,
 }
 
@@ -86,7 +87,8 @@ pub struct StageHistograms {
     pub assembly: SharedHistogram,
     /// Wave start → GEMM done: the INT8 GEMM plus the layer walk.
     pub gemm: SharedHistogram,
-    /// Reply ready at the writer → bytes on the socket.
+    /// Reply ready at the writer → encoded in memory (the send syscall
+    /// follows the trace commit and is not in this stage).
     pub write: SharedHistogram,
 }
 
