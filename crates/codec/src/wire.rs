@@ -15,6 +15,7 @@
 //! Each protocol maps [`FrameError`] into its own error type with one
 //! `From` impl, so callers keep seeing the variants they always did.
 
+use crate::{CodecError, Reader};
 use std::fmt;
 use std::io::{Read, Write};
 
@@ -137,6 +138,19 @@ impl<T: Copy + PartialEq> CodeTable<T> {
     /// The value a wire tag stands for; `None` for a tag no row carries.
     pub fn from_tag(&self, tag: u8) -> Option<T> {
         self.0.iter().find(|row| row.1 == tag).map(|row| row.0)
+    }
+
+    /// Reads a one-byte tag and resolves it through the table.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::Truncated`] when the buffer is exhausted,
+    /// [`CodecError::Corrupt`] naming `what` for a tag no row carries.
+    pub fn read(&self, r: &mut Reader<'_>, what: &'static str) -> Result<T, CodecError> {
+        let tag = r.get_u8(what)?;
+        self.from_tag(tag).ok_or_else(|| CodecError::Corrupt {
+            message: format!("unknown {what} {tag}"),
+        })
     }
 
     /// Every value, in row order.

@@ -292,19 +292,6 @@ const PRECISIONS: CodeTable<Precision> =
 const SPLITS: CodeTable<EvalSplit> =
     CodeTable(&[(EvalSplit::Train, 0, "train"), (EvalSplit::Test, 1, "test")]);
 
-/// Reads a one-byte tag and resolves it through `table`; a tag without a
-/// row is a typed [`DistError::Protocol`].
-fn get_tag<T: Copy + PartialEq>(
-    r: &mut Reader<'_>,
-    table: &CodeTable<T>,
-    what: &'static str,
-) -> Result<T> {
-    let tag = r.get_u8(what)?;
-    table.from_tag(tag).ok_or_else(|| DistError::Protocol {
-        message: format!("unknown {what} {tag}"),
-    })
-}
-
 fn put_event(r: &mut ff_codec::RecordWriter, event: &TrainEvent) {
     match event {
         TrainEvent::EpochStart { epoch, lambda } => {
@@ -389,7 +376,7 @@ fn get_event(r: &mut Reader<'_>) -> Result<TrainEvent> {
         }),
         4 => Ok(TrainEvent::Eval {
             epoch: r.get_u64("epoch")? as usize,
-            split: get_tag(r, &SPLITS, "eval split")?,
+            split: SPLITS.read(r, "eval split")?,
             accuracy: r.get_f32("accuracy")?,
         }),
         5 => {
@@ -601,7 +588,7 @@ pub fn decode_msg(bytes: &[u8]) -> Result<TrainMsg> {
         });
     }
     let mut r = reader.record("message")?;
-    let msg = match get_tag(&mut r, &KINDS, "message kind")? {
+    let msg = match KINDS.read(&mut r, "message kind")? {
         MsgKind::Join => TrainMsg::Join {
             token: r.get_string(MAX_STRING, "token")?,
         },
@@ -629,7 +616,7 @@ pub fn decode_msg(bytes: &[u8]) -> Result<TrainMsg> {
             let loss_divisor = r.get_u64("loss divisor")? as usize;
             let theta = r.get_f32("theta")?;
             let lambda = r.get_f32("lambda")?;
-            let precision = get_tag(&mut r, &PRECISIONS, "precision")?;
+            let precision = PRECISIONS.read(&mut r, "precision")?;
             let trace_id = r.get_u64("trace id")?;
             TrainMsg::SubmitBatch {
                 step,
@@ -692,7 +679,7 @@ pub fn decode_msg(bytes: &[u8]) -> Result<TrainMsg> {
         MsgKind::Shutdown => TrainMsg::Shutdown,
         MsgKind::Error => {
             let message = r.get_string(MAX_STRING, "error message")?;
-            let code = get_tag(&mut r, &CODES, "error code")?;
+            let code = CODES.read(&mut r, "error code")?;
             TrainMsg::Error { code, message }
         }
         MsgKind::TraceDump => TrainMsg::TraceDump {

@@ -101,11 +101,12 @@ impl fmt::Display for ErrorCode {
 /// Error type for `FF8P` framing, the network server and the client.
 #[derive(Debug, Clone, PartialEq)]
 pub enum NetError {
-    /// A frame failed to decode (bad magic/version, truncation, structural
-    /// corruption) — wraps the shared codec error.
+    /// A frame failed to decode (bad magic/version, truncation, an unknown
+    /// kind or code tag, structural corruption) — wraps the shared codec
+    /// error.
     Codec(CodecError),
-    /// A frame decoded structurally but violates the protocol (unknown
-    /// frame kind, zero rows, reply id mismatch, ...).
+    /// A frame decoded structurally but violates the protocol (zero rows,
+    /// reply id mismatch, ...).
     Frame {
         /// What is wrong with the frame.
         message: String,

@@ -562,19 +562,6 @@ fn get_latency_summary(
     })
 }
 
-/// Reads a one-byte tag and resolves it through `table`; a tag without a
-/// row is a typed [`NetError::Frame`].
-fn get_tag<T: Copy + PartialEq>(
-    body: &mut Reader<'_>,
-    table: &CodeTable<T>,
-    what: &'static str,
-) -> Result<T> {
-    let tag = body.get_u8(what)?;
-    table.from_tag(tag).ok_or_else(|| NetError::Frame {
-        message: format!("unknown {what} {tag}"),
-    })
-}
-
 /// [`encode_frame_meta`] with default [`FrameMeta`]: the frame addresses
 /// the default model and carries no auth token (without the outer `u32`
 /// length prefix — [`write_frame`] adds that).
@@ -767,8 +754,9 @@ fn encode_body(r: &mut ff_codec::RecordWriter, frame: &Frame) {
 /// # Errors
 ///
 /// Never panics: malformed input maps to [`NetError::Codec`] (header or
-/// truncation problems, a version other than [`PROTOCOL_VERSION`]) or
-/// [`NetError::Frame`] (structural violations).
+/// truncation problems, a version other than [`PROTOCOL_VERSION`], an
+/// unknown kind or code tag) or [`NetError::Frame`] (structural
+/// violations).
 pub fn decode_frame(bytes: &[u8]) -> Result<Frame> {
     decode_frame_meta(bytes).map(|(frame, _)| frame)
 }
@@ -789,7 +777,7 @@ pub fn decode_frame_meta(bytes: &[u8]) -> Result<(Frame, FrameMeta)> {
         token: if token.is_empty() { None } else { Some(token) },
     };
     let mut body = reader.record("frame body")?;
-    let kind = get_tag(&mut body, &KINDS, "frame kind")?;
+    let kind = KINDS.read(&mut body, "frame kind")?;
     let id = body.get_u64("frame id")?;
     let frame = match kind {
         FrameKind::Predict => {
@@ -912,8 +900,8 @@ pub fn decode_frame_meta(bytes: &[u8]) -> Result<(Frame, FrameMeta)> {
             id,
             input_features: body.get_u32("health input features")?,
             num_classes: body.get_u32("health num classes")?,
-            mode: get_tag(&mut body, &MODES, "serve mode")?,
-            state: get_tag(&mut body, &HEALTH_STATES, "health state")?,
+            mode: MODES.read(&mut body, "serve mode")?,
+            state: HEALTH_STATES.read(&mut body, "health state")?,
             model_version: body.get_u64("health model version")?,
         },
         FrameKind::TraceDump => Frame::TraceDump {
@@ -970,7 +958,7 @@ pub fn decode_frame_meta(bytes: &[u8]) -> Result<(Frame, FrameMeta)> {
         },
         FrameKind::ShutdownAck => Frame::ShutdownAck { id },
         FrameKind::Error => {
-            let code = get_tag(&mut body, &CODES, "error code")?;
+            let code = CODES.read(&mut body, "error code")?;
             let retry_after_millis = body.get_u32("error retry hint")?;
             let message = body.get_string(MAX_ERROR_MESSAGE_LEN, "error message")?;
             Frame::Error {
@@ -1423,10 +1411,11 @@ mod tests {
             Err(NetError::Frame { .. })
         ));
         // Unknown kind byte: header(8) + empty auth record(8) + record
-        // len(4), kind is byte 20.
+        // len(4), kind is byte 20. Tags resolve through the shared code
+        // table, whose unknown-tag error is the codec's.
         let mut bytes = encode_frame(&Frame::Stats { id: 1 });
         bytes[20] = 77;
-        assert!(matches!(decode_frame(&bytes), Err(NetError::Frame { .. })));
+        assert!(matches!(decode_frame(&bytes), Err(NetError::Codec(_))));
         // Wrong magic / version.
         let mut wrong = encode_frame(&Frame::Stats { id: 1 });
         wrong[0] = b'X';

@@ -143,11 +143,12 @@ struct NetShared {
     gate: AdmissionGate,
     counters: ShedCounters,
     /// The engine's `serve.stage.write_ns` histogram: the reply writers
-    /// record socket-write time here so wire clients see all four stages in
-    /// one `StatsReply`.
+    /// record each prediction reply's encode time here so wire clients see
+    /// all four stages in one `StatsReply`.
     write_stage: SharedHistogram,
     /// Per-kind frame/byte accounting for everything crossing the wire,
-    /// both directions (`net.wire.<kind>.{frames,bytes}`).
+    /// both directions (`net.wire.<kind>.{frames,bytes}`), plus the send
+    /// side of the reply writers.
     wire: WireCounters,
 }
 
@@ -155,10 +156,18 @@ struct NetShared {
 /// frame, with no registry lookup and no lock. Request kinds accumulate on
 /// the read path, reply kinds on the write path, so one dense set covers
 /// both directions without double counting.
+///
+/// A reply is accounted once encoded, before its send, so a peer holding
+/// the reply already sees it counted. What the send itself costs is
+/// observed after it: `net.reply.send_ns` times each prediction reply's
+/// socket write, and `net.reply.unsent` counts the accounted replies whose
+/// write failed (the connection closes after the first).
 #[derive(Clone)]
 struct WireCounters {
     frames: Vec<Counter>,
     bytes: Vec<Counter>,
+    send: SharedHistogram,
+    unsent: Counter,
 }
 
 impl WireCounters {
@@ -169,7 +178,12 @@ impl WireCounters {
             frames.push(metrics.counter(&format!("net.wire.{name}.frames")));
             bytes.push(metrics.counter(&format!("net.wire.{name}.bytes")));
         }
-        WireCounters { frames, bytes }
+        WireCounters {
+            frames,
+            bytes,
+            send: metrics.histogram("net.reply.send_ns"),
+            unsent: metrics.counter("net.reply.unsent"),
+        }
     }
 
     /// Accounts one frame of `kind_index`. `wire_bytes` is the full
@@ -741,7 +755,7 @@ fn reply_writer_loop(
         // into memory, and its wire accounting, write stage, ReplyWritten
         // stamp and trace commit (the writer holds the last handle) all
         // land before the one socket write. The write stage therefore
-        // measures serialization, not the send.
+        // measures serialization; the send is timed after it, apart.
         let write_start = trace.is_some().then(Instant::now);
         let mut bytes = Vec::new();
         let encoded = write_frame_meta(&mut bytes, &frame, &meta, max_frame_bytes);
@@ -754,11 +768,18 @@ fn reply_writer_loop(
                 }
             }
         }
+        let send_start = write_start.map(|_| Instant::now());
         let sent = encoded.is_ok()
             && writer
                 .write_all(&bytes)
                 .and_then(|()| writer.flush())
                 .is_ok();
+        if let (true, Some(start)) = (sent, send_start) {
+            wire.send.record(start.elapsed());
+        }
+        if encoded.is_ok() && !sent {
+            wire.unsent.inc();
+        }
         // The admission slot is held until the reply hit the socket (or the
         // peer proved unreachable); dropping the channel on early exit
         // releases the permits of any still-queued replies.

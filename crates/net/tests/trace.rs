@@ -221,6 +221,10 @@ fn wire_counters_account_every_frame_and_byte() {
     // Kinds that never crossed the wire stay at zero.
     assert_eq!(counter_value(&text, "net.wire.shutdown.frames"), 0);
     assert_eq!(counter_value(&text, "net.wire.error.bytes"), 0);
+    // Every prediction reply's socket write is timed after it succeeds;
+    // the stats reply written since proves the tenth one finished.
+    assert!(text.contains("net.reply.send_ns histogram count 10 "));
+    assert_eq!(counter_value(&text, "net.reply.unsent"), 0);
     client.close();
     server.shutdown();
 }
