@@ -1148,6 +1148,36 @@ mod tests {
     }
 
     #[test]
+    fn a_reply_whose_send_fails_is_accounted_and_counted_unsent() {
+        struct Refuses;
+        impl std::io::Write for Refuses {
+            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+                Err(std::io::ErrorKind::BrokenPipe.into())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let metrics = MetricsRegistry::new();
+        let wire = WireCounters::new(&metrics);
+        let (tx, rx) = mpsc::channel();
+        for id in [1, 2] {
+            let frame = Frame::ShutdownAck { id };
+            let meta = FrameMeta::default();
+            tx.send(Outgoing::Ready { frame, meta }).unwrap();
+        }
+        drop(tx);
+        let alive = AtomicBool::new(true);
+        let stage = SharedHistogram::new();
+        reply_writer_loop(Refuses, rx, DEFAULT_MAX_FRAME_BYTES, &alive, &stage, &wire);
+        // The first failed send closes the writer: one reply accounted, one
+        // counted unsent, the second never taken.
+        assert!(!alive.load(Ordering::Acquire));
+        assert_eq!(metrics.counter("net.wire.shutdown_ack.frames").get(), 1);
+        assert_eq!(metrics.counter("net.reply.unsent").get(), 1);
+    }
+
+    #[test]
     fn retry_hints_saturate() {
         assert_eq!(retry_hint_millis(Duration::from_millis(25)), 25);
         assert_eq!(retry_hint_millis(Duration::from_secs(u64::MAX)), u32::MAX);
