@@ -17,11 +17,13 @@
 //! | [`crate::int8_matmul_a_bt_planned`]             | `A[m,k] · W[n,k]ᵀ` | store, per-tensor scale, bias, ReLU + mask |
 //! | [`crate::int8_matmul_at_b_planned_accumulate`]  | `A[k,m]ᵀ · X[k,n]` | accumulate into the caller's buffer |
 //! | [`crate::int8_matmul_a_bt_shared_rows`]         | `A[m,k] · W[n,k]ᵀ` | store, per-row scale, bias, ReLU  |
+//! | [`crate::int8_matmul_a_bt_shared_rows_fanout`]  | `A[m,k] · W[n,k]ᵀ` | fan-out store: `fan` rows per row of `A`, per-row scale, bias, ReLU |
 //! | [`crate::int8_matmul_planned`]                  | `A[m,k] · B[k,n]`  | store, per-tensor scale           |
 //! | [`crate::int8_matmul_at_b_planned`]             | `A[k,m]ᵀ · X[k,n]` | store, per-tensor scale           |
 //!
-//! The first three are the product paths (dense/conv forward, weight
-//! gradient, serving); the last two return the product as a new tensor.
+//! The first four are the product paths (dense/conv forward, weight
+//! gradient, serving, the goodness sweep's first layer); the last two return
+//! the product as a new tensor.
 //!
 //! Operands are repacked into contiguous `i16` panels ([`crate::pack`]):
 //! `A` into [`crate::pack::MR`]-row strips, `B` into strips of the width its
@@ -65,7 +67,7 @@
 //! # Fused epilogue
 //!
 //! Dequantization happens in the epilogue while an output tile is still
-//! cache-hot. The epilogue has two kinds:
+//! cache-hot. The epilogue has three kinds:
 //!
 //! - **store**: `out = acc · scale`, where the scale is per-tensor
 //!   (`scale_a · scale_b`) or per output row (`row_scale[i] · scale_b`, for
@@ -73,6 +75,13 @@
 //!   per-column bias add and ReLU (+ gradient-mask capture). This is how
 //!   the dense/conv layers avoid separate bias/activation passes over the
 //!   output.
+//! - **fan-out store**: row `i` of `A` stores `fan` output rows, row
+//!   `i·fan + v` being the store of `acc_i + coef_i · delta_v` — an exact
+//!   integer rank-one correction with the same per-row scale, bias and ReLU.
+//!   Rows of `A` that stand for `fan` rows differing in one moved code (the
+//!   goodness sweep's candidate label overlays) pay the GEMM once instead of
+//!   `fan` times. Output is sample-major, so each row panel a thread owns
+//!   holds whole groups of `fan` rows.
 //! - **accumulate**: `out += acc · scale` straight into the caller's
 //!   gradient buffer, bit-identical to storing the product and adding it
 //!   afterwards but without the temporary or the second pass. It carries
@@ -119,7 +128,9 @@ pub(crate) fn check_operands(
 
 /// The one engine call: validates shapes, shards `out` (and `mask`) into
 /// row panels and runs [`gemm_worker`] on each. `out` is the row-major
-/// `m × n` product, overwritten or accumulated into as the epilogue says;
+/// `m × n` product (`m · fan × n` under a fan-out epilogue, whose panels
+/// keep each row of `A`'s `fan` output rows together), overwritten or
+/// accumulated into as the epilogue says;
 /// only its length is checked, so a higher-rank accumulator with the same
 /// flat layout (a conv weight gradient `[oc, ic, kh, kw]`) can be passed as
 /// is. `mask`, when given with a ReLU store epilogue, receives the ReLU
@@ -132,8 +143,10 @@ pub(crate) fn check_operands(
 /// # Errors
 ///
 /// Returns a shape error when the packed depths disagree, `out` does not
-/// hold `m · n` elements, the bias length is not `n`, or a per-row scale
-/// slice is not one scale per output row.
+/// hold `m · fan · n` elements (`fan` is 1 except for
+/// [`Epilogue::FanOut`]), the bias length is not `n`, a per-row scale slice
+/// is not one scale per row of `A`, or a fan-out epilogue does not carry
+/// one coefficient per row of `A` and `fan · n` deltas.
 pub(crate) fn int8_gemm_prepacked_into(
     packed_a: &PackedA,
     packed_b: &PackedB,
@@ -143,6 +156,7 @@ pub(crate) fn int8_gemm_prepacked_into(
     threads: Option<usize>,
 ) -> Result<()> {
     let (m, k, n) = (packed_a.m, packed_a.k, packed_b.n);
+    let fan = epilogue.fan();
     if packed_a.k != packed_b.k {
         return Err(TensorError::ShapeMismatch {
             left: vec![m, packed_a.k],
@@ -150,14 +164,14 @@ pub(crate) fn int8_gemm_prepacked_into(
             op: "int8_gemm_prepacked_into",
         });
     }
-    if out.len() != m * n {
+    if out.len() != m * fan * n {
         return Err(TensorError::ShapeMismatch {
             left: vec![out.len()],
-            right: vec![m, n],
+            right: vec![m * fan, n],
             op: "int8_gemm_prepacked_into output",
         });
     }
-    if let Epilogue::Store { scale, bias, .. } = epilogue {
+    if let Epilogue::Store { scale, bias, .. } | Epilogue::FanOut { scale, bias, .. } = epilogue {
         if let Some(bias) = bias.filter(|bias| bias.len() != n) {
             return Err(TensorError::ShapeMismatch {
                 left: bias.shape().to_vec(),
@@ -175,11 +189,21 @@ pub(crate) fn int8_gemm_prepacked_into(
             }
         }
     }
+    if let Epilogue::FanOut { coefs, deltas, .. } = epilogue {
+        if coefs.len() != m || deltas.len() != fan * n {
+            return Err(TensorError::ShapeMismatch {
+                left: vec![coefs.len(), deltas.len()],
+                right: vec![m, fan * n],
+                op: "int8_gemm_prepacked_into fan-out",
+            });
+        }
+    }
     let threads = threads.unwrap_or_else(|| worker_count(m * n * k, m.div_ceil(MR)));
+    // One shard row is one row of `A` with all the output rows it stores.
     shard_rows(
         out,
         mask,
-        n.max(1),
+        (fan * n).max(1),
         MR,
         threads,
         |first_row, panel, mask_panel| {
@@ -231,6 +255,25 @@ pub(crate) enum Epilogue<'a> {
         /// Clamp negatives to zero (and fill the mask, when one is given).
         relu: bool,
     },
+    /// `Store` fanned out: row `i` of `A` stores `fan` output rows, row
+    /// `i·fan + v` being `acc_i + coefs[i] · deltas[v]` stored with row
+    /// `i`'s scale, the bias and ReLU exactly as `Store` stores `acc_i`. An
+    /// exact integer rank-one correction, so each output row equals the
+    /// `Store` of the GEMM over its own explicitly expanded `A` row.
+    FanOut {
+        /// Dequantization scale(s), indexed by row of `A`.
+        scale: Scale<'a>,
+        /// Optional per-column bias (length `n`).
+        bias: Option<&'a Tensor>,
+        /// Clamp negatives to zero (and fill the mask, when one is given).
+        relu: bool,
+        /// One correction coefficient per row of `A`.
+        coefs: &'a [i8],
+        /// `fan` correction rows of `n` values, row-major.
+        deltas: &'a [i16],
+        /// Output rows per row of `A`.
+        fan: usize,
+    },
     /// `out += acc · scale` — a gradient accumulator; no bias, no ReLU.
     Accumulate {
         /// The per-tensor dequantization scale.
@@ -248,10 +291,18 @@ impl Epilogue<'_> {
         }
     }
 
+    /// Output rows stored per row of `A`.
+    fn fan(&self) -> usize {
+        match self {
+            Epilogue::FanOut { fan, .. } => *fan,
+            Epilogue::Store { .. } | Epilogue::Accumulate { .. } => 1,
+        }
+    }
+
     #[inline]
     fn scale_for_row(&self, row: usize) -> f32 {
         match self {
-            Epilogue::Store { scale, .. } => scale.for_row(row),
+            Epilogue::Store { scale, .. } | Epilogue::FanOut { scale, .. } => scale.for_row(row),
             Epilogue::Accumulate { scale } => *scale,
         }
     }
@@ -272,10 +323,14 @@ fn gemm_worker<const NR: usize>(
     mut mask_panel: Option<&mut [f32]>,
     epilogue: &Epilogue<'_>,
 ) {
-    let relu = matches!(epilogue, Epilogue::Store { relu: true, .. });
+    let relu = matches!(
+        epilogue,
+        Epilogue::Store { relu: true, .. } | Epilogue::FanOut { relu: true, .. }
+    );
     let n = packed_b.n;
     let k2 = packed_a.k2;
-    if n == 0 {
+    let fan = epilogue.fan();
+    if n == 0 || fan == 0 {
         return;
     }
     // A pair sum can only overflow i16 when BOTH factors can be −128
@@ -283,7 +338,7 @@ fn gemm_worker<const NR: usize>(
     // 2·128·127 = 32512, still in range). −128 codes are only possible via
     // `from_codes`, so this almost always stays on the fast kernel.
     let pairwise = !(packed_a.has_i8_min() && packed_b.has_i8_min());
-    let rows = panel.len() / n;
+    let rows = panel.len() / (fan * n);
     debug_assert_eq!(first_row % MR, 0, "panels must be MR-aligned");
     debug_assert_eq!(packed_b.strip_width(), NR);
     let first_strip = first_row / MR;
@@ -332,51 +387,97 @@ fn gemm_worker<const NR: usize>(
                 let acc_row = &cbuf[r * nc_pad..r * nc_pad + nc_real];
                 let row = ic + r;
                 let scale = epilogue.scale_for_row(first_row + row);
-                let out_row = &mut panel[row * n + jc..row * n + jc + nc_real];
                 match *epilogue {
                     Epilogue::Accumulate { .. } => {
+                        let out_row = &mut panel[row * n + jc..row * n + jc + nc_real];
                         for (o, &acc) in out_row.iter_mut().zip(acc_row) {
                             *o += acc as f32 * scale;
                         }
                     }
-                    Epilogue::Store {
-                        bias: Some(bias), ..
+                    Epilogue::Store { bias, .. } => {
+                        let at = row * n + jc;
+                        store_row(
+                            &mut panel[at..at + nc_real],
+                            mask_panel.as_deref_mut().map(|m| &mut m[at..at + nc_real]),
+                            acc_row.iter().copied(),
+                            scale,
+                            bias.map(|b| &b.data()[jc..jc + nc_real]),
+                            relu,
+                        );
+                    }
+                    Epilogue::FanOut {
+                        bias,
+                        coefs,
+                        deltas,
+                        ..
                     } => {
-                        let bias_seg = &bias.data()[jc..jc + nc_real];
-                        for ((o, &acc), &bj) in out_row.iter_mut().zip(acc_row).zip(bias_seg) {
-                            *o = acc as f32 * scale + bj;
-                        }
-                    }
-                    Epilogue::Store { bias: None, .. } => {
-                        for (o, &acc) in out_row.iter_mut().zip(acc_row) {
-                            *o = acc as f32 * scale;
-                        }
-                    }
-                }
-                if relu {
-                    match mask_panel.as_deref_mut() {
-                        Some(mask_panel) => {
-                            let mask_row = &mut mask_panel[row * n + jc..row * n + jc + nc_real];
-                            for (o, mk) in out_row.iter_mut().zip(mask_row) {
-                                if *o > 0.0 {
-                                    *mk = 1.0;
-                                } else {
-                                    *o = 0.0;
-                                    *mk = 0.0;
-                                }
-                            }
-                        }
-                        None => {
-                            // Same predicate as the mask path (`> 0.0`
-                            // keeps, everything else — including −0.0 and
-                            // NaN — becomes +0.0) so the two ReLU paths stay
-                            // bit-identical for every input.
-                            for o in out_row.iter_mut() {
-                                *o = if *o > 0.0 { *o } else { 0.0 };
-                            }
+                        let coef = i32::from(coefs[first_row + row]);
+                        for v in 0..fan {
+                            let at = (row * fan + v) * n + jc;
+                            let delta = &deltas[v * n + jc..v * n + jc + nc_real];
+                            store_row(
+                                &mut panel[at..at + nc_real],
+                                mask_panel.as_deref_mut().map(|m| &mut m[at..at + nc_real]),
+                                acc_row
+                                    .iter()
+                                    .zip(delta)
+                                    .map(|(&acc, &d)| acc + coef * i32::from(d)),
+                                scale,
+                                bias.map(|b| &b.data()[jc..jc + nc_real]),
+                                relu,
+                            );
                         }
                     }
                 }
+            }
+        }
+    }
+}
+
+/// The store epilogue of one output row segment: `out = acc · scale
+/// (+ bias)`, then, with `relu`, negatives clamped to zero and `mask` (when
+/// given) filled with the ReLU gradient mask.
+#[inline]
+fn store_row(
+    out: &mut [f32],
+    mask: Option<&mut [f32]>,
+    acc: impl Iterator<Item = i32>,
+    scale: f32,
+    bias: Option<&[f32]>,
+    relu: bool,
+) {
+    match bias {
+        Some(bias) => {
+            for ((o, acc), &bj) in out.iter_mut().zip(acc).zip(bias) {
+                *o = acc as f32 * scale + bj;
+            }
+        }
+        None => {
+            for (o, acc) in out.iter_mut().zip(acc) {
+                *o = acc as f32 * scale;
+            }
+        }
+    }
+    if !relu {
+        return;
+    }
+    match mask {
+        Some(mask) => {
+            for (o, mk) in out.iter_mut().zip(mask) {
+                if *o > 0.0 {
+                    *mk = 1.0;
+                } else {
+                    *o = 0.0;
+                    *mk = 0.0;
+                }
+            }
+        }
+        None => {
+            // Same predicate as the mask path (`> 0.0` keeps, everything
+            // else — including −0.0 and NaN — becomes +0.0) so the two ReLU
+            // paths stay bit-identical for every input.
+            for o in out.iter_mut() {
+                *o = if *o > 0.0 { *o } else { 0.0 };
             }
         }
     }
@@ -889,6 +990,150 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The fan-out store against the reference GEMM over the explicitly
+    /// expanded rows: output row `i·fan + v` must be `A` row `i` with its
+    /// column-0 code (the coefficient) moved to column `v`, stored with row
+    /// `i`'s scale. Every strip width, `m` across the `MC` row block,
+    /// coefficients 0 and ±127, ReLU on and off, the `i8::MIN` fallback
+    /// kernel, and one or two threads.
+    #[test]
+    fn fan_out_epilogue_matches_reference_over_expanded_rows() {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let k = 23;
+        let sb = 0.0071f32;
+        let mut fallback_cases = 0;
+        for n in [10usize, 16, 32, 48, 2000] {
+            for m in [1usize, 5, 70] {
+                for fan in [1usize, 2, 10] {
+                    for with_min in [false, true] {
+                        let code = |i: usize, salt: usize| match (i * 31 + salt) % 255 {
+                            0 if with_min => i8::MIN,
+                            v => (v as i16 - 127) as i8,
+                        };
+                        let coef = |i: usize| [127i8, 0, -127, 45, -3][i % 5];
+                        // Row i: the coefficient in column 0, zeros in the
+                        // columns it moves to, patterned codes elsewhere.
+                        let a: Vec<i8> = (0..m * k)
+                            .map(|idx| match idx % k {
+                                0 => coef(idx / k),
+                                col if col < fan => 0,
+                                _ => code(idx, n + fan),
+                            })
+                            .collect();
+                        let b: Vec<i8> = (0..n * k).map(|idx| code(idx, m + 7)).collect();
+                        let mut expanded = Vec::with_capacity(m * fan * k);
+                        for i in 0..m {
+                            for v in 0..fan {
+                                let start = expanded.len();
+                                expanded.extend_from_slice(&a[i * k..(i + 1) * k]);
+                                expanded[start] = 0;
+                                expanded[start + v] = coef(i);
+                            }
+                        }
+                        // Unit scales make the oracle's output the exact
+                        // accumulator (every |acc| here is below 2^24).
+                        let expanded =
+                            QuantTensor::from_codes(&[m * fan, k], expanded, 1.0).unwrap();
+                        let qb = QuantTensor::from_codes(&[n, k], b.clone(), 1.0).unwrap();
+                        let acc = reference::int8_matmul_a_bt(&expanded, &qb).unwrap();
+                        let coefs: Vec<i8> = (0..m).map(coef).collect();
+                        let deltas: Vec<i16> = (0..fan)
+                            .flat_map(|v| {
+                                b.chunks(k).map(move |w| i16::from(w[v]) - i16::from(w[0]))
+                            })
+                            .collect();
+                        let row_scales: Vec<f32> =
+                            (0..m).map(|i| 0.002 + i as f32 * 0.0007).collect();
+                        let bias = Tensor::from_vec(
+                            &[n],
+                            (0..n).map(|j| (j % 9) as f32 * 0.5 - 2.0).collect(),
+                        )
+                        .unwrap();
+                        let packed_a = PackedA::pack(&a, m, k, PackSource::RowMajor);
+                        let packed_b = PackedB::pack(&b, k, n, PackSource::Transposed);
+                        fallback_cases +=
+                            usize::from(packed_a.has_i8_min() && packed_b.has_i8_min());
+                        for relu in [false, true] {
+                            let expected: Vec<f32> = (0..m * fan * n)
+                                .map(|idx| {
+                                    let (i, j) = (idx / (fan * n), idx % n);
+                                    let v = acc.data()[idx] * (row_scales[i] * sb) + bias.data()[j];
+                                    if relu && v <= 0.0 {
+                                        0.0
+                                    } else {
+                                        v
+                                    }
+                                })
+                                .collect();
+                            for threads in [1, 2] {
+                                let mut out = vec![f32::NAN; m * fan * n];
+                                let epilogue = Epilogue::FanOut {
+                                    scale: Scale::PerRow {
+                                        row_scales: &row_scales,
+                                        b_scale: sb,
+                                    },
+                                    bias: Some(&bias),
+                                    relu,
+                                    coefs: &coefs,
+                                    deltas: &deltas,
+                                    fan,
+                                };
+                                int8_gemm_prepacked_into(
+                                    &packed_a,
+                                    &packed_b,
+                                    epilogue,
+                                    &mut out,
+                                    None,
+                                    Some(threads),
+                                )
+                                .unwrap();
+                                assert_eq!(
+                                    bits(&out),
+                                    bits(&expected),
+                                    "n={n} m={m} fan={fan} i8::MIN={with_min} relu={relu} threads={threads}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(fallback_cases > 0, "no case ran the i8::MIN kernel");
+    }
+
+    #[test]
+    fn fan_out_epilogue_checks_its_operands() {
+        let (m, k, n, fan) = (3, 4, 5, 2);
+        let packed_a = PackedA::pack(&[1i8; 12], m, k, PackSource::RowMajor);
+        let packed_b = PackedB::pack(&[1i8; 20], k, n, PackSource::Transposed);
+        let fan_out = |coefs, deltas| Epilogue::FanOut {
+            scale: Scale::PerTensor(1.0),
+            bias: None,
+            relu: false,
+            coefs,
+            deltas,
+            fan,
+        };
+        let run = |epilogue, len: usize| {
+            let mut out = vec![0.0; len];
+            int8_gemm_prepacked_into(&packed_a, &packed_b, epilogue, &mut out, None, Some(1))
+        };
+        let (coefs, deltas) = ([1i8; 3], [0i16; 10]);
+        assert!(run(fan_out(&coefs, &deltas), m * fan * n).is_ok());
+        assert!(
+            run(fan_out(&coefs, &deltas), m * n).is_err(),
+            "output sized without the fan"
+        );
+        assert!(
+            run(fan_out(&coefs[..2], &deltas), m * fan * n).is_err(),
+            "one coefficient per row"
+        );
+        assert!(
+            run(fan_out(&coefs, &deltas[..5]), m * fan * n).is_err(),
+            "fan · n deltas"
+        );
     }
 
     #[test]

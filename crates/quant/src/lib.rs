@@ -16,7 +16,7 @@
 //! threads by output row panels, and dequantized in a fused epilogue that
 //! either stores (with an optional bias and ReLU) or accumulates into a
 //! gradient buffer. One crate-private engine call runs it; the public way
-//! in is five entry points over a plan ([`plan`]). Operands that persist
+//! in is six entry points over a plan ([`plan`]). Operands that persist
 //! across steps — layer weights above all — are quantized and packed
 //! **once** into a cached [`QGemmPlan`], so per-step GEMM cost scales with
 //! the activations only; the plan is rebuilt lazily when the optimizer
@@ -30,7 +30,9 @@
 //! against a **per-row-quantized** activation batch ([`RowQuantTensor`])
 //! through the per-row-scale epilogue — making results independent of how
 //! samples are batched, the contract `ff-serve`'s micro-batcher is built
-//! on. The naive triple-loop kernels survive as test oracles in
+//! on; [`int8_matmul_a_bt_shared_rows_fanout`] runs it once per row and
+//! fans each row out to `fan` rows that differ in one moved code (the
+//! goodness sweep's candidate labels) through an exact integer correction. The naive triple-loop kernels survive as test oracles in
 //! [`gemm::reference`]; every entry point matches them bit-exactly for
 //! every shape. See [`gemm`] for the kernel design, [`pack`] for the panel
 //! layout, and [`plan`] for the caching and invalidation contract.
@@ -65,8 +67,9 @@ pub mod stats;
 
 pub use gemm::int8_gemm_op_count;
 pub use plan::{
-    int8_matmul_a_bt_planned, int8_matmul_a_bt_shared_rows, int8_matmul_at_b_planned,
-    int8_matmul_at_b_planned_accumulate, int8_matmul_planned, QGemmPlan, SharedGemmPlan,
+    int8_matmul_a_bt_planned, int8_matmul_a_bt_shared_rows, int8_matmul_a_bt_shared_rows_fanout,
+    int8_matmul_at_b_planned, int8_matmul_at_b_planned_accumulate, int8_matmul_planned, QGemmPlan,
+    SharedGemmPlan,
 };
 pub use qtensor::{QuantTensor, RowQuantTensor};
 pub use suq::{

@@ -93,7 +93,7 @@
 use crate::gemm::{check_operands, int8_gemm_prepacked_into, rank2, Epilogue, Scale};
 use crate::pack::{PackSource, PackedA, PackedB};
 use crate::{QuantTensor, Result, Rounding, RowQuantTensor};
-use ff_tensor::Tensor;
+use ff_tensor::{Tensor, TensorError};
 
 /// A reusable GEMM `B` operand: quantized codes, per-tensor scale, and
 /// cached packed panels for both `B` roles the tensor can play in the INT8
@@ -342,6 +342,78 @@ pub fn int8_matmul_a_bt_shared_rows(
         threads,
     )?;
     Tensor::from_vec(&[m, n], out)
+}
+
+/// [`int8_matmul_a_bt_shared_rows`] over `fan` variants of every row of
+/// `a` — the first layer of `ff-serve`'s goodness sweep, where the
+/// candidate label overlays of one sample differ only in which label slot
+/// holds the one-hot code.
+///
+/// Row `i·fan + v` of the `[m · fan, n]` result is the product of row `i`
+/// of `a` with its column-0 code `q` moved onto column `v` (codes
+/// `a_i + q·(e_v − e_0)`; `v = 0` is row `i` itself), dequantized with row
+/// `i`'s scale, `bias` and `relu` like [`int8_matmul_a_bt_shared_rows`].
+/// The move changes each accumulator by exactly `q·(W[o, v] − W[o, 0])`, so
+/// the GEMM runs once over `a`'s `m` rows and the fan-out epilogue adds that
+/// integer correction per output row: `m·n·k + m·fan·n` MACs instead of
+/// `m·fan·n·k`, and every output row is bit-identical to the shared-rows
+/// product of its expanded row under the same scale. The correction rows
+/// are read from the plan's codes on each call (`fan · n` values).
+///
+/// # Errors
+///
+/// Returns rank/shape errors when `a` and the plan are not conformable,
+/// `bias` is not a length-`n` vector, or `fan` exceeds `a`'s column count.
+pub fn int8_matmul_a_bt_shared_rows_fanout(
+    a: &RowQuantTensor,
+    plan: &SharedGemmPlan,
+    fan: usize,
+    bias: Option<&Tensor>,
+    relu: bool,
+    threads: Option<usize>,
+) -> Result<Tensor> {
+    let op = "int8_matmul_a_bt_shared_rows_fanout";
+    let ([m, k], [n, _]) = check_operands(&[a.rows(), a.cols()], 1, plan.shape(), 1, op)?;
+    if fan > k {
+        return Err(TensorError::ShapeMismatch {
+            left: vec![fan],
+            right: vec![k],
+            op,
+        });
+    }
+    let codes = a.codes();
+    let coefs: Vec<i8> = (0..m)
+        .map(|i| codes.get(i * k).copied().unwrap_or(0))
+        .collect();
+    let w = plan.quant().codes();
+    let deltas: Vec<i16> = (0..fan)
+        .flat_map(|v| {
+            w.chunks(k)
+                .map(move |w_row| i16::from(w_row[v]) - i16::from(w_row[0]))
+        })
+        .collect();
+    let packed_a = PackedA::pack(codes, m, k, PackSource::RowMajor);
+    let epilogue = Epilogue::FanOut {
+        scale: Scale::PerRow {
+            row_scales: a.scales(),
+            b_scale: plan.scale(),
+        },
+        bias,
+        relu,
+        coefs: &coefs,
+        deltas: &deltas,
+        fan,
+    };
+    let mut out = vec![0.0f32; m * fan * n];
+    int8_gemm_prepacked_into(
+        &packed_a,
+        plan.packed_as_b_transposed(),
+        epilogue,
+        &mut out,
+        None,
+        threads,
+    )?;
+    Tensor::from_vec(&[m * fan, n], out)
 }
 
 /// `a [m, k] × planᵀ` where the plan wraps a `[n, k]` tensor — the forward
@@ -655,6 +727,49 @@ mod tests {
         assert!(
             int8_matmul_a_bt_shared_rows(&ok, &shared, Some(&Tensor::ones(&[3])), false, None)
                 .is_err()
+        );
+    }
+
+    #[test]
+    fn shared_rows_fanout_matches_shared_rows_over_moved_codes() {
+        // Rows whose label-like slots 1..4 are zero and whose slot 0 holds the
+        // row maximum: moving that value to slot v keeps every row's scale,
+        // so the fan-out must equal the shared-rows GEMM over the moved rows.
+        let (fan, k) = (4, 9);
+        let mut rng = StdRng::seed_from_u64(24);
+        let w = ff_tensor::init::uniform(&[6, k], -1.0, 1.0, &mut rng);
+        let bias = ff_tensor::init::uniform(&[6], -0.5, 0.5, &mut rng);
+        let shared = SharedGemmPlan::from_tensor(&w).unwrap();
+        let mut x = ff_tensor::init::uniform(&[3, k], -1.0, 1.0, &mut rng);
+        for row in 0..3 {
+            x.row_mut(row)[..fan].fill(0.0);
+            x.row_mut(row)[0] = 1.5;
+        }
+        let mut moved = Vec::new();
+        for row in 0..3 {
+            for v in 0..fan {
+                let start = moved.len();
+                moved.extend_from_slice(x.row(row));
+                moved[start] = 0.0;
+                moved[start + v] = 1.5;
+            }
+        }
+        let moved = Tensor::from_vec(&[3 * fan, k], moved).unwrap();
+        let rows = RowQuantTensor::quantize(&x).unwrap();
+        let expect = int8_matmul_a_bt_shared_rows(
+            &RowQuantTensor::quantize(&moved).unwrap(),
+            &shared,
+            Some(&bias),
+            true,
+            None,
+        )
+        .unwrap();
+        let got = int8_matmul_a_bt_shared_rows_fanout(&rows, &shared, fan, Some(&bias), true, None)
+            .unwrap();
+        assert_eq!(got.shape(), &[3 * fan, 6]);
+        assert_eq!(got.data(), expect.data());
+        assert!(
+            int8_matmul_a_bt_shared_rows_fanout(&rows, &shared, k + 1, None, false, None).is_err()
         );
     }
 
