@@ -156,7 +156,8 @@ pub fn goodness_gradient(output: &Tensor, grad_goodness: &[f32]) -> Tensor {
 /// half of that sweep: [`crate::FfTrainer::predict`] feeds it one candidate
 /// at a time during training-time evaluation, while `ff-serve`'s frozen
 /// models feed it from a single batched forward pass over **all** candidate
-/// overlays at once. Scores are added in layer order either way, so both
+/// overlays at once (its first layer computed once per sample and fanned out
+/// to the candidates). Scores are added in layer order either way, so both
 /// paths perform the identical sequence of `f32` additions per
 /// (sample, candidate) cell.
 ///

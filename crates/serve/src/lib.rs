@@ -28,8 +28,10 @@
 //!    the epoch-pointer memory-ordering contract).
 //!
 //! Both classification modes are supported: logits argmax and the FF-native
-//! per-label goodness sweep with all candidate overlays batched into one
-//! GEMM per layer. Activations are quantized **per row**, which makes every
+//! per-label goodness sweep, whose first dense layer runs once per request
+//! row and fans out to every candidate label in the GEMM epilogue, and whose
+//! later layers run one GEMM over all candidate rows. Activations are
+//! quantized **per row**, which makes every
 //! prediction independent of how requests were batched — micro-batching
 //! changes throughput, never answers.
 //!

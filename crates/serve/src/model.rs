@@ -30,17 +30,26 @@
 //! * [`FrozenModel::predict_logits`] — plain forward chain, row-wise argmax
 //!   of the final layer (the backprop-trained-network convention).
 //! * [`FrozenModel::predict_goodness`] — the FF-native sweep: every
-//!   candidate label is embedded into the input, **all candidate overlays
-//!   are batched into a single GEMM per layer**, per-layer goodness is
+//!   candidate label is embedded into the input, per-layer goodness is
 //!   accumulated with [`GoodnessSweep`], and the best-scoring label wins.
 //!   This mirrors `ff_core::FfTrainer::predict` (label embedding, per-unit
-//!   goodness, activation normalization between units) but needs `C`× fewer
-//!   GEMM launches for `C` classes.
+//!   goodness, activation normalization between units). The `C` candidate
+//!   overlays of one sample differ only in their label slots, and they share
+//!   one per-row scale (`max(1, max|rest|) / 127`), so their first-layer
+//!   INT8 codes differ only by where the one-hot code sits. The first dense
+//!   layer therefore runs **once per request row** and fans out to all `C`
+//!   candidates through an exact integer correction in the GEMM epilogue
+//!   ([`int8_matmul_a_bt_shared_rows_fanout`]); every later layer runs one
+//!   GEMM over all `batch · C` candidate rows, sample-major. Labels are
+//!   bit-identical to scoring every overlay separately.
 
 use crate::{Result, ServeError};
 use ff_core::{goodness, GoodnessSweep};
 use ff_nn::{LayerSnapshot, Sequential};
-use ff_quant::{int8_matmul_a_bt_shared_rows, QuantTensor, RowQuantTensor, SharedGemmPlan};
+use ff_quant::{
+    int8_matmul_a_bt_shared_rows, int8_matmul_a_bt_shared_rows_fanout, QuantTensor, RowQuantTensor,
+    SharedGemmPlan,
+};
 use ff_tensor::Tensor;
 
 /// One frozen layer of a [`FrozenModel`].
@@ -122,6 +131,38 @@ impl FrozenDense {
         Ok(int8_matmul_a_bt_shared_rows(
             &rows,
             &self.plan,
+            Some(&self.bias),
+            self.relu,
+            threads,
+        )?)
+    }
+
+    /// The goodness sweep's first layer: row `r·classes + c` of the result is
+    /// input row `r` with candidate label `c` embedded (label slots
+    /// `0..classes` cleared, slot `c` set to 1) through this layer.
+    ///
+    /// Only the candidate-0 overlays are quantized. Every candidate overlay
+    /// of a row has the same max-abs (its label slots hold one 1 and zeros,
+    /// and the max skips NaN), hence the same scale, and its codes are the
+    /// candidate-0 codes with the slot-0 code moved to slot `c`, which is
+    /// exactly the fan-out the GEMM epilogue applies.
+    fn forward_candidates(
+        &self,
+        input: &Tensor,
+        classes: usize,
+        threads: Option<usize>,
+    ) -> Result<Tensor> {
+        let mut overlay = input.clone();
+        for row in 0..overlay.rows() {
+            let slots = &mut overlay.row_mut(row)[..classes];
+            slots.fill(0.0);
+            slots[0] = 1.0;
+        }
+        let rows = RowQuantTensor::quantize(&overlay)?;
+        Ok(int8_matmul_a_bt_shared_rows_fanout(
+            &rows,
+            &self.plan,
+            classes,
             Some(&self.bias),
             self.relu,
             threads,
@@ -372,9 +413,12 @@ impl FrozenModel {
         Ok(self.forward_threads(input, threads)?.argmax_rows())
     }
 
-    /// FF-native classification: embeds every candidate label, batches all
-    /// `batch · num_classes` overlays into **one GEMM per layer**, and picks
-    /// the label with the highest goodness summed over all dense units.
+    /// FF-native classification: embeds every candidate label and picks the
+    /// label with the highest goodness summed over all dense units. The first
+    /// dense layer runs once per input row and fans out to the
+    /// `num_classes` candidates in its GEMM epilogue; each later layer runs
+    /// one GEMM over all `batch · num_classes` candidate rows (see the
+    /// module docs).
     ///
     /// # Errors
     ///
@@ -401,38 +445,26 @@ impl FrozenModel {
             return Ok(Vec::new());
         }
         let classes = self.num_classes;
-        // Candidate-major overlay block: rows [c·batch, (c+1)·batch) carry
-        // candidate label c embedded into the first `classes` features.
-        let features = self.input_features;
-        let mut overlay = Vec::with_capacity(batch * classes * features);
-        for candidate in 0..classes {
-            for row in 0..batch {
-                let src = input.row(row);
-                let base = overlay.len();
-                overlay.extend_from_slice(src);
-                for slot in &mut overlay[base..base + classes] {
-                    *slot = 0.0;
-                }
-                overlay[base + candidate] = 1.0;
-            }
-        }
-        let mut x = Tensor::from_vec(&[batch * classes, features], overlay)?;
         let mut sweep = GoodnessSweep::new(batch, classes);
+        // Sample-major candidate rows: row r·classes + c is sample r under
+        // candidate label c.
+        let mut x: Option<Tensor> = None;
         for layer in &self.layers {
-            if let FrozenLayer::Dense(dense) = layer {
-                let y = dense.forward(&x, threads)?;
-                // Per-sample goodness of this unit, added into the sweep
-                // cell of (sample, candidate) the row belongs to.
-                let g = goodness(&y);
-                for candidate in 0..classes {
-                    for row in 0..batch {
-                        sweep.add(row, candidate, g[candidate * batch + row]);
-                    }
-                }
-                // Hinton's inter-unit normalization, row-wise and therefore
-                // batching-invariant.
-                x = y.normalize_rows(1e-6);
+            let FrozenLayer::Dense(dense) = layer else {
+                continue;
+            };
+            let y = match &x {
+                None => dense.forward_candidates(input, classes, threads)?,
+                Some(x) => dense.forward(x, threads)?,
+            };
+            // Per-sample goodness of this unit, added into the sweep cell of
+            // (sample, candidate) the row belongs to.
+            for (cell, g) in goodness(&y).into_iter().enumerate() {
+                sweep.add(cell / classes, cell % classes, g);
             }
+            // Hinton's inter-unit normalization, row-wise and therefore
+            // batching-invariant.
+            x = Some(y.normalize_rows(1e-6));
         }
         Ok(sweep.predictions())
     }
@@ -462,6 +494,120 @@ mod tests {
         let net = small_mlp(input, hidden, classes, &mut rng);
         let model = FrozenModel::freeze(&net, classes).unwrap();
         (net, model)
+    }
+
+    /// The overlay sweep: all `batch · classes` candidate overlays
+    /// (candidate-major, rows `[c·batch, (c+1)·batch)` carry label `c`)
+    /// through every dense layer. The oracle for the prefix path; returns
+    /// the first dense layer's activations and the labels.
+    fn overlay_sweep(
+        model: &FrozenModel,
+        input: &Tensor,
+        threads: Option<usize>,
+    ) -> (Tensor, Vec<usize>) {
+        let (batch, classes) = (input.rows(), model.num_classes());
+        let features = model.input_features();
+        let mut overlay = Vec::with_capacity(batch * classes * features);
+        for candidate in 0..classes {
+            for row in 0..batch {
+                let base = overlay.len();
+                overlay.extend_from_slice(input.row(row));
+                overlay[base..base + classes].fill(0.0);
+                overlay[base + candidate] = 1.0;
+            }
+        }
+        let mut x = Tensor::from_vec(&[batch * classes, features], overlay).unwrap();
+        let mut first = None;
+        let mut sweep = GoodnessSweep::new(batch, classes);
+        for layer in model.layers() {
+            if let FrozenLayer::Dense(dense) = layer {
+                let y = dense.forward(&x, threads).unwrap();
+                let g = goodness(&y);
+                for candidate in 0..classes {
+                    for row in 0..batch {
+                        sweep.add(row, candidate, g[candidate * batch + row]);
+                    }
+                }
+                x = y.normalize_rows(1e-6);
+                first.get_or_insert(y);
+            }
+        }
+        (first.unwrap(), sweep.predictions())
+    }
+
+    /// `batch` request rows that stress the shared-scale argument: mostly
+    /// uniform in [−1, 1], plus rows with `max|x| > 1` (slot-0 code below
+    /// 127, down to 0 past 254), an all-zero row, NaN and ±inf entries, and
+    /// non-zero values in the label slots the overlay overwrites.
+    fn stress_rows(batch: usize, features: usize, classes: usize, seed: u64) -> Tensor {
+        let mut x = init::uniform(
+            &[batch, features],
+            -1.0,
+            1.0,
+            &mut StdRng::seed_from_u64(seed),
+        );
+        let last = features - 1;
+        for row in 0..batch {
+            let r = x.row_mut(row);
+            match row % 8 {
+                1 => r.iter_mut().for_each(|v| *v *= 3.0),
+                2 => r.fill(0.0),
+                3 => r[last] = f32::NAN,
+                4 => r[last] = f32::INFINITY,
+                5 => r[last] = f32::NEG_INFINITY,
+                6 => {
+                    r[..classes].fill(-7.5);
+                    r[0] = 900.0;
+                }
+                7 => r[last] = 300.0,
+                _ => {}
+            }
+        }
+        x
+    }
+
+    #[test]
+    fn prefix_path_matches_overlay_sweep_bit_for_bit() {
+        let bits = |row: &[f32]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let check = |model: &FrozenModel, batch: usize, threads: Option<usize>| {
+            let classes = model.num_classes();
+            let x = stress_rows(batch, model.input_features(), classes, batch as u64);
+            let FrozenLayer::Dense(first) = &model.layers()[0] else {
+                panic!("first layer is dense");
+            };
+            let prefix = first.forward_candidates(&x, classes, threads).unwrap();
+            let (overlay, labels) = overlay_sweep(model, &x, threads);
+            assert_eq!(prefix.shape(), overlay.shape());
+            for row in 0..batch {
+                for c in 0..classes {
+                    assert_eq!(
+                        bits(prefix.row(row * classes + c)),
+                        bits(overlay.row(c * batch + row)),
+                        "layer 1, row {row}, candidate {c}, batch {batch}, {threads:?}"
+                    );
+                }
+            }
+            let got = model.predict_goodness_threads(&x, threads).unwrap();
+            assert_eq!(got, labels, "labels, batch {batch}, {threads:?}");
+        };
+        for (input, hidden, classes, seed) in [
+            (16, &[14][..], 6, 3),
+            (24, &[20, 9], 8, 6),
+            (5, &[7], 5, 8),
+            (40, &[33, 65, 17], 10, 9),
+        ] {
+            let (_, model) = frozen(input, hidden, classes, seed);
+            for batch in [1, 7, 16] {
+                for threads in [Some(1), Some(2), None] {
+                    check(&model, batch, threads);
+                }
+            }
+        }
+        // The paper MLP, at the serving wave size and one row.
+        let (_, model) = frozen(784, &[2000, 2000], 10, 1);
+        check(&model, 16, None);
+        check(&model, 1, Some(1));
+        check(&model, 7, Some(2));
     }
 
     #[test]
