@@ -385,13 +385,16 @@ pub fn int8_matmul_a_bt_shared_rows_fanout(
     let coefs: Vec<i8> = (0..m)
         .map(|i| codes.get(i * k).copied().unwrap_or(0))
         .collect();
-    let w = plan.quant().codes();
-    let deltas: Vec<i16> = (0..fan)
-        .flat_map(|v| {
-            w.chunks(k)
-                .map(move |w_row| i16::from(w_row[v]) - i16::from(w_row[0]))
-        })
-        .collect();
+    // One pass over the weight rows, reading only each row's first `fan`
+    // codes: the serving GEMM reads the packed panels, so these are cold.
+    let mut deltas = vec![0i16; fan * n];
+    if fan > 0 {
+        for (o, w_row) in plan.quant().codes().chunks(k).enumerate() {
+            for (v, &code) in w_row[..fan].iter().enumerate() {
+                deltas[v * n + o] = i16::from(code) - i16::from(w_row[0]);
+            }
+        }
+    }
     let packed_a = PackedA::pack(codes, m, k, PackSource::RowMajor);
     let epilogue = Epilogue::FanOut {
         scale: Scale::PerRow {
