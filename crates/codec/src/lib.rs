@@ -25,7 +25,11 @@
 //! contract — a decode that succeeds re-encodes to exactly the bytes it
 //! came from.
 //!
-//! [`Writer`] builds an artifact; [`Reader`] walks one. Consumers wrap
+//! [`Writer`] builds an artifact in one buffer, each record written in
+//! place; [`Reader`] walks one. Tensor data goes through the slice codecs
+//! ([`RecordWriter::put_f32s`], [`RecordWriter::put_i8s`],
+//! [`Reader::get_f32s`], [`Reader::get_i8s`]), which produce exactly the
+//! bytes of the per-element calls in one pass. Consumers wrap
 //! [`CodecError`] in their own error type (`ServeError`, `CoreError`) via a
 //! `From` impl so the typed variants survive the crate boundary.
 //!
@@ -55,7 +59,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::{Buf, BufMut};
 use std::fmt;
 
 pub mod wire;
@@ -110,9 +114,13 @@ impl std::error::Error for CodecError {}
 
 /// Builds an `FF8*` artifact: magic + version header, then any mix of flat
 /// fields and length-prefixed records.
+///
+/// The artifact lives in one buffer: a record reserves its 4-byte length
+/// prefix, its payload is written straight after it, and the prefix is
+/// patched once the payload is complete — no payload is ever copied.
 #[derive(Debug)]
 pub struct Writer {
-    buf: BytesMut,
+    buf: Vec<u8>,
 }
 
 impl Writer {
@@ -134,34 +142,27 @@ impl Writer {
     /// instead of the reserved zero — for formats that promote the header
     /// flags into a real field (the `FF8P` model id in protocol version 3).
     pub fn with_flags(magic: &[u8; 4], version: u16, flags: u16, capacity: usize) -> Self {
-        let mut buf = BytesMut::with_capacity(capacity.max(8));
+        let mut buf = Vec::with_capacity(capacity.max(8));
         buf.put_slice(magic);
         buf.put_u16_le(version);
         buf.put_u16_le(flags);
         Writer { buf }
     }
 
-    /// Appends a length-prefixed record whose payload is produced by `f`.
-    pub fn record<F: FnOnce(&mut RecordWriter)>(&mut self, f: F) {
-        self.record_sized(0, f);
-    }
-
-    /// Like [`Writer::record`], but pre-sizes the record's payload buffer to
-    /// `capacity` bytes.
+    /// Appends a length-prefixed record whose payload is produced by `f`,
+    /// written in place in the artifact's buffer.
     ///
     /// # Panics
     ///
     /// Panics when the payload exceeds the `u32` length prefix (4 GiB) —
     /// a loud save-time failure instead of a silently corrupt artifact.
-    pub fn record_sized<F: FnOnce(&mut RecordWriter)>(&mut self, capacity: usize, f: F) {
-        let mut record = RecordWriter {
-            buf: BytesMut::with_capacity(capacity),
-        };
-        f(&mut record);
-        let len = u32::try_from(record.buf.len())
+    pub fn record<F: FnOnce(&mut RecordWriter<'_>)>(&mut self, f: F) {
+        let prefix = self.buf.len();
+        self.buf.put_u32_le(0);
+        f(&mut RecordWriter { buf: &mut self.buf });
+        let len = u32::try_from(self.buf.len() - prefix - 4)
             .expect("record payload exceeds the u32 length prefix (4 GiB)");
-        self.buf.put_u32_le(len);
-        self.buf.put_slice(&record.buf);
+        self.buf[prefix..prefix + 4].copy_from_slice(&len.to_le_bytes());
     }
 
     /// Appends a `u32` outside any record (header-level field).
@@ -171,17 +172,22 @@ impl Writer {
 
     /// Finishes the artifact and returns its bytes.
     pub fn into_vec(self) -> Vec<u8> {
-        self.buf.into_vec()
+        self.buf
     }
 }
 
-/// Writes one record's payload (see [`Writer::record`]).
+/// Elements [`RecordWriter::put_f32s`] encodes per staging pass: 4 KiB of
+/// bytes, small enough to stay in L1 on the way to the artifact buffer.
+const F32_CHUNK: usize = 1024;
+
+/// Writes one record's payload (see [`Writer::record`]) at the end of the
+/// artifact's buffer.
 #[derive(Debug)]
-pub struct RecordWriter {
-    buf: BytesMut,
+pub struct RecordWriter<'a> {
+    buf: &'a mut Vec<u8>,
 }
 
-impl RecordWriter {
+impl RecordWriter<'_> {
     /// Appends a single byte.
     pub fn put_u8(&mut self, value: u8) {
         self.buf.put_u8(value);
@@ -190,6 +196,12 @@ impl RecordWriter {
     /// Appends a signed byte (two's complement).
     pub fn put_i8(&mut self, value: i8) {
         self.buf.put_i8(value);
+    }
+
+    /// Appends every byte of `values` (two's complement) — the bytes of one
+    /// [`RecordWriter::put_i8`] per element, in one pass.
+    pub fn put_i8s(&mut self, values: &[i8]) {
+        self.buf.extend(values.iter().map(|&v| v as u8));
     }
 
     /// Appends a little-endian `u32`.
@@ -205,6 +217,20 @@ impl RecordWriter {
     /// Appends an `f32` as its IEEE-754 bit pattern.
     pub fn put_f32(&mut self, value: f32) {
         self.buf.put_f32_le(value);
+    }
+
+    /// Appends every `f32` of `values` as its IEEE-754 bit pattern — the
+    /// bytes of one [`RecordWriter::put_f32`] per element, in one pass.
+    pub fn put_f32s(&mut self, values: &[f32]) {
+        self.buf.reserve(4 * values.len());
+        let mut staged = [[0u8; 4]; F32_CHUNK];
+        for chunk in values.chunks(F32_CHUNK) {
+            for (dst, v) in staged.iter_mut().zip(chunk) {
+                *dst = v.to_le_bytes();
+            }
+            self.buf
+                .extend_from_slice(staged[..chunk.len()].as_flattened());
+        }
     }
 
     /// Appends an `f64` as its IEEE-754 bit pattern.
@@ -328,6 +354,15 @@ impl<'a> Reader<'a> {
         Ok(())
     }
 
+    /// Splits the next `count * elem_size` bytes off the cursor, after the
+    /// [`Reader::ensure_fits`] bound.
+    fn take(&mut self, count: usize, elem_size: usize, context: &'static str) -> Result<&'a [u8]> {
+        self.ensure_fits(count, elem_size, context)?;
+        let (bytes, rest) = self.cursor.split_at(count * elem_size);
+        self.cursor = rest;
+        Ok(bytes)
+    }
+
     /// Reads one byte.
     pub fn get_u8(&mut self, context: &'static str) -> Result<u8> {
         self.need(1, context)?;
@@ -338,6 +373,21 @@ impl<'a> Reader<'a> {
     pub fn get_i8(&mut self, context: &'static str) -> Result<i8> {
         self.need(1, context)?;
         Ok(self.cursor.get_i8())
+    }
+
+    /// Reads `count` signed bytes — what `count` [`Reader::get_i8`] calls
+    /// return, in one pass.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::Truncated`], before anything is allocated, when the
+    /// payload holds fewer than `count` bytes.
+    pub fn get_i8s(&mut self, count: usize, context: &'static str) -> Result<Vec<i8>> {
+        Ok(self
+            .take(count, 1, context)?
+            .iter()
+            .map(|&b| b as i8)
+            .collect())
     }
 
     /// Reads a little-endian `u16`.
@@ -364,6 +414,18 @@ impl<'a> Reader<'a> {
         Ok(self.cursor.get_f32_le())
     }
 
+    /// Reads `count` little-endian IEEE-754 `f32`s — what `count`
+    /// [`Reader::get_f32`] calls return, in one pass.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::Truncated`], before anything is allocated, when the
+    /// payload holds fewer than `count` values or `4 * count` overflows.
+    pub fn get_f32s(&mut self, count: usize, context: &'static str) -> Result<Vec<f32>> {
+        let (words, _) = self.take(count, 4, context)?.as_chunks::<4>();
+        Ok(words.iter().map(|&w| f32::from_le_bytes(w)).collect())
+    }
+
     /// Reads a little-endian IEEE-754 `f64`.
     pub fn get_f64(&mut self, context: &'static str) -> Result<f64> {
         self.need(8, context)?;
@@ -383,9 +445,7 @@ impl<'a> Reader<'a> {
                 message: format!("{context}: string length {len} exceeds limit {max_len}"),
             });
         }
-        self.need(len, context)?;
-        let (bytes, rest) = self.cursor.split_at(len);
-        self.cursor = rest;
+        let bytes = self.take(len, 1, context)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| CodecError::Corrupt {
             message: format!("{context}: invalid UTF-8"),
         })
@@ -400,9 +460,7 @@ impl<'a> Reader<'a> {
     /// record length.
     pub fn record(&mut self, context: &'static str) -> Result<Reader<'a>> {
         let len = self.get_u32(context)? as usize;
-        self.need(len, context)?;
-        let (payload, rest) = self.cursor.split_at(len);
-        self.cursor = rest;
+        let payload = self.take(len, 1, context)?;
         Ok(Reader { cursor: payload })
     }
 
@@ -583,6 +641,116 @@ mod tests {
         ));
         let mut second = reader.record("second").unwrap();
         assert_eq!(second.get_u32("two").unwrap(), 2);
+        reader.finish("artifact").unwrap();
+    }
+
+    /// `len` floats cycling through NaN payloads, signed zeros, subnormals,
+    /// infinities and seeded arbitrary bit patterns.
+    fn awkward_f32s(len: usize) -> Vec<f32> {
+        const SPECIAL: [u32; 8] = [
+            0x7fc0_0001, // quiet NaN with a payload
+            0xffbf_ffff, // negative signalling NaN
+            0x8000_0000, // -0.0
+            0x0000_0001, // smallest subnormal
+            0x807f_ffff, // largest negative subnormal
+            0x7f80_0000, // +inf
+            0xff80_0000, // -inf
+            0x3fc0_0000, // 1.5
+        ];
+        let mut state = 0x9e37_79b9_u32;
+        (0..len)
+            .map(|i| {
+                state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                let bits = if i % 3 == 0 {
+                    SPECIAL[i / 3 % 8]
+                } else {
+                    state
+                };
+                f32::from_bits(bits)
+            })
+            .collect()
+    }
+
+    fn written(f: impl FnOnce(&mut RecordWriter<'_>)) -> Vec<u8> {
+        let mut w = Writer::new(&MAGIC, 1);
+        w.record(f);
+        w.into_vec()
+    }
+
+    const SLICE_LENS: [usize; 7] = [0, 1, 2, 1023, 1024, 1025, 3 * 1024 + 7];
+
+    #[test]
+    fn put_f32s_writes_the_bytes_of_put_f32() {
+        for len in SLICE_LENS {
+            let values = awkward_f32s(len);
+            let bulk = written(|r| r.put_f32s(&values));
+            let single = written(|r| values.iter().for_each(|&v| r.put_f32(v)));
+            assert_eq!(bulk, single, "{len} values");
+
+            let mut reader = Reader::new(&bulk, &MAGIC, 1).unwrap();
+            let mut rec = reader.record("record").unwrap();
+            let back = rec.get_f32s(len, "values").unwrap();
+            rec.finish("record").unwrap();
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&back), bits(&values), "{len} values");
+        }
+    }
+
+    #[test]
+    fn put_i8s_writes_the_bytes_of_put_i8() {
+        for len in SLICE_LENS {
+            let values: Vec<i8> = (0..len).map(|i| (i * 37 % 256) as u8 as i8).collect();
+            let bulk = written(|r| r.put_i8s(&values));
+            let single = written(|r| values.iter().for_each(|&v| r.put_i8(v)));
+            assert_eq!(bulk, single, "{len} values");
+
+            let mut reader = Reader::new(&bulk, &MAGIC, 1).unwrap();
+            let mut rec = reader.record("record").unwrap();
+            assert_eq!(rec.get_i8s(len, "values").unwrap(), values);
+            rec.finish("record").unwrap();
+        }
+    }
+
+    #[test]
+    fn slice_readers_reject_short_payloads_and_overflowing_counts() {
+        let bytes = written(|r| r.put_f32s(&[1.0, 2.0, 3.0]));
+        let mut reader = Reader::new(&bytes, &MAGIC, 1).unwrap();
+        let mut rec = reader.record("record").unwrap();
+        let truncated = Err(CodecError::Truncated { context: "values" });
+        assert_eq!(rec.get_f32s(4, "values"), truncated);
+        assert_eq!(rec.get_f32s(usize::MAX / 4 + 1, "values"), truncated);
+        assert_eq!(
+            rec.get_i8s(13, "values"),
+            Err(CodecError::Truncated { context: "values" })
+        );
+        // A refused read consumes nothing.
+        assert_eq!(rec.remaining(), 12);
+        assert_eq!(rec.get_f32s(3, "values").unwrap(), [1.0, 2.0, 3.0]);
+    }
+
+    #[test]
+    fn records_written_in_place_get_their_length_prefixes() {
+        let big = awkward_f32s(3 * 1024 + 7);
+        let mut w = Writer::new(&MAGIC, 1);
+        w.record(|r| r.put_u32(7));
+        w.record(|_| {});
+        w.record(|r| r.put_f32s(&big));
+        w.record(|r| r.put_u8(9));
+        let bytes = w.into_vec();
+
+        let prefix = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+        let big_len = 4 * big.len();
+        assert_eq!(bytes.len(), 8 + (4 + 4) + 4 + (4 + big_len) + (4 + 1));
+        assert_eq!(prefix(8), 4);
+        assert_eq!(prefix(16), 0);
+        assert_eq!(prefix(20) as usize, big_len);
+        assert_eq!(prefix(24 + big_len), 1);
+
+        let mut reader = Reader::new(&bytes, &MAGIC, 1).unwrap();
+        assert_eq!(reader.record("first").unwrap().get_u32("seven").unwrap(), 7);
+        reader.record("empty").unwrap().finish("empty").unwrap();
+        assert_eq!(reader.record("big").unwrap().remaining(), big_len);
+        assert_eq!(reader.record("last").unwrap().get_u8("nine").unwrap(), 9);
         reader.finish("artifact").unwrap();
     }
 

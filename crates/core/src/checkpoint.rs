@@ -355,9 +355,7 @@ fn write_tensor(record: &mut RecordWriter, tensor: &Tensor) {
     for &dim in tensor.shape() {
         record.put_u32(dim as u32);
     }
-    for &value in tensor.data() {
-        record.put_f32(value);
-    }
+    record.put_f32s(tensor.data());
 }
 
 fn read_tensor(record: &mut Reader<'_>, context: &'static str) -> Result<Tensor> {
@@ -376,11 +374,7 @@ fn read_tensor(record: &mut Reader<'_>, context: &'static str) -> Result<Tensor>
             .ok_or_else(|| corrupt(format!("{context}: tensor dimensions overflow")))?;
         shape.push(dim);
     }
-    record.ensure_fits(len, 4, context)?;
-    let mut data = Vec::with_capacity(len);
-    for _ in 0..len {
-        data.push(record.get_f32(context)?);
-    }
+    let data = record.get_f32s(len, context)?;
     Ok(Tensor::from_vec(&shape, data)?)
 }
 
@@ -449,13 +443,13 @@ pub fn save_bytes(checkpoint: &Checkpoint) -> Vec<u8> {
             r.put_f64(record.seconds);
         }
     });
-    writer.record_sized(params_bytes, |r| {
+    writer.record(|r| {
         r.put_u32(checkpoint.params.len() as u32);
         for tensor in &checkpoint.params {
             write_tensor(r, tensor);
         }
     });
-    writer.record_sized(optim_bytes, |r| {
+    writer.record(|r| {
         r.put_u32(checkpoint.trainer.slots.len() as u32);
         for slot in &checkpoint.trainer.slots {
             match slot {
@@ -483,7 +477,7 @@ pub fn save_bytes(checkpoint: &Checkpoint) -> Vec<u8> {
             }
         }
     });
-    writer.record_sized(progress_bytes, |r| match &checkpoint.progress {
+    writer.record(|r| match &checkpoint.progress {
         None => r.put_u8(0),
         Some(progress) => {
             r.put_u8(1);

@@ -252,9 +252,7 @@ fn put_tensor(r: &mut ff_codec::RecordWriter, t: &Tensor) {
     for &d in shape {
         r.put_u64(d as u64);
     }
-    for &v in t.data() {
-        r.put_f32(v);
-    }
+    r.put_f32s(t.data());
 }
 
 fn get_tensor(r: &mut Reader<'_>) -> Result<Tensor> {
@@ -274,11 +272,7 @@ fn get_tensor(r: &mut Reader<'_>) -> Result<Tensor> {
         })?;
         shape.push(d);
     }
-    r.ensure_fits(count, 4, "tensor data")?;
-    let mut data = Vec::with_capacity(count);
-    for _ in 0..count {
-        data.push(r.get_f32("tensor element")?);
-    }
+    let data = r.get_f32s(count, "tensor data")?;
     Tensor::from_vec(&shape, data).map_err(|e| DistError::Protocol {
         message: format!("tensor reassembly failed: {e}"),
     })
@@ -473,10 +467,32 @@ fn get_span(r: &mut Reader<'_>) -> Result<ClusterSpan> {
     Ok(span)
 }
 
+/// Covers a bulk kind's bytes outside its tensors and checkpoint bytes:
+/// header, record prefix, kind tag and the largest such kind's scalars.
+const FIXED_BYTES: usize = 128;
+
+/// Encoded size of one [`put_tensor`]: rank, dims, elements.
+fn tensor_bytes(t: &Tensor) -> usize {
+    4 + 8 * t.shape().len() + 4 * t.data().len()
+}
+
+/// The artifact size of the bulk message kinds, from their element counts,
+/// so [`encode_msg`] never grows its buffer for them.
+fn msg_bytes(msg: &TrainMsg) -> usize {
+    FIXED_BYTES
+        + match msg {
+            TrainMsg::ParamSync { params, .. } => params.iter().map(tensor_bytes).sum(),
+            TrainMsg::SubmitBatch { task, .. } => tensor_bytes(&task.pos) + tensor_bytes(&task.neg),
+            TrainMsg::ShardResult { grads, .. } => grads.grads.iter().map(tensor_bytes).sum(),
+            TrainMsg::CheckpointReply { bytes } => bytes.len(),
+            _ => 0,
+        }
+}
+
 /// Encodes one message into a standalone `FF8D` artifact (no length
 /// prefix; [`write_msg`] adds it).
 pub fn encode_msg(msg: &TrainMsg) -> Vec<u8> {
-    let mut w = Writer::new(&TRAIN_MAGIC, TRAIN_PROTOCOL_VERSION);
+    let mut w = Writer::with_capacity(&TRAIN_MAGIC, TRAIN_PROTOCOL_VERSION, msg_bytes(msg));
     w.record(|r| {
         r.put_u8(KINDS.tag(msg.kind()));
         encode_body(r, msg);
@@ -888,6 +904,20 @@ mod tests {
                     matches!(decode_msg(&bytes[..len]), Err(DistError::Protocol { .. })),
                     "a {len}-byte prefix must be a typed error"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn bulk_kinds_fit_their_presized_buffer() {
+        for msg in sample_msgs() {
+            if let TrainMsg::ParamSync { .. }
+            | TrainMsg::SubmitBatch { .. }
+            | TrainMsg::ShardResult { .. }
+            | TrainMsg::CheckpointReply { .. } = msg
+            {
+                let len = encode_msg(&msg).len();
+                assert!(len <= msg_bytes(&msg), "{}: {len} bytes", msg.kind_name());
             }
         }
     }

@@ -114,7 +114,7 @@ impl Worker {
             let clock = Instant::now();
             match decode_msg(&bytes)? {
                 TrainMsg::ParamSync { params, .. } => {
-                    apply_param_sync(net, &params)?;
+                    apply_param_sync(net, params)?;
                     report.params_synced += 1;
                 }
                 TrainMsg::SubmitBatch {
@@ -160,9 +160,10 @@ fn elapsed_ns(start: Instant) -> u64 {
     (start.elapsed().as_nanos().min(u64::MAX as u128) as u64).max(1)
 }
 
-/// Overwrites `net`'s parameters with a synced replica, bumping each
-/// parameter's version so cached packed INT8 weight plans requantize.
-fn apply_param_sync(net: &mut Sequential, params: &[ff_tensor::Tensor]) -> Result<()> {
+/// Overwrites `net`'s parameters with a synced replica by moving each
+/// decoded tensor in, bumping each parameter's version so cached packed
+/// INT8 weight plans requantize.
+fn apply_param_sync(net: &mut Sequential, params: Vec<ff_tensor::Tensor>) -> Result<()> {
     let mut targets = net.params_mut();
     if targets.len() != params.len() {
         return Err(DistError::Protocol {
@@ -183,7 +184,7 @@ fn apply_param_sync(net: &mut Sequential, params: &[ff_tensor::Tensor]) -> Resul
                 ),
             });
         }
-        *target.value = incoming.clone();
+        *target.value = incoming;
         target.mark_updated();
     }
     Ok(())

@@ -597,7 +597,25 @@ pub fn encode_frame_meta(frame: &Frame, meta: &FrameMeta) -> Vec<u8> {
         "auth token of {} bytes exceeds the {MAX_AUTH_TOKEN_LEN}-byte limit",
         token.len()
     );
-    let payload_estimate = match frame {
+    let mut writer = Writer::with_flags(
+        &MAGIC,
+        PROTOCOL_VERSION,
+        meta.model_id,
+        frame_bytes(frame, token),
+    );
+    writer.record(|r| r.put_string(token));
+    writer.record(|r| {
+        r.put_u8(KINDS.tag(frame.kind()));
+        r.put_u64(frame.id());
+        encode_body(r, frame);
+    });
+    writer.into_vec()
+}
+
+/// The artifact size of `frame` under `token`, from its element counts, so
+/// [`encode_frame_meta`] never grows its buffer for the bulk kinds.
+fn frame_bytes(frame: &Frame, token: &str) -> usize {
+    let payload = match frame {
         Frame::Predict { features, .. } => 20 + 4 * features.len(),
         Frame::PredictBatch { data, .. } => 24 + 4 * data.len(),
         Frame::Labels { labels, .. } => 16 + 4 * labels.len(),
@@ -607,19 +625,7 @@ pub fn encode_frame_meta(frame: &Frame, meta: &FrameMeta) -> Vec<u8> {
         Frame::MetricsDumpReply { text, .. } => 24 + text.len(),
         _ => 104,
     };
-    let mut writer = Writer::with_flags(
-        &MAGIC,
-        PROTOCOL_VERSION,
-        meta.model_id,
-        24 + token.len() + payload_estimate,
-    );
-    writer.record(|r| r.put_string(token));
-    writer.record_sized(payload_estimate, |r| {
-        r.put_u8(KINDS.tag(frame.kind()));
-        r.put_u64(frame.id());
-        encode_body(r, frame);
-    });
-    writer.into_vec()
+    24 + token.len() + payload
 }
 
 /// Writes a frame's kind-specific body fields (everything after the kind
@@ -633,9 +639,7 @@ fn encode_body(r: &mut ff_codec::RecordWriter, frame: &Frame) {
         } => {
             r.put_u32(*deadline_micros);
             r.put_u32(features.len() as u32);
-            for &x in features {
-                r.put_f32(x);
-            }
+            r.put_f32s(features);
         }
         Frame::PredictBatch {
             deadline_micros,
@@ -651,9 +655,7 @@ fn encode_body(r: &mut ff_codec::RecordWriter, frame: &Frame) {
             r.put_u32(*deadline_micros);
             r.put_u32((data.len() / *cols as usize) as u32);
             r.put_u32(*cols);
-            for &x in data {
-                r.put_f32(x);
-            }
+            r.put_f32s(data);
         }
         Frame::Labels { labels, .. } => {
             r.put_u32(labels.len() as u32);
@@ -788,11 +790,7 @@ pub fn decode_frame_meta(bytes: &[u8]) -> Result<(Frame, FrameMeta)> {
                     message: "predict frame with zero features".to_string(),
                 });
             }
-            body.ensure_fits(count, 4, "features")?;
-            let mut features = Vec::with_capacity(count);
-            for _ in 0..count {
-                features.push(body.get_f32("features")?);
-            }
+            let features = body.get_f32s(count, "features")?;
             Frame::Predict {
                 id,
                 deadline_micros,
@@ -811,11 +809,7 @@ pub fn decode_frame_meta(bytes: &[u8]) -> Result<(Frame, FrameMeta)> {
             let len = rows.checked_mul(cols as usize).ok_or(NetError::Frame {
                 message: format!("batch geometry [{rows}, {cols}] overflows"),
             })?;
-            body.ensure_fits(len, 4, "batch data")?;
-            let mut data = Vec::with_capacity(len);
-            for _ in 0..len {
-                data.push(body.get_f32("batch data")?);
-            }
+            let data = body.get_f32s(len, "batch data")?;
             Frame::PredictBatch {
                 id,
                 deadline_micros,
@@ -1256,6 +1250,22 @@ mod tests {
                 hash, pinned,
                 "FF8P bytes moved under {meta:?}: {hash:#018x}"
             );
+        }
+    }
+
+    #[test]
+    fn bulk_kinds_fit_their_presized_buffer() {
+        let token = "s3cret-token";
+        let meta = FrameMeta {
+            model_id: 513,
+            token: Some(token.to_string()),
+        };
+        for frame in sample_frames() {
+            if let Frame::Predict { .. } | Frame::PredictBatch { .. } | Frame::Labels { .. } = frame
+            {
+                let len = encode_frame_meta(&frame, &meta).len();
+                assert!(len <= frame_bytes(&frame, token), "{frame:?}: {len} bytes");
+            }
         }
     }
 

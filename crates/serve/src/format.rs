@@ -93,19 +93,15 @@ pub fn save_bytes(model: &FrozenModel) -> Vec<u8> {
     writer.put_u32(model.num_classes() as u32);
     writer.put_u32(model.layers().len() as u32);
     for layer in model.layers() {
-        writer.record_sized(record_bytes(layer), |record| match layer {
+        writer.record(|record| match layer {
             FrozenLayer::Dense(dense) => {
                 record.put_u8(KIND_DENSE);
                 record.put_u8(u8::from(dense.has_relu()));
                 record.put_u32(dense.out_features() as u32);
                 record.put_u32(dense.in_features() as u32);
                 record.put_f32(dense.plan().scale());
-                for &b in dense.bias().data() {
-                    record.put_f32(b);
-                }
-                for &c in dense.plan().quant().codes() {
-                    record.put_i8(c);
-                }
+                record.put_f32s(dense.bias().data());
+                record.put_i8s(dense.plan().quant().codes());
             }
             FrozenLayer::Flatten => record.put_u8(KIND_FLATTEN),
         });
@@ -196,18 +192,10 @@ fn read_dense(record: &mut Reader<'_>, index: usize) -> Result<FrozenLayer> {
             message: format!("dense layer {index} weight scale {scale} is not positive finite"),
         });
     }
-    // Allocations bounded by what the record can actually hold, so a corrupt
-    // header cannot force a huge reservation before the reads fail.
-    record.ensure_fits(out, 4, "dense bias")?;
-    let mut bias = Vec::with_capacity(out);
-    for _ in 0..out {
-        bias.push(record.get_f32("dense bias")?);
-    }
-    record.ensure_fits(weight_len, 1, "dense weight codes")?;
-    let mut codes = Vec::with_capacity(weight_len);
-    for _ in 0..weight_len {
-        codes.push(record.get_i8("dense weight codes")?);
-    }
+    // The slice readers bound each allocation by what the record can
+    // actually hold, so a corrupt header cannot force a huge reservation.
+    let bias = record.get_f32s(out, "dense bias")?;
+    let codes = record.get_i8s(weight_len, "dense weight codes")?;
     let weight = QuantTensor::from_codes(&[out, inp], codes, scale)?;
     let bias = Tensor::from_vec(&[out], bias)?;
     Ok(FrozenLayer::Dense(FrozenDense::new(weight, bias, relu)?))
