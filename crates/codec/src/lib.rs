@@ -712,23 +712,6 @@ mod tests {
     }
 
     #[test]
-    fn slice_readers_reject_short_payloads_and_overflowing_counts() {
-        let bytes = written(|r| r.put_f32s(&[1.0, 2.0, 3.0]));
-        let mut reader = Reader::new(&bytes, &MAGIC, 1).unwrap();
-        let mut rec = reader.record("record").unwrap();
-        let truncated = Err(CodecError::Truncated { context: "values" });
-        assert_eq!(rec.get_f32s(4, "values"), truncated);
-        assert_eq!(rec.get_f32s(usize::MAX / 4 + 1, "values"), truncated);
-        assert_eq!(
-            rec.get_i8s(13, "values"),
-            Err(CodecError::Truncated { context: "values" })
-        );
-        // A refused read consumes nothing.
-        assert_eq!(rec.remaining(), 12);
-        assert_eq!(rec.get_f32s(3, "values").unwrap(), [1.0, 2.0, 3.0]);
-    }
-
-    #[test]
     fn records_written_in_place_get_their_length_prefixes() {
         let big = awkward_f32s(3 * 1024 + 7);
         let mut w = Writer::new(&MAGIC, 1);

@@ -1,7 +1,8 @@
-//! The slice readers refuse a count the payload cannot hold *before*
-//! allocating: a corrupt element count costs a typed error, never a
-//! speculative reservation. Counted with a per-thread allocation counter
-//! wrapped around the system allocator, so parallel tests do not interfere.
+//! The slice readers refuse a count the payload cannot hold, or whose byte
+//! size overflows, *before* allocating or consuming anything: a corrupt
+//! element count costs a typed error, never a speculative reservation.
+//! Counted with a per-thread allocation counter wrapped around the system
+//! allocator, so parallel tests do not interfere.
 
 use ff_codec::{CodecError, Reader, Writer};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -59,6 +60,7 @@ fn refused_slice_reads_allocate_nothing() {
     for outcome in outcomes {
         assert_eq!(outcome, truncated);
     }
+    assert_eq!(rec.remaining(), 12, "a refused read consumed bytes");
 
     // The counter does see a read that succeeds.
     let values = rec.get_f32s(3, "values").unwrap();
