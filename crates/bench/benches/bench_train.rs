@@ -33,6 +33,11 @@
 //! taken) — fresh activation-sized temporaries show up here before they
 //! show up in a timer.
 //!
+//! `host/stolen_s` is the processor time the host withheld from this
+//! machine while the groups ran (`steal` in `/proc/stat`; off Linux
+//! `host/stolen_skipped = 1`), so a re-recorded row that moved on a busy host
+//! can be told apart from a regression.
+//!
 //! Running with `--bench` (what `cargo bench` passes) writes a
 //! `BENCH_train.json` baseline into `crates/bench/`.
 
@@ -530,11 +535,32 @@ criterion::criterion_group!(
     bench_dist_trace_overhead
 );
 
-/// `criterion_main!` plus the cluster-tracing gate, checked only after the
-/// baseline is on disk so a tripped gate still leaves the value it tripped on.
+/// Processor time the host withheld from this machine since boot, in
+/// seconds (`steal` in `/proc/stat`, at the usual 100 ticks a second);
+/// `None` where there is no such file.
+fn stolen_s() -> Option<f64> {
+    let stat = std::fs::read_to_string("/proc/stat").ok()?;
+    let ticks: f64 = stat
+        .lines()
+        .next()?
+        .split_whitespace()
+        .nth(8)?
+        .parse()
+        .ok()?;
+    Some(ticks / 100.0)
+}
+
+/// `criterion_main!` plus the host's stolen time and the cluster-tracing
+/// gate, checked only after the baseline is on disk so a tripped gate still
+/// leaves the value it tripped on.
 fn main() {
     let mut criterion = Criterion::default();
+    let stolen_before = stolen_s();
     benches(&mut criterion);
+    match (stolen_before, stolen_s()) {
+        (Some(before), Some(after)) => criterion.record_metric("host/stolen_s", after - before),
+        _ => criterion.record_metric("host/stolen_skipped", 1.0),
+    }
     criterion.write_json_baseline(&criterion::default_baseline_path());
     if let Some(overhead) = criterion
         .metrics()

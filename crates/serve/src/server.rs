@@ -40,9 +40,9 @@
 //! in** — batching is purely a throughput optimization, verified by the
 //! batcher equivalence tests.
 //!
-//! Worker-level parallelism and GEMM-level parallelism compose: each worker
-//! runs its batch GEMMs with [`ServeConfig::gemm_threads`] threads
-//! (default 1), so the canonical scaling axis is the worker count.
+//! Each worker runs its batch GEMMs at the engine's automatic thread count
+//! ([`ff_tensor::par::worker_count`]): a one-row batch stays serial and a
+//! large wave uses every core; concurrent workers share the cores via the OS.
 
 use crate::{FrozenModel, ModelRegistry, ModelSnapshot, ModelStats, Result, ServeError};
 use ff_metrics::{Counter, Gauge, LatencySummary};
@@ -98,15 +98,13 @@ pub enum ServeMode {
 /// Server configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
-    /// Number of worker threads executing batches.
+    /// Number of worker threads executing batches — the one concurrency
+    /// setting (a large batch's GEMMs already use every core).
     pub workers: usize,
     /// Classification mode.
     pub mode: ServeMode,
     /// Micro-batching policy.
     pub policy: BatchPolicy,
-    /// GEMM threads **per worker** (keep at 1 and scale `workers` instead;
-    /// raising both oversubscribes the machine).
-    pub gemm_threads: usize,
     /// Per-request tracing and flight-recorder settings (see
     /// [`TraceSettings`]). The always-on stage histograms are unaffected
     /// by this knob; it governs only sampled per-request traces.
@@ -119,7 +117,6 @@ impl Default for ServeConfig {
             workers: 1,
             mode: ServeMode::Logits,
             policy: BatchPolicy::default(),
-            gemm_threads: 1,
             trace: TraceSettings::default(),
         }
     }
@@ -863,7 +860,6 @@ fn run_group(shared: &Shared, model: &FrozenModel, group: Vec<Request>, assemble
     for request in &group {
         data.extend_from_slice(&request.features);
     }
-    let gemm_threads = Some(shared.config.gemm_threads.max(1));
     let wave_start = Instant::now();
     for request in &group {
         if let Some(trace) = &request.trace {
@@ -873,8 +869,8 @@ fn run_group(shared: &Shared, model: &FrozenModel, group: Vec<Request>, assemble
     let outcome = Tensor::from_vec(&[rows, features], data)
         .map_err(ServeError::from)
         .and_then(|input| match shared.config.mode {
-            ServeMode::Logits => model.predict_logits_threads(&input, gemm_threads),
-            ServeMode::Goodness => model.predict_goodness_threads(&input, gemm_threads),
+            ServeMode::Logits => model.predict_logits(&input),
+            ServeMode::Goodness => model.predict_goodness(&input),
         });
     match outcome {
         Ok(labels) => {

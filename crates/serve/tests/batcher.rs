@@ -1,10 +1,13 @@
 //! Micro-batcher equivalence tests: N client threads × M concurrent
 //! requests must produce predictions identical to single-threaded direct
 //! evaluation, across batch-cap and wait-policy settings — the guarantee
-//! that batching is a throughput optimization, never a behaviour change.
+//! that batching is a throughput optimization, never a behaviour change —
+//! nor is the thread count the engine picks for a batch's GEMMs.
 
 use ff_models::small_mlp;
+use ff_quant::pack::MR;
 use ff_serve::{BatchPolicy, FrozenModel, ServeConfig, ServeMode, Server};
+use ff_tensor::par::worker_count;
 use ff_tensor::{init, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -72,7 +75,6 @@ fn concurrent_goodness_predictions_match_single_threaded_eval() {
                     max_batch,
                     max_wait: Duration::from_micros(max_wait_us),
                 },
-                gemm_threads: 1,
                 trace: ff_serve::TraceSettings::default(),
             },
             8,
@@ -91,7 +93,6 @@ fn concurrent_logits_predictions_match_single_threaded_eval() {
                     max_batch,
                     max_wait: Duration::from_micros(300),
                 },
-                gemm_threads: 1,
                 trace: ff_serve::TraceSettings::default(),
             },
             6,
@@ -115,7 +116,6 @@ fn coalescing_actually_batches_under_load() {
                 max_batch: 16,
                 max_wait: Duration::from_millis(5),
             },
-            gemm_threads: 1,
             trace: ff_serve::TraceSettings::default(),
         },
     )
@@ -154,7 +154,6 @@ fn mixed_valid_and_invalid_requests_do_not_poison_batches() {
                 max_batch: 8,
                 max_wait: Duration::from_millis(2),
             },
-            gemm_threads: 1,
             trace: ff_serve::TraceSettings::default(),
         },
     )
@@ -183,4 +182,99 @@ fn mixed_valid_and_invalid_requests_do_not_poison_batches() {
         "only the 3 valid clients' requests count"
     );
     server.shutdown();
+}
+
+/// Batches wide enough for the engine to shard their row panels over
+/// threads must answer exactly what the serial engine answers, in both modes
+/// and with one or two workers. A 16-row wave's first layer here is
+/// 16 × 256 × 512 MACs, past `PARALLEL_THRESHOLD`. In goodness mode that
+/// layer is the fan-out GEMM, whose per-row coefficient (the code of the
+/// one-hot label value under the row's scale) a panel must index by absolute
+/// row; rows of eleven amplitudes make those coefficients differ between
+/// any two rows a panel boundary could confuse.
+#[test]
+fn threaded_waves_match_serial_eval() {
+    const FEATURES: usize = 256;
+    const HIDDEN: usize = 512;
+    const WAVE: usize = 16;
+    const CLIENTS: usize = 2;
+    const ROUNDS: usize = 4;
+    let mut rng = StdRng::seed_from_u64(21);
+    let model =
+        FrozenModel::freeze(&small_mlp(FEATURES, &[HIDDEN, HIDDEN], 10, &mut rng), 10).unwrap();
+    let mut rng = StdRng::seed_from_u64(22);
+    let mut x = init::uniform(&[2 * CLIENTS * WAVE, FEATURES], -1.0, 1.0, &mut rng);
+    for i in 0..x.rows() {
+        let amplitude = 1.0 + (i * 7 % 11) as f32 * 0.4;
+        x.row_mut(i).iter_mut().for_each(|v| *v *= amplitude);
+    }
+    // The smallest batch whose first-layer GEMM the engine runs on more
+    // than one thread on this host, if any.
+    let threads_for = |rows: usize| worker_count(rows * HIDDEN * FEATURES, rows.div_ceil(MR));
+    let threaded_rows = (1..=WAVE).find(|&rows| threads_for(rows) >= 2);
+    if threaded_rows.is_none() {
+        println!(
+            "threaded serving path SKIPPED: the engine runs a {WAVE}-row wave on {} thread(s) \
+             on this host, so these waves were checked on the serial path only",
+            threads_for(WAVE)
+        );
+    }
+    for mode in [ServeMode::Logits, ServeMode::Goodness] {
+        let oracle = match mode {
+            ServeMode::Logits => model.predict_logits_threads(&x, Some(1)),
+            ServeMode::Goodness => model.predict_goodness_threads(&x, Some(1)),
+        }
+        .unwrap();
+        for workers in [1, 2] {
+            let config = ServeConfig {
+                workers,
+                mode,
+                policy: BatchPolicy {
+                    max_batch: WAVE,
+                    max_wait: Duration::from_millis(2),
+                },
+                trace: ff_serve::TraceSettings::default(),
+            };
+            let server = Server::start(model.clone(), config).unwrap();
+            let mut threaded_served = 0;
+            for round in 0..ROUNDS {
+                std::thread::scope(|scope| {
+                    let clients: Vec<_> = (0..CLIENTS)
+                        .map(|client| {
+                            let handle = server.handle();
+                            let (x, oracle) = (&x, &oracle);
+                            scope.spawn(move || {
+                                let first = (round * CLIENTS + client) * WAVE % x.rows();
+                                let rows = (first..first + WAVE).map(|i| x.row(i));
+                                let predictions = handle.predict_many(rows).unwrap();
+                                for (i, prediction) in (first..).zip(&predictions) {
+                                    assert_eq!(
+                                        prediction.label, oracle[i],
+                                        "{mode:?} workers={workers} sample {i} (batch of {}) \
+                                         diverged from the serial engine",
+                                        prediction.batch_size
+                                    );
+                                }
+                                predictions
+                                    .iter()
+                                    .filter(|p| threaded_rows.is_some_and(|t| p.batch_size >= t))
+                                    .count()
+                            })
+                        })
+                        .collect();
+                    for client in clients {
+                        threaded_served += client.join().unwrap();
+                    }
+                });
+            }
+            server.shutdown();
+            if let Some(rows) = threaded_rows {
+                assert!(
+                    threaded_served > 0,
+                    "{mode:?} workers={workers}: no batch reached {rows} rows, so the \
+                     threaded path never ran"
+                );
+            }
+        }
+    }
 }

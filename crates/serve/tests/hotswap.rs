@@ -83,7 +83,6 @@ fn concurrent_swaps_never_tear_or_drop_replies() {
                 max_batch: 16,
                 max_wait: Duration::from_micros(200),
             },
-            gemm_threads: 1,
             trace: ff_serve::TraceSettings::default(),
         },
     )

@@ -62,7 +62,6 @@ fn serve_smoke_gate() {
                 max_batch: 16,
                 max_wait: Duration::from_micros(500),
             },
-            gemm_threads: 1,
             trace: ff_serve::TraceSettings::default(),
         },
     )

@@ -68,7 +68,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 max_batch: 16,
                 max_wait: Duration::from_micros(500),
             },
-            gemm_threads: 1,
             trace: ff_int8::serve::TraceSettings::default(),
         },
     )?;

@@ -49,7 +49,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     slow_threshold: Some(Duration::from_millis(5)),
                     ..TraceSettings::default()
                 },
-                ..ServeConfig::default()
             },
             ..NetConfig::default()
         },

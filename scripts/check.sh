@@ -5,7 +5,7 @@
 #   scripts/check.sh          # fmt --check, clippy -D warnings, doc -D warnings,
 #                             # release build (workspace + ff_bench), tests
 #                             # (incl. doc-tests), then the two sizes ROADMAP
-#                             # tracks (src lines, public items)
+#                             # tracks (src lines, public items) and nproc
 #   scripts/check.sh --fast   # skip the release build (lints + debug tests only)
 #
 # This wraps the tier-1 verify flow from ROADMAP.md (`cargo build --release &&
@@ -111,9 +111,12 @@ if [[ "$fast" -eq 0 ]]; then
     cargo test -q --release -p ff-dist --test cluster_trace
 fi
 
-# The two sizes ROADMAP tracks — quote these in the PR description.
+# The two sizes ROADMAP tracks — quote these in the PR description — and the
+# cores the engine's threaded paths (and their tests) had: with 1, every GEMM
+# and the threaded serving test ran serially.
 src_files() { find crates -path '*/src/*' -name '*.rs'; }
 echo "==> crates/*/src lines: $(src_files | xargs cat | wc -l)"
 echo "==> public items: $(src_files | xargs grep -rhE '^\s*pub (fn|struct|enum|trait|const|type|mod|static) ' | wc -l)"
+echo "==> available parallelism (nproc): $(nproc)"
 
 echo "All checks passed."
