@@ -34,12 +34,16 @@
 //! The engine then runs the classic three-level blocking
 //! ([`crate::pack::NC`] columns → [`crate::pack::KC`] depth →
 //! [`crate::pack::MC`] rows) with an `MR × strip-width` register tile
-//! accumulated into a per-thread `i32` staging buffer, and shards output
-//! row panels across worker threads with [`ff_tensor::par::shard_rows`]
-//! above the parallel threshold. The micro-kernel, its tile store and the
-//! worker loop are one body, const-generic over the strip width and
-//! instantiated once per width; the packed `B` operand says which instance
-//! runs.
+//! accumulated into a per-thread `i32` staging buffer. Above the parallel
+//! threshold it splits the output across threads with
+//! [`ff_tensor::par::shard_rows`] (the calling thread runs one share): by
+//! `MR`-aligned row panels, or — when every output row comes from one `MR`
+//! strip of `A`, as in a one- or two-row serving batch — by ranges of whole
+//! `B` strips, each computed into a staging copy of its window of the output
+//! and copied back. Both splits are bit-identical to the serial engine. The
+//! micro-kernel, its tile store and the worker loop are one body,
+//! const-generic over the strip width and instantiated once per width; the
+//! packed `B` operand says which instance runs.
 //!
 //! # The pairwise `i16` micro-kernel
 //!
@@ -91,6 +95,7 @@ use crate::pack::{PackedA, PackedB, KC, MC, MR, NC};
 use crate::Result;
 use ff_tensor::par::{shard_rows, worker_count};
 use ff_tensor::{Tensor, TensorError};
+use std::ops::Range;
 
 /// Returns `shape` as `[rows, cols]`, or a rank error naming `op`.
 pub(crate) fn rank2(shape: &[usize], op: &'static str) -> Result<[usize; 2]> {
@@ -127,7 +132,8 @@ pub(crate) fn check_operands(
 }
 
 /// The one engine call: validates shapes, shards `out` (and `mask`) into
-/// row panels and runs [`gemm_worker`] on each. `out` is the row-major
+/// row panels — or, when `A` is one `MR` strip, into column ranges (see
+/// `shard_columns`) — and runs [`gemm_worker`] on each. `out` is the row-major
 /// `m × n` product (`m · fan × n` under a fan-out epilogue, whose panels
 /// keep each row of `A`'s `fan` output rows together), overwritten or
 /// accumulated into as the epilogue says;
@@ -138,7 +144,8 @@ pub(crate) fn check_operands(
 ///
 /// The logical shape comes from the panels (`m` from `packed_a`, `n` from
 /// `packed_b`). `threads`: `None` picks automatically
-/// ([`ff_tensor::par::worker_count`]); `Some(t)` forces `t` workers.
+/// ([`ff_tensor::par::worker_count`] over row strips, or over column strips
+/// for a one-strip `A`); `Some(t)` forces up to `t` workers.
 ///
 /// # Errors
 ///
@@ -198,7 +205,38 @@ pub(crate) fn int8_gemm_prepacked_into(
             });
         }
     }
-    let threads = threads.unwrap_or_else(|| worker_count(m * n * k, m.div_ceil(MR)));
+    let width = packed_b.strip_width();
+    // An output of one `MR` strip has one row panel: it splits by column.
+    let by_column = m.div_ceil(MR) == 1;
+    let shards = if by_column {
+        n.div_ceil(width)
+    } else {
+        m.div_ceil(MR)
+    };
+    let threads = threads.unwrap_or_else(|| worker_count(m * n * k, shards));
+    let run =
+        |first_row: usize, cols: Range<usize>, panel: &mut [f32], mask: Option<&mut [f32]>| {
+            // The one place the tile width turns from data into a type.
+            let worker = match width {
+                16 => gemm_worker::<16>,
+                32 => gemm_worker::<32>,
+                48 => gemm_worker::<48>,
+                64 => gemm_worker::<64>,
+                width => unreachable!("PackedB never packs {width}-column strips"),
+            };
+            worker(packed_a, packed_b, first_row, cols, panel, mask, &epilogue);
+        };
+    if by_column && threads > 1 && shards > 1 {
+        return shard_columns(
+            out,
+            mask,
+            m * fan,
+            n,
+            width,
+            threads,
+            |cols, panel, mask| run(0, cols, panel, mask),
+        );
+    }
     // One shard row is one row of `A` with all the output rows it stores.
     shard_rows(
         out,
@@ -206,18 +244,69 @@ pub(crate) fn int8_gemm_prepacked_into(
         (fan * n).max(1),
         MR,
         threads,
-        |first_row, panel, mask_panel| {
-            // The one place the tile width turns from data into a type.
-            let worker = match packed_b.strip_width() {
-                16 => gemm_worker::<16>,
-                32 => gemm_worker::<32>,
-                48 => gemm_worker::<48>,
-                64 => gemm_worker::<64>,
-                width => unreachable!("PackedB never packs {width}-column strips"),
-            };
-            worker(packed_a, packed_b, first_row, panel, mask_panel, &epilogue);
-        },
+        |first_row, panel, mask_panel| run(first_row, 0..n, panel, mask_panel),
     )
+}
+
+/// Runs a GEMM whose `rows` output rows (`m · fan`, `m ≤ MR`) all come from
+/// one strip of `A` as `threads` column ranges of whole `width`-column `B`
+/// strips, one per thread. Each range works in its own staging panel, a
+/// dense `rows × range` copy of its window of `out` (and of `mask`), so
+/// accumulation and untouched mask entries see what the caller left there;
+/// the panels are run through [`shard_rows`] (one staging row per range, the
+/// caller running the last) and copied back once all are done.
+/// `run(cols, panel, mask_panel)` computes columns `cols` into a panel.
+fn shard_columns(
+    out: &mut [f32],
+    mask: Option<&mut [f32]>,
+    rows: usize,
+    n: usize,
+    width: usize,
+    threads: usize,
+    run: impl Fn(Range<usize>, &mut [f32], Option<&mut [f32]>) + Sync,
+) -> Result<()> {
+    let span = n.div_ceil(width).div_ceil(threads) * width;
+    let ranges = n.div_ceil(span);
+    let stage_len = rows * span;
+    let cols = |range: usize| range * span..n.min((range + 1) * span);
+    // (staging offset, output offset, length) of every row of every window.
+    let segments = || {
+        (0..ranges).flat_map(move |range| {
+            let (start, len) = (range * span, cols(range).len());
+            (0..rows).map(move |row| (range * stage_len + row * len, row * n + start, len))
+        })
+    };
+    let gather = |src: &[f32]| {
+        let mut stage = vec![0.0; ranges * stage_len];
+        for (at, from, len) in segments() {
+            stage[at..at + len].copy_from_slice(&src[from..from + len]);
+        }
+        stage
+    };
+    let scatter = |stage: &[f32], dst: &mut [f32]| {
+        for (at, to, len) in segments() {
+            dst[to..to + len].copy_from_slice(&stage[at..at + len]);
+        }
+    };
+    let mut stage = gather(out);
+    let mut stage_mask = mask.as_deref().map(gather);
+    shard_rows(
+        &mut stage,
+        stage_mask.as_deref_mut(),
+        stage_len,
+        1,
+        ranges,
+        |range, panel, mask_panel| {
+            let cols = cols(range);
+            let len = rows * cols.len();
+            run(cols, &mut panel[..len], mask_panel.map(|m| &mut m[..len]));
+        },
+    )?;
+    scatter(&stage, out);
+    if let (Some(stage_mask), Some(mask)) = (stage_mask, mask) {
+        scatter(&stage_mask, mask);
+    }
+    Ok(())
 }
 
 /// How the epilogue dequantizes `i32` accumulators into `f32` output.
@@ -308,7 +397,9 @@ impl Epilogue<'_> {
     }
 }
 
-/// Runs the blocked kernel for one thread's panel of output rows.
+/// Runs the blocked kernel for one thread's panel: output rows from
+/// `first_row` on, columns `cols` (strip-aligned; `panel` is dense, its rows
+/// `cols.len()` wide).
 ///
 /// Loop nest (GotoBLAS-style): `jc` over column blocks of at most [`NC`]
 /// columns → `ic` over [`MC`]-row blocks → `pc2` over [`KC`]-depth blocks
@@ -319,6 +410,7 @@ fn gemm_worker<const NR: usize>(
     packed_a: &PackedA,
     packed_b: &PackedB,
     first_row: usize,
+    cols: Range<usize>,
     panel: &mut [f32],
     mut mask_panel: Option<&mut [f32]>,
     epilogue: &Epilogue<'_>,
@@ -328,9 +420,10 @@ fn gemm_worker<const NR: usize>(
         Epilogue::Store { relu: true, .. } | Epilogue::FanOut { relu: true, .. }
     );
     let n = packed_b.n;
+    let width = cols.len();
     let k2 = packed_a.k2;
     let fan = epilogue.fan();
-    if n == 0 || fan == 0 {
+    if width == 0 || fan == 0 {
         return;
     }
     // A pair sum can only overflow i16 when BOTH factors can be −128
@@ -338,16 +431,19 @@ fn gemm_worker<const NR: usize>(
     // 2·128·127 = 32512, still in range). −128 codes are only possible via
     // `from_codes`, so this almost always stays on the fast kernel.
     let pairwise = !(packed_a.has_i8_min() && packed_b.has_i8_min());
-    let rows = panel.len() / (fan * n);
+    let rows = panel.len() / (fan * width);
     debug_assert_eq!(first_row % MR, 0, "panels must be MR-aligned");
+    debug_assert_eq!(cols.start % NR, 0, "column ranges must be strip-aligned");
     debug_assert_eq!(packed_b.strip_width(), NR);
     let first_strip = first_row / MR;
     // Whole strips per column block.
     let nc = NC / NR * NR;
-    // i32 staging tile for one MC × nc block.
-    let mut cbuf = vec![0i32; MC * nc];
-    for jc in (0..n).step_by(nc) {
-        let nc_real = nc.min(n - jc);
+    // i32 staging tile for one MC × nc block (fewer rows for a short panel).
+    let mut cbuf = vec![0i32; MC.min(rows.div_ceil(MR) * MR) * nc];
+    for jc in (0..width).step_by(nc) {
+        let nc_real = nc.min(width - jc);
+        // `jc` is local to the panel; `j` is the absolute column.
+        let j = cols.start + jc;
         let nc_pad = nc_real.div_ceil(NR) * NR;
         for ic in (0..rows).step_by(MC) {
             let mc_real = MC.min(rows - ic);
@@ -367,7 +463,7 @@ fn gemm_worker<const NR: usize>(
                 // cost. Tile results are independent, so this ordering is
                 // bit-identical to any other.
                 for js in 0..nc_pad / NR {
-                    let b_slab = packed_b.strip_at(jc / NR + js, pc2, kc2);
+                    let b_slab = packed_b.strip_at(j / NR + js, pc2, kc2);
                     for is in 0..mc_pad / MR {
                         let a_slab = packed_a.strip_at(first_strip + (ic / MR) + is, pc2, kc2);
                         let c_tile = &mut cbuf[(is * MR) * nc_pad + js * NR..];
@@ -389,19 +485,20 @@ fn gemm_worker<const NR: usize>(
                 let scale = epilogue.scale_for_row(first_row + row);
                 match *epilogue {
                     Epilogue::Accumulate { .. } => {
-                        let out_row = &mut panel[row * n + jc..row * n + jc + nc_real];
+                        let at = row * width + jc;
+                        let out_row = &mut panel[at..at + nc_real];
                         for (o, &acc) in out_row.iter_mut().zip(acc_row) {
                             *o += acc as f32 * scale;
                         }
                     }
                     Epilogue::Store { bias, .. } => {
-                        let at = row * n + jc;
+                        let at = row * width + jc;
                         store_row(
                             &mut panel[at..at + nc_real],
                             mask_panel.as_deref_mut().map(|m| &mut m[at..at + nc_real]),
                             acc_row.iter().copied(),
                             scale,
-                            bias.map(|b| &b.data()[jc..jc + nc_real]),
+                            bias.map(|b| &b.data()[j..j + nc_real]),
                             relu,
                         );
                     }
@@ -413,8 +510,8 @@ fn gemm_worker<const NR: usize>(
                     } => {
                         let coef = i32::from(coefs[first_row + row]);
                         for v in 0..fan {
-                            let at = (row * fan + v) * n + jc;
-                            let delta = &deltas[v * n + jc..v * n + jc + nc_real];
+                            let at = (row * fan + v) * width + jc;
+                            let delta = &deltas[v * n + j..v * n + j + nc_real];
                             store_row(
                                 &mut panel[at..at + nc_real],
                                 mask_panel.as_deref_mut().map(|m| &mut m[at..at + nc_real]),
@@ -423,7 +520,7 @@ fn gemm_worker<const NR: usize>(
                                     .zip(delta)
                                     .map(|(&acc, &d)| acc + coef * i32::from(d)),
                                 scale,
-                                bias.map(|b| &b.data()[jc..jc + nc_real]),
+                                bias.map(|b| &b.data()[j..j + nc_real]),
                                 relu,
                             );
                         }
@@ -992,6 +1089,46 @@ mod tests {
         }
     }
 
+    /// Fan-out operands: row `i` of `A` (`k` codes) carries `coefs[i]` in
+    /// column 0, zeros in the other columns it moves to and `code(idx)`
+    /// elsewhere. Returns `A`, the exact accumulators of its explicitly
+    /// expanded rows (row `i·fan + v` with the coefficient moved to column
+    /// `v`) against `b` (`n × k`), and the `fan · n` fan-out deltas.
+    fn fan_out_operands(
+        coefs: &[i8],
+        k: usize,
+        fan: usize,
+        b: &[i8],
+        code: impl Fn(usize) -> i8,
+    ) -> (Vec<i8>, Vec<f32>, Vec<i16>) {
+        let m = coefs.len();
+        let a: Vec<i8> = (0..m * k)
+            .map(|idx| match idx % k {
+                0 => coefs[idx / k],
+                col if col < fan => 0,
+                _ => code(idx),
+            })
+            .collect();
+        let mut expanded = Vec::with_capacity(m * fan * k);
+        for (row, &coef) in a.chunks(k).zip(coefs) {
+            for v in 0..fan {
+                let start = expanded.len();
+                expanded.extend_from_slice(row);
+                expanded[start] = 0;
+                expanded[start + v] = coef;
+            }
+        }
+        // Unit scales make the oracle's output the exact accumulator (every
+        // |acc| in these tests is below 2^24).
+        let expanded = QuantTensor::from_codes(&[m * fan, k], expanded, 1.0).unwrap();
+        let qb = QuantTensor::from_codes(&[b.len() / k, k], b.to_vec(), 1.0).unwrap();
+        let acc = reference::int8_matmul_a_bt(&expanded, &qb).unwrap();
+        let deltas = (0..fan)
+            .flat_map(|v| b.chunks(k).map(move |w| i16::from(w[v]) - i16::from(w[0])))
+            .collect();
+        (a, acc.data().to_vec(), deltas)
+    }
+
     /// The fan-out store against the reference GEMM over the explicitly
     /// expanded rows: output row `i·fan + v` must be `A` row `i` with its
     /// column-0 code (the coefficient) moved to column `v`, stored with row
@@ -1012,38 +1149,11 @@ mod tests {
                             0 if with_min => i8::MIN,
                             v => (v as i16 - 127) as i8,
                         };
-                        let coef = |i: usize| [127i8, 0, -127, 45, -3][i % 5];
-                        // Row i: the coefficient in column 0, zeros in the
-                        // columns it moves to, patterned codes elsewhere.
-                        let a: Vec<i8> = (0..m * k)
-                            .map(|idx| match idx % k {
-                                0 => coef(idx / k),
-                                col if col < fan => 0,
-                                _ => code(idx, n + fan),
-                            })
-                            .collect();
+                        let coefs: Vec<i8> =
+                            (0..m).map(|i| [127, 0, -127, 45, -3][i % 5]).collect();
                         let b: Vec<i8> = (0..n * k).map(|idx| code(idx, m + 7)).collect();
-                        let mut expanded = Vec::with_capacity(m * fan * k);
-                        for i in 0..m {
-                            for v in 0..fan {
-                                let start = expanded.len();
-                                expanded.extend_from_slice(&a[i * k..(i + 1) * k]);
-                                expanded[start] = 0;
-                                expanded[start + v] = coef(i);
-                            }
-                        }
-                        // Unit scales make the oracle's output the exact
-                        // accumulator (every |acc| here is below 2^24).
-                        let expanded =
-                            QuantTensor::from_codes(&[m * fan, k], expanded, 1.0).unwrap();
-                        let qb = QuantTensor::from_codes(&[n, k], b.clone(), 1.0).unwrap();
-                        let acc = reference::int8_matmul_a_bt(&expanded, &qb).unwrap();
-                        let coefs: Vec<i8> = (0..m).map(coef).collect();
-                        let deltas: Vec<i16> = (0..fan)
-                            .flat_map(|v| {
-                                b.chunks(k).map(move |w| i16::from(w[v]) - i16::from(w[0]))
-                            })
-                            .collect();
+                        let (a, acc, deltas) =
+                            fan_out_operands(&coefs, k, fan, &b, |idx| code(idx, n + fan));
                         let row_scales: Vec<f32> =
                             (0..m).map(|i| 0.002 + i as f32 * 0.0007).collect();
                         let bias = Tensor::from_vec(
@@ -1059,7 +1169,7 @@ mod tests {
                             let expected: Vec<f32> = (0..m * fan * n)
                                 .map(|idx| {
                                     let (i, j) = (idx / (fan * n), idx % n);
-                                    let v = acc.data()[idx] * (row_scales[i] * sb) + bias.data()[j];
+                                    let v = acc[idx] * (row_scales[i] * sb) + bias.data()[j];
                                     if relu && v <= 0.0 {
                                         0.0
                                     } else {
@@ -1101,6 +1211,141 @@ mod tests {
             }
         }
         assert!(fallback_cases > 0, "no case ran the i8::MIN kernel");
+    }
+
+    /// Outputs of one `MR` strip (`m ≤ 2`) split their columns across
+    /// threads, so every range must index bias, deltas and `B` strips by
+    /// absolute column and hand back what it did not write. Every epilogue
+    /// (per-tensor and per-row stores with bias, ReLU and mask, a store that
+    /// must leave a mask alone, fan-out, accumulate over `−0.0`), fan 1 and
+    /// 10, `n` from one strip to several column blocks, not a multiple of the
+    /// strip width, below and above `strip_width × threads`, depth across
+    /// [`KC`]: bit-equal to `Some(1)` and to the reference.
+    #[test]
+    fn one_strip_column_split_is_bit_identical() {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let relu = |v: f32| if v > 0.0 { v } else { 0.0 };
+        let positive = |v: f32| if v > 0.0 { 1.0 } else { 0.0 };
+        let code = |i: usize, salt: usize| (((i * 31 + salt) % 255) as i16 - 127) as i8;
+        let (k, sa, sb) = (300, 0.013f32, 0.0071f32);
+        for n in [10usize, 96, 100, 130, 300, 2000] {
+            let bias = Tensor::from_vec(&[n], (0..n).map(|j| (j % 9) as f32 * 0.5 - 2.0).collect())
+                .unwrap();
+            let b: Vec<i8> = (0..n * k).map(|idx| code(idx, n)).collect();
+            let packed_b = PackedB::pack(&b, k, n, PackSource::Transposed);
+            for m in [1usize, 2] {
+                let coefs = &[127i8, -45][..m];
+                let row_scales: Vec<f32> = (0..m).map(|i| 0.002 + i as f32 * 0.0007).collect();
+                for fan in [1usize, 10] {
+                    let (a, acc, deltas) =
+                        fan_out_operands(coefs, k, fan, &b, |idx| code(idx, m + 7));
+                    let packed_a = PackedA::pack(&a, m, k, PackSource::RowMajor);
+                    let len = m * fan * n;
+                    let at = |idx: usize| (idx / (fan * n), idx % n);
+                    let per_tensor = |idx: usize| acc[idx] * (sa * sb) + bias.data()[at(idx).1];
+                    let per_row = |idx: usize| {
+                        let (i, j) = at(idx);
+                        acc[idx] * (row_scales[i] * sb) + bias.data()[j]
+                    };
+                    let sentinel: Vec<f32> = (0..len).map(|i| i as f32 * 0.25 - 3.0).collect();
+                    let init: Vec<f32> = (0..len)
+                        .map(|i| {
+                            if i % 3 == 0 {
+                                -0.0
+                            } else {
+                                (i % 13) as f32 * 0.37 - 2.0
+                            }
+                        })
+                        .collect();
+                    let scale_rows = Scale::PerRow {
+                        row_scales: &row_scales,
+                        b_scale: sb,
+                    };
+                    let expect = |f: &dyn Fn(usize) -> f32| (0..len).map(f).collect::<Vec<_>>();
+                    let nan = vec![f32::NAN; len];
+                    let mut cases = vec![(
+                        "fan-out",
+                        Epilogue::FanOut {
+                            scale: scale_rows,
+                            bias: Some(&bias),
+                            relu: true,
+                            coefs,
+                            deltas: &deltas,
+                            fan,
+                        },
+                        nan.clone(),
+                        expect(&|i| relu(per_row(i))),
+                        expect(&|i| positive(per_row(i))),
+                    )];
+                    if fan == 1 {
+                        cases.extend([
+                            (
+                                "per-tensor store",
+                                Epilogue::Store {
+                                    scale: Scale::PerTensor(sa * sb),
+                                    bias: Some(&bias),
+                                    relu: true,
+                                },
+                                nan.clone(),
+                                expect(&|i| relu(per_tensor(i))),
+                                expect(&|i| positive(per_tensor(i))),
+                            ),
+                            (
+                                "per-row store",
+                                Epilogue::Store {
+                                    scale: scale_rows,
+                                    bias: Some(&bias),
+                                    relu: true,
+                                },
+                                nan.clone(),
+                                expect(&|i| relu(per_row(i))),
+                                expect(&|i| positive(per_row(i))),
+                            ),
+                            (
+                                "store without ReLU",
+                                Epilogue::Store {
+                                    scale: Scale::PerTensor(sa * sb),
+                                    bias: Some(&bias),
+                                    relu: false,
+                                },
+                                nan.clone(),
+                                expect(&per_tensor),
+                                sentinel.clone(),
+                            ),
+                            (
+                                "accumulate",
+                                Epilogue::Accumulate { scale: sa * sb },
+                                init.clone(),
+                                expect(&|i| init[i] + acc[i] * (sa * sb)),
+                                sentinel.clone(),
+                            ),
+                        ]);
+                    }
+                    for (epilogue_name, epilogue, start, expected, expected_mask) in cases {
+                        let run = |threads| {
+                            let (mut out, mut mask) = (start.clone(), sentinel.clone());
+                            int8_gemm_prepacked_into(
+                                &packed_a,
+                                &packed_b,
+                                epilogue,
+                                &mut out,
+                                Some(&mut mask),
+                                Some(threads),
+                            )
+                            .unwrap();
+                            (bits(&out), bits(&mask))
+                        };
+                        let serial = run(1);
+                        let case = format!("{epilogue_name} m={m} fan={fan} n={n}");
+                        assert_eq!(serial.0, bits(&expected), "{case} threads=1");
+                        assert_eq!(serial.1, bits(&expected_mask), "{case} threads=1 mask");
+                        for threads in 2..=4 {
+                            assert_eq!(run(threads), serial, "{case} threads={threads}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

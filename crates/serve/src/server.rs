@@ -9,8 +9,8 @@
 //!  handle.predict(y) ──┼──▶ mpsc request queue ──▶ worker locks the
 //!  handle.predict(z) ──┘                           receiver, takes one
 //!                                                  request, then drains
-//!                                                  more until max_batch
-//!                                                  or max_wait ──▶ one
+//!                                                  what is already queued
+//!                                                  (≤ max_batch) ──▶ one
 //!                                                  batched INT8 GEMM per
 //!                                                  layer, per model epoch
 //!                                                  ──▶ per-request reply
@@ -20,10 +20,11 @@
 //! Requests are submitted through a cloneable [`ServeHandle`] and answered
 //! through a per-request channel, so any number of client threads can block
 //! on their own predictions concurrently. Workers coalesce whatever is
-//! queued into one batch (bounded by [`BatchPolicy::max_batch`]), waiting at
-//! most [`BatchPolicy::max_wait`] after the first request for stragglers —
-//! under load batches fill instantly, while a lone request pays at most the
-//! configured wait.
+//! queued into one batch (bounded by [`BatchPolicy::max_batch`]) and
+//! dispatch it at once: under load a batch is whatever arrived during the
+//! previous batch's GEMMs, and a lone request on an idle server waits for
+//! nothing. [`BatchPolicy::max_wait`] opts in to holding a lone request for
+//! company.
 //!
 //! # Many models, one queue
 //!
@@ -41,8 +42,10 @@
 //! batcher equivalence tests.
 //!
 //! Each worker runs its batch GEMMs at the engine's automatic thread count
-//! ([`ff_tensor::par::worker_count`]): a one-row batch stays serial and a
-//! large wave uses every core; concurrent workers share the cores via the OS.
+//! ([`ff_tensor::par::worker_count`]): a large wave splits its rows over
+//! every core, a batch of one or two rows (one row strip) splits its columns,
+//! and a layer below the parallel threshold stays serial; concurrent workers
+//! share the cores via the OS.
 
 use crate::{FrozenModel, ModelRegistry, ModelSnapshot, ModelStats, Result, ServeError};
 use ff_metrics::{Counter, Gauge, LatencySummary};
@@ -58,20 +61,22 @@ use std::time::{Duration, Instant};
 
 /// How aggressively workers coalesce queued requests into batches.
 ///
-/// A worker first drains whatever is already queued (up to `max_batch`).
-/// Only a **lone** request waits — at most `max_wait` — for company; as
-/// soon as a batch holds two or more requests it dispatches the moment the
-/// queue is momentarily empty, and a full `max_batch` dispatches
-/// immediately. Under sustained load batches therefore self-regulate to
-/// roughly "whatever arrived during the previous batch's GEMM", while a
-/// solitary request pays at most `max_wait` extra latency and an idle
-/// server never stalls a ready batch.
+/// A worker drains whatever is already queued (up to `max_batch`) and
+/// dispatches it the moment the queue is momentarily empty; a full
+/// `max_batch` dispatches immediately. Under sustained load batches
+/// therefore self-regulate to roughly "whatever arrived during the previous
+/// batch's GEMM", and an idle server never stalls a ready batch.
+///
+/// The default `max_wait` is zero: a lone request is served at once, its
+/// GEMMs split over the cores by column. A nonzero `max_wait` makes a
+/// **lone** request wait at most that long for one batch-mate, trading its
+/// latency for larger batches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchPolicy {
     /// Largest number of requests fused into one GEMM batch.
     pub max_batch: usize,
-    /// How long a lone request waits for a batch-mate. Zero means "take
-    /// only what is already queued".
+    /// How long a lone request waits for a batch-mate. Zero (the default)
+    /// means "take only what is already queued".
     pub max_wait: Duration,
 }
 
@@ -79,7 +84,7 @@ impl Default for BatchPolicy {
     fn default() -> Self {
         BatchPolicy {
             max_batch: 32,
-            max_wait: Duration::from_micros(500),
+            max_wait: Duration::ZERO,
         }
     }
 }

@@ -5,7 +5,7 @@
 //! nor is the thread count the engine picks for a batch's GEMMs.
 
 use ff_models::small_mlp;
-use ff_quant::pack::MR;
+use ff_quant::pack::{MR, NR};
 use ff_serve::{BatchPolicy, FrozenModel, ServeConfig, ServeMode, Server};
 use ff_tensor::par::worker_count;
 use ff_tensor::{init, Tensor};
@@ -276,5 +276,72 @@ fn threaded_waves_match_serial_eval() {
                 );
             }
         }
+    }
+}
+
+/// Batches of one and two rows fill one `MR` row strip, which the engine
+/// splits by column. They must answer exactly what the serial engine
+/// answers — straight through the model and through a default-policy server
+/// (no batching wait), in both modes. The first two layers' one-row GEMMs
+/// here are 1 × 1024 × 1024 MACs, at `PARALLEL_THRESHOLD`; in goodness mode
+/// the first is the fan-out GEMM.
+#[test]
+fn one_strip_batches_match_serial_eval() {
+    const FEATURES: usize = 1024;
+    const HIDDEN: usize = 1024;
+    const SAMPLES: usize = 6;
+    let mut rng = StdRng::seed_from_u64(31);
+    let model =
+        FrozenModel::freeze(&small_mlp(FEATURES, &[HIDDEN, HIDDEN], 10, &mut rng), 10).unwrap();
+    let mut rng = StdRng::seed_from_u64(32);
+    let x = init::uniform(&[SAMPLES, FEATURES], -1.0, 1.0, &mut rng);
+    let threads = worker_count(HIDDEN * FEATURES, HIDDEN.div_ceil(NR));
+    if threads < 2 {
+        println!(
+            "column-split serving path SKIPPED: the engine runs a one-row layer on {threads} \
+             thread(s) on this host, so these batches were checked on the serial path only"
+        );
+    }
+    let rows = |range: std::ops::Range<usize>| {
+        let data = range.clone().flat_map(|i| x.row(i).to_vec()).collect();
+        Tensor::from_vec(&[range.len(), FEATURES], data).unwrap()
+    };
+    for mode in [ServeMode::Logits, ServeMode::Goodness] {
+        let predict = |input: &Tensor, threads| match mode {
+            ServeMode::Logits => model.predict_logits_threads(input, threads),
+            ServeMode::Goodness => model.predict_goodness_threads(input, threads),
+        };
+        let oracle = predict(&x, Some(1)).unwrap();
+        let server = Server::start(
+            model.clone(),
+            ServeConfig {
+                mode,
+                ..ServeConfig::default()
+            },
+        )
+        .unwrap();
+        let handle = server.handle();
+        for first in 0..SAMPLES - 1 {
+            for batch in [first..first + 1, first..first + 2] {
+                let input = rows(batch.clone());
+                let case = format!("{mode:?} rows {batch:?}");
+                let serial = predict(&input, Some(1)).unwrap();
+                assert_eq!(serial, oracle[batch.clone()], "{case}: Some(1) per batch");
+                assert_eq!(predict(&input, None).unwrap(), serial, "{case}: automatic");
+                if mode == ServeMode::Logits {
+                    let bits = |threads| -> Vec<u32> {
+                        let logits = model.forward_threads(&input, threads).unwrap();
+                        logits.data().iter().map(|v| v.to_bits()).collect()
+                    };
+                    assert_eq!(bits(None), bits(Some(1)), "{case}: logit bits");
+                }
+                let served = handle
+                    .predict_many(batch.clone().map(|i| x.row(i)))
+                    .unwrap();
+                let labels: Vec<usize> = served.iter().map(|p| p.label).collect();
+                assert_eq!(labels, serial, "{case}: served");
+            }
+        }
+        server.shutdown();
     }
 }

@@ -3,9 +3,12 @@
 //! Both the fp32 kernels in [`crate::linalg`] and the packed INT8 engine in
 //! `ff-quant` — whether its operands are packed per call or served from a
 //! cached plan — split their output matrix into contiguous panels of rows
-//! and hand each panel to a worker thread (via `crossbeam::scope`). This
-//! module centralises that pattern so thresholds, thread-count selection and
-//! panel alignment behave identically everywhere.
+//! and run each panel on its own thread (via `crossbeam::scope`): `t` panels
+//! spawn `t − 1` threads and the calling thread runs the last panel itself
+//! instead of only waiting. This module centralises that pattern so
+//! thresholds, thread-count selection and panel alignment behave identically
+//! everywhere. (The INT8 engine splits an output too short for two row
+//! panels by column instead, through the same function.)
 //!
 //! # Examples
 //!
@@ -30,7 +33,12 @@ use std::sync::OnceLock;
 
 /// Minimum number of fused multiply-adds before a GEMM is parallelised.
 ///
-/// Below this, thread start-up costs more than the arithmetic saves.
+/// Below this, thread start-up costs more than the arithmetic saves. A
+/// two-way split costs one spawn round trip (35–45 µs on a 2-core x86 box,
+/// the calling thread running the other half). There, the packed INT8
+/// engine ran a one-row `1 × 1024 × 1024` GEMM (2²⁰ MACs) in about 240 µs
+/// serially and 160 µs split by column, while at 2¹⁸ MACs (`1 × 512 × 512`,
+/// about 60 µs) the split was slower (about 70 µs).
 pub const PARALLEL_THRESHOLD: usize = 1 << 20;
 
 /// Picks the number of worker threads for a GEMM of `work = m·n·k` MACs whose
@@ -52,8 +60,9 @@ pub fn worker_count(work: usize, max_shards: usize) -> usize {
 }
 
 /// Splits `out` (a row-major `rows × row_width` buffer) into contiguous row
-/// panels and runs `body(first_row, panel, aux_panel)` for each, on
-/// `threads` worker threads.
+/// panels and runs `body(first_row, panel, aux_panel)` for each, one panel
+/// per thread: at most `threads` panels, the last run on the calling thread,
+/// so at most `threads − 1` threads are spawned.
 ///
 /// - Panel boundaries are aligned to multiples of `granule` rows so blocked
 ///   kernels can keep their micro-panel alignment (pass `1` for no
@@ -107,21 +116,24 @@ where
     }
     let rows_per_panel = rows.div_ceil(threads).div_ceil(granule) * granule;
     let chunk = rows_per_panel * row_width;
-    crossbeam::scope(|scope| match aux {
-        Some(aux) => {
-            for (idx, (panel, aux_panel)) in
-                out.chunks_mut(chunk).zip(aux.chunks_mut(chunk)).enumerate()
-            {
-                let body = &body;
-                scope.spawn(move |_| body(idx * rows_per_panel, panel, Some(aux_panel)));
-            }
+    let mut aux_panels = aux.map(|aux| aux.chunks_mut(chunk));
+    let mut panels: Vec<_> = out
+        .chunks_mut(chunk)
+        .enumerate()
+        .map(|(idx, panel)| {
+            let aux_panel = aux_panels.as_mut().and_then(Iterator::next);
+            (idx * rows_per_panel, panel, aux_panel)
+        })
+        .collect();
+    // `rows > granule`, so there are at least two panels.
+    let (first_row, panel, aux_panel) = panels.pop().expect("at least one panel");
+    let body = &body;
+    crossbeam::scope(|scope| {
+        for (first_row, panel, aux_panel) in panels {
+            scope.spawn(move |_| body(first_row, panel, aux_panel));
         }
-        None => {
-            for (idx, panel) in out.chunks_mut(chunk).enumerate() {
-                let body = &body;
-                scope.spawn(move |_| body(idx * rows_per_panel, panel, None));
-            }
-        }
+        // The calling thread runs the last panel instead of only waiting.
+        body(first_row, panel, aux_panel);
     })
     .expect("shard_rows worker thread panicked");
     Ok(())
@@ -160,6 +172,56 @@ mod tests {
                     assert_eq!(out[r * 4 + c], r * 100 + c, "threads={threads}");
                 }
             }
+        }
+    }
+
+    /// `t` panels cost `t − 1` spawns: the calling thread runs exactly one
+    /// panel and every other panel runs on a thread of its own.
+    #[test]
+    fn caller_runs_one_panel_and_spawns_the_rest() {
+        let caller = std::thread::current().id();
+        // (rows, granule, threads, panels)
+        for (rows, granule, threads, panels) in [
+            (12, 1, 2, 2),
+            (12, 1, 3, 3),
+            (12, 1, 4, 4),
+            (5, 2, 4, 3),
+            (3, 2, 4, 2),
+        ] {
+            let ids = std::sync::Mutex::new(Vec::new());
+            let mut out = vec![0usize; rows * 2];
+            shard_rows(
+                &mut out,
+                None,
+                2,
+                granule,
+                threads,
+                |first_row, panel, _| {
+                    ids.lock().unwrap().push(std::thread::current().id());
+                    panel.fill(first_row + 1);
+                },
+            )
+            .unwrap();
+            assert!(out.iter().all(|&v| v != 0), "every row covered");
+            let ids = ids.into_inner().unwrap();
+            let case = format!("rows={rows} granule={granule} threads={threads}");
+            assert_eq!(ids.len(), panels, "{case}: one body call per panel");
+            assert_eq!(
+                ids.iter().filter(|&&id| id == caller).count(),
+                1,
+                "{case}: the caller runs exactly one panel"
+            );
+            let spawned: std::collections::HashSet<_> =
+                ids.iter().filter(|&&id| id != caller).collect();
+            assert_eq!(
+                spawned.len(),
+                panels - 1,
+                "{case}: one spawn per other panel"
+            );
+            assert!(
+                spawned.len() < threads,
+                "{case}: at most threads − 1 spawns"
+            );
         }
     }
 

@@ -12,12 +12,9 @@ use ff_int8::core::{FfTrainer, Precision, TrainOptions};
 use ff_int8::data::{synthetic_mnist, SyntheticConfig};
 use ff_int8::metrics::accuracy;
 use ff_int8::models::small_mlp;
-use ff_int8::serve::{
-    load_bytes, save_bytes, BatchPolicy, FrozenModel, ServeConfig, ServeMode, Server,
-};
+use ff_int8::serve::{load_bytes, save_bytes, FrozenModel, ServeConfig, ServeMode, Server};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::time::Duration;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Train a small MLP with FF-INT8 + look-ahead.
@@ -64,11 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ServeConfig {
             workers: 2,
             mode: ServeMode::Goodness,
-            policy: BatchPolicy {
-                max_batch: 16,
-                max_wait: Duration::from_micros(500),
-            },
-            trace: ff_int8::serve::TraceSettings::default(),
+            ..ServeConfig::default()
         },
     )?;
     let subset = test_set.take(200)?;

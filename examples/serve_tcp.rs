@@ -14,7 +14,7 @@ use ff_int8::data::{synthetic_mnist, SyntheticConfig};
 use ff_int8::metrics::accuracy;
 use ff_int8::models::small_mlp;
 use ff_int8::net::{AdmissionConfig, Client, ClientConfig, NetConfig, NetServer, RetryPolicy};
-use ff_int8::serve::{BatchPolicy, FrozenModel, ServeConfig, ServeMode};
+use ff_int8::serve::{FrozenModel, ServeConfig, ServeMode};
 use ff_int8::trace::MetricsExporter;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -70,11 +70,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             serve: ServeConfig {
                 workers: 2,
                 mode: ServeMode::Goodness,
-                policy: BatchPolicy {
-                    max_batch: 16,
-                    max_wait: Duration::from_micros(500),
-                },
-                trace: ff_int8::serve::TraceSettings::default(),
+                ..ServeConfig::default()
             },
             ..NetConfig::default()
         },

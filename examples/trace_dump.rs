@@ -20,7 +20,7 @@
 use ff_int8::metrics::format_table;
 use ff_int8::models::small_mlp;
 use ff_int8::net::{Client, NetConfig, NetServer};
-use ff_int8::serve::{BatchPolicy, FrozenModel, ServeConfig, ServeMode, Stage, TraceSettings};
+use ff_int8::serve::{FrozenModel, ServeConfig, ServeMode, Stage, TraceSettings};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Duration;
@@ -39,16 +39,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             serve: ServeConfig {
                 workers: 2,
                 mode: ServeMode::Goodness,
-                policy: BatchPolicy {
-                    max_batch: 16,
-                    max_wait: Duration::from_micros(300),
-                },
                 trace: TraceSettings {
                     capacity: 128,
                     sample_per_sec: u32::MAX,
                     slow_threshold: Some(Duration::from_millis(5)),
                     ..TraceSettings::default()
                 },
+                ..ServeConfig::default()
             },
             ..NetConfig::default()
         },
