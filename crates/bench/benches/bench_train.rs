@@ -1,21 +1,10 @@
 //! Training-throughput benchmark: the paper's 3-layer MLP (784 → 2000 →
-//! 2000 → 10) trained one epoch sequentially, layer-pipelined
-//! across three stage threads, and data-parallel over a 2-worker loopback
-//! `FF8D` cluster.
+//! 2000 → 10) trained one epoch sequentially and data-parallel over a
+//! 2-worker loopback `FF8D` cluster.
 //!
-//! All three configurations produce **bit-identical weights** (asserted
-//! every run, smoke and measure alike — this bench doubles as a parity
-//! check on the paper-scale net), so the only question is wall-clock.
-//!
-//! The acceptance gate (ISSUE 9 / `BENCH_train.json`) is **pipeline ≥
-//! 1.3× sequential epoch throughput** with one stage per layer. The gate
-//! needs real parallel hardware: with fewer than 3 cores the stage
-//! threads time-slice one another and the channel overhead is pure loss,
-//! so the gate is enforced only when `std::thread::available_parallelism`
-//! reports ≥ 3 cores; otherwise the speedup is still measured and
-//! recorded, with `train/pipeline_gate_skipped = 1` in the baseline
-//! saying *honestly* that the gate did not run (rather than a green
-//! checkmark earned on a box where the claim is untestable).
+//! Both configurations produce **bit-identical weights** (asserted every
+//! run, smoke and measure alike — this bench doubles as a parity check on
+//! the paper-scale net), so the only question is wall-clock.
 //!
 //! The `dense_backward/*`, `wgrad/*` and `plan_build/*` rows time the pieces
 //! of one dense FF-INT8 step at the paper's 2000-wide shape that ISSUE 13
@@ -45,7 +34,7 @@ use criterion::Criterion;
 use ff_core::{Algorithm, Precision, TrainOptions, TrainSession, TrainerCore};
 use ff_data::{synthetic_cifar10, synthetic_mnist, Dataset, SyntheticConfig};
 use ff_dist::protocol::TrainMsg;
-use ff_dist::{Coordinator, CoordinatorConfig, PipelineSession, Worker};
+use ff_dist::{Coordinator, CoordinatorConfig, Worker};
 use ff_models::{small_cnn, small_mlp, SmallModelConfig};
 use ff_nn::{Conv2d, Dense, ForwardMode, Layer, Sequential};
 use ff_quant::{
@@ -57,7 +46,7 @@ use rand::SeedableRng;
 use std::time::{Duration, Instant};
 
 /// The paper's MNIST architecture: two 2000-wide hidden layers plus the
-/// class head — three FF layers, one pipeline stage each.
+/// class head — three FF layers.
 const HIDDEN: [usize; 2] = [2000, 2000];
 
 fn paper_net() -> Sequential {
@@ -133,58 +122,7 @@ fn bench_train(c: &mut Criterion) {
             assert_eq!(weight_bits(&mut net), reference, "sequential diverged");
         });
     });
-    group.bench_function("pipeline_3_stages", |b| {
-        b.iter(|| {
-            let mut net = paper_net();
-            let mut session = PipelineSession::new(
-                &mut net,
-                &train_set,
-                &test_set,
-                Precision::Int8,
-                &options,
-                &[1, 1, 1],
-            )
-            .expect("pipeline session");
-            session.run().expect("pipelined epoch");
-            drop(session);
-            assert_eq!(weight_bits(&mut net), reference, "pipeline diverged");
-        });
-    });
     group.finish();
-
-    let mean_ns = |id: &str| {
-        c.results()
-            .iter()
-            .find(|s| s.id == id)
-            .map(|s| s.mean_ns)
-            .unwrap_or(f64::NAN)
-    };
-    if measuring {
-        let sequential = mean_ns("train/sequential");
-        let pipeline = mean_ns("train/pipeline_3_stages");
-        let speedup = sequential / pipeline;
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        c.record_metric("train/pipeline_speedup_x", speedup);
-        c.record_metric("train/available_cores", cores as f64);
-        // One stage thread per layer: the 1.3x claim presumes the three
-        // stages actually run concurrently.
-        if cores >= 3 {
-            c.record_metric("train/pipeline_gate_skipped", 0.0);
-            assert!(
-                speedup >= 1.3,
-                "pipeline gate: expected >= 1.3x over sequential on {cores} cores, got {speedup:.2}x"
-            );
-            println!("    pipeline gate PASSED: {speedup:.2}x >= 1.3x on {cores} cores");
-        } else {
-            c.record_metric("train/pipeline_gate_skipped", 1.0);
-            println!(
-                "    pipeline gate SKIPPED: only {cores} core(s) available, stages would \
-                 time-slice; measured {speedup:.2}x recorded, 1.3x threshold not enforced"
-            );
-        }
-    }
 }
 
 /// Minor page faults of this process so far (field 10 of

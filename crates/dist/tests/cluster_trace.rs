@@ -8,7 +8,7 @@
 use ff_core::{Algorithm, Precision, TrainOptions, TrainSession};
 use ff_data::{synthetic_mnist, Dataset, SyntheticConfig};
 use ff_dist::protocol::{decode_msg, read_msg, write_msg, ErrorCode, TrainMsg, MAX_FRAME_BYTES};
-use ff_dist::{pull_cluster_traces, Coordinator, CoordinatorConfig, PipelineSession, Worker};
+use ff_dist::{pull_cluster_traces, Coordinator, CoordinatorConfig, Worker};
 use ff_models::small_mlp;
 use ff_nn::Sequential;
 use ff_trace::{ClusterFlightRecorder, ClusterSpan, MetricsRegistry, TraceSettings};
@@ -306,68 +306,4 @@ fn a_previous_version_hello_is_refused_by_name() {
     assert!(matches!(decode_msg(&hello), Ok(TrainMsg::Join { .. })));
     assert!(pull_cluster_traces(addr, 0).is_ok());
     coordinator.shutdown();
-}
-
-#[test]
-fn pipeline_stages_publish_compute_and_blocked_histograms() {
-    let (train_set, test_set) = tiny_dataset();
-    let options = TrainOptions {
-        grad_shards: 1, // row sharding belongs to the data-parallel tier
-        ..tiny_options()
-    };
-    let registry = MetricsRegistry::new();
-    let mut net = tiny_net(1);
-    {
-        let mut session = PipelineSession::new(
-            &mut net,
-            &train_set,
-            &test_set,
-            Precision::Int8,
-            &options,
-            &[1, 2],
-        )
-        .unwrap();
-        session.set_metrics(registry.clone());
-        session.run().unwrap();
-    }
-    let text = registry.expose();
-    for stage in 0..2 {
-        for surface in ["compute_ns", "send_blocked_ns", "recv_blocked_ns"] {
-            let name = format!("dist.pipeline.stage.{stage}.{surface}");
-            assert!(
-                text.contains(&format!("{name} histogram count ")),
-                "missing {name} in:\n{text}"
-            );
-        }
-        // Every batch's compute and upstream wait was recorded on every
-        // stage (stage 0's upstream is the driver's feed channel).
-        let count = |surface: &str| {
-            registry
-                .histogram(&format!("dist.pipeline.stage.{stage}.{surface}"))
-                .histogram()
-                .count()
-        };
-        assert_eq!(count("compute_ns"), STEPS, "stage {stage} missed a batch");
-        assert_eq!(
-            count("recv_blocked_ns"),
-            STEPS,
-            "stage {stage} missed a wait"
-        );
-    }
-    // Only stages with a downstream link record send stalls; the final
-    // stage has no forward channel, so its histogram stays empty.
-    assert_eq!(
-        registry
-            .histogram("dist.pipeline.stage.0.send_blocked_ns")
-            .histogram()
-            .count(),
-        STEPS
-    );
-    assert_eq!(
-        registry
-            .histogram("dist.pipeline.stage.1.send_blocked_ns")
-            .histogram()
-            .count(),
-        0
-    );
 }

@@ -2,13 +2,13 @@
 //! decoder's canonical form.
 //!
 //! The socketed 2-worker parity run and the chaos (worker-death) cases live
-//! in `parity.rs`; here the *parameter space* gets swept — RNG seeds, stage
-//! splits, shard counts, worker counts — asserting the one invariant
-//! everything in this crate hangs off: distributed execution is
-//! bit-identical to the sequential trainer.
+//! in `parity.rs`; here the *parameter space* gets swept — RNG seeds, shard
+//! counts, worker counts — asserting the one invariant everything in this
+//! crate hangs off: distributed execution is bit-identical to the
+//! sequential trainer.
 //!
-//! Training cases are expensive (each runs two full trainings), so the two
-//! sweeps drive the proptest strategies through an explicit seeded
+//! Training cases are expensive (each runs two full trainings), so the
+//! sweep drives the proptest strategies through an explicit seeded
 //! [`TestRng`] over a handful of cases instead of the `proptest!` macro's
 //! fixed 64. The decoder is swept exhaustively: the shared
 //! [`ff_codec::wire::sweep`] tries every prefix and every byte offset
@@ -19,7 +19,7 @@
 use ff_core::{Algorithm, Precision, TrainOptions, TrainSession};
 use ff_data::{synthetic_mnist, Dataset, SyntheticConfig};
 use ff_dist::protocol::{decode_msg, encode_msg, read_msg, sample_msgs, write_msg};
-use ff_dist::{Coordinator, CoordinatorConfig, DistError, PipelineSession, Worker};
+use ff_dist::{Coordinator, CoordinatorConfig, DistError, Worker};
 use ff_models::small_mlp;
 use ff_nn::Sequential;
 use proptest::prelude::*;
@@ -78,39 +78,6 @@ fn sequential_bits(
     .run()
     .unwrap();
     weight_bits(&mut net)
-}
-
-/// Pipeline weights are bit-identical to sequential for random RNG seeds
-/// and every contiguous stage split of the 3-layer net.
-#[test]
-fn pipeline_is_bit_exact_across_seeds_and_splits() {
-    let splits: [&[usize]; 4] = [&[3], &[1, 2], &[2, 1], &[1, 1, 1]];
-    let (train_set, test_set) = tiny_dataset();
-    let mut rng = TestRng::new(base_seed("pipeline_is_bit_exact_across_seeds_and_splits"));
-    for _case in 0..4 {
-        let seed = (0u64..1000).generate(&mut rng);
-        let options = tiny_options(seed, 1);
-        let reference = sequential_bits(&options, &train_set, &test_set);
-        for split in splits {
-            let mut net = tiny_net(1);
-            let mut session = PipelineSession::new(
-                &mut net,
-                &train_set,
-                &test_set,
-                Precision::Int8,
-                &options,
-                split,
-            )
-            .unwrap();
-            session.run().unwrap();
-            drop(session);
-            assert_eq!(
-                weight_bits(&mut net),
-                reference,
-                "seed {seed} split {split:?}: pipeline diverged from sequential"
-            );
-        }
-    }
 }
 
 /// A cluster of 0, 1 or 2 live workers produces bit-identical weights to

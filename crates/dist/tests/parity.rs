@@ -1,13 +1,13 @@
-//! The ff-dist determinism contract, end to end: pipeline-parallel and
-//! data-parallel training must be **bit-identical** to the sequential
-//! [`FfTrainer`] run from the same seed — across stage splits, worker
-//! counts, checkpoint/resume boundaries and worker death.
+//! The ff-dist determinism contract, end to end: data-parallel training
+//! must be **bit-identical** to the sequential [`FfTrainer`] run from the
+//! same seed — across worker counts, checkpoint/resume boundaries and
+//! worker death.
 
 use ff_core::checkpoint::{load_bytes, save_bytes};
 use ff_core::{Algorithm, Precision, SessionStatus, TrainOptions, TrainSession};
 use ff_data::{synthetic_mnist, Dataset, SyntheticConfig};
 use ff_dist::protocol::{read_msg, write_msg, TrainMsg};
-use ff_dist::{Coordinator, CoordinatorConfig, DistError, PipelineSession, Worker};
+use ff_dist::{Coordinator, CoordinatorConfig, DistError, Worker};
 use ff_models::small_mlp;
 use ff_net::fault::{FaultPlan, FaultyStream};
 use ff_nn::Sequential;
@@ -67,103 +67,6 @@ fn sequential_run(
             .unwrap()
     };
     (history, weight_bits(&mut net))
-}
-
-#[test]
-fn pipeline_matches_sequential_across_splits_and_precisions() {
-    let (train_set, test_set) = tiny_dataset();
-    let options = tiny_options(2);
-    for precision in [Precision::Int8, Precision::Fp32] {
-        let (reference_history, reference_bits) =
-            sequential_run(precision, &options, &train_set, &test_set);
-        for split in [vec![3], vec![1, 2], vec![2, 1], vec![1, 1, 1]] {
-            let mut net = tiny_net(1);
-            let history = {
-                let mut session = PipelineSession::new(
-                    &mut net, &train_set, &test_set, precision, &options, &split,
-                )
-                .unwrap();
-                session.run().unwrap().clone()
-            };
-            assert!(
-                history.same_trajectory(&reference_history),
-                "{precision:?} split {split:?}: pipeline history diverged from sequential"
-            );
-            assert_eq!(
-                weight_bits(&mut net),
-                reference_bits,
-                "{precision:?} split {split:?}: pipeline weights diverged from sequential"
-            );
-        }
-    }
-}
-
-#[test]
-fn pipeline_checkpoint_resumes_sequentially_and_vice_versa() {
-    let (train_set, test_set) = tiny_dataset();
-    let options = tiny_options(3);
-    let (reference_history, reference_bits) =
-        sequential_run(Precision::Int8, &options, &train_set, &test_set);
-
-    // Pipeline runs 3 of the 6 total batches (mid-epoch 1), checkpoints
-    // through a byte roundtrip, and a *sequential* session finishes the run.
-    let mut net = tiny_net(1);
-    let checkpoint = {
-        let mut session = PipelineSession::new(
-            &mut net,
-            &train_set,
-            &test_set,
-            Precision::Int8,
-            &options,
-            &[1, 2],
-        )
-        .unwrap();
-        assert_eq!(session.run_steps(3).unwrap(), 3);
-        session.checkpoint()
-    };
-    let checkpoint = load_bytes(&save_bytes(&checkpoint)).unwrap();
-    let mut resumed_net = tiny_net(99); // overwritten by the checkpoint
-    let history = {
-        TrainSession::resume(&mut resumed_net, &train_set, &test_set, &checkpoint)
-            .unwrap()
-            .run()
-            .unwrap()
-    };
-    assert!(history.same_trajectory(&reference_history));
-    assert_eq!(weight_bits(&mut resumed_net), reference_bits);
-
-    // And the other direction: a sequential mid-epoch checkpoint finishes
-    // under the pipeline.
-    let mut net = tiny_net(1);
-    let checkpoint = {
-        let mut session = TrainSession::new(
-            &mut net,
-            &train_set,
-            &test_set,
-            Algorithm::FfInt8 { lookahead: false },
-            &options,
-        )
-        .unwrap();
-        for _ in 0..3 {
-            session.step().unwrap();
-        }
-        session.checkpoint()
-    };
-    let checkpoint = load_bytes(&save_bytes(&checkpoint)).unwrap();
-    let mut resumed_net = tiny_net(99);
-    let history = {
-        let mut session = PipelineSession::resume(
-            &mut resumed_net,
-            &train_set,
-            &test_set,
-            &checkpoint,
-            &[2, 1],
-        )
-        .unwrap();
-        session.run().unwrap().clone()
-    };
-    assert!(history.same_trajectory(&reference_history));
-    assert_eq!(weight_bits(&mut resumed_net), reference_bits);
 }
 
 #[test]

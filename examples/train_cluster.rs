@@ -1,7 +1,6 @@
 //! Distributed-training walkthrough: train the paper's 3-layer FF-INT8 MLP
-//! three ways — sequentially, layer-pipelined across threads, and
-//! data-parallel over a loopback `FF8D` cluster — and verify all three
-//! produce **bit-identical weights** from the same seed.
+//! twice — sequentially, and data-parallel over a loopback `FF8D` cluster —
+//! and verify both produce **bit-identical weights** from the same seed.
 //!
 //! The cluster demo runs a coordinator with two in-process TCP workers, a
 //! raw-socket event subscriber, and a checkpoint publish/pull round trip —
@@ -18,13 +17,13 @@ use ff_int8::core::checkpoint::{load_bytes, save_bytes};
 use ff_int8::core::{Algorithm, Precision, SessionControl, TrainOptions, TrainSession};
 use ff_int8::data::{synthetic_mnist, SyntheticConfig};
 use ff_int8::dist::protocol::{read_msg, write_msg, TrainMsg};
-use ff_int8::dist::{Coordinator, CoordinatorConfig, PipelineSession, Worker};
+use ff_int8::dist::{Coordinator, CoordinatorConfig, Worker};
 use ff_int8::models::small_mlp;
 use ff_int8::nn::Sequential;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::net::TcpStream;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const CLUSTER_TOKEN: &str = "demo-cluster-key";
 
@@ -35,13 +34,16 @@ fn fresh_net() -> Sequential {
     small_mlp(784, &[64, 64], 10, &mut rng)
 }
 
-fn options(grad_shards: usize) -> TrainOptions {
+/// Two row shards per step, one per worker. The shard count is part of the
+/// deterministic math (it fixes the reduction tree), so the sequential
+/// baseline runs with the same options as the cluster.
+fn options() -> TrainOptions {
     TrainOptions {
         epochs: 2,
         batch_size: 32,
         max_eval_samples: 64,
         seed: 9,
-        grad_shards,
+        grad_shards: 2,
         ..TrainOptions::fast_test()
     }
 }
@@ -64,66 +66,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         seed: 23,
     });
 
-    // 1. Sequential baselines — one per sharding config, because the shard
-    //    count is part of the deterministic math (it fixes the reduction
-    //    tree), so each distributed run is compared against the sequential
-    //    run with the *same* options.
-    println!("== sequential baselines ==");
-    let mut baseline = fresh_net();
-    let start = Instant::now();
-    TrainSession::new(
-        &mut baseline,
-        &train_set,
-        &test_set,
-        Algorithm::FfInt8 { lookahead: false },
-        &options(1),
-    )?
-    .run()?;
-    let sequential_elapsed = start.elapsed();
-    let pipeline_reference = weight_bits(&mut baseline);
-    println!("sequential (grad_shards 1): {sequential_elapsed:?}");
-
+    // 1. The sequential baseline.
+    println!("== sequential baseline ==");
     let mut baseline = fresh_net();
     TrainSession::new(
         &mut baseline,
         &train_set,
         &test_set,
         Algorithm::FfInt8 { lookahead: false },
-        &options(2),
+        &options(),
     )?
     .run()?;
     let cluster_reference = weight_bits(&mut baseline);
 
-    // 2. Layer-pipeline parallelism: the first FF layer trains on one
-    //    thread, the remaining two on another, quantized activations flow
-    //    through a bounded channel between them. Forward-Forward has no
-    //    backward pass across layers (λ = 0), so the pipelined trajectory
-    //    is the sequential one, bit for bit.
-    println!("== layer-pipeline parallel (stages [1, 2]) ==");
-    let mut pipelined = fresh_net();
-    let start = Instant::now();
-    let mut session = PipelineSession::new(
-        &mut pipelined,
-        &train_set,
-        &test_set,
-        Precision::Int8,
-        &options(1),
-        &[1, 2],
-    )?;
-    session.run()?;
-    drop(session);
-    let pipeline_elapsed = start.elapsed();
-    assert_eq!(
-        weight_bits(&mut pipelined),
-        pipeline_reference,
-        "pipeline must be bit-exact vs sequential"
-    );
-    println!(
-        "pipeline: {pipeline_elapsed:?} ({:.2}x vs sequential), weights bit-identical",
-        sequential_elapsed.as_secs_f64() / pipeline_elapsed.as_secs_f64().max(1e-9)
-    );
-
-    // 3. A data-parallel cluster: coordinator + two token-authenticated
+    // 2. A data-parallel cluster: coordinator + two token-authenticated
     //    TCP workers. Each training step is cut into two row shards; the
     //    coordinator syncs parameters, farms the shards out round-robin,
     //    and reduces the returned gradients in fixed shard order — so the
@@ -166,7 +122,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         events
     });
 
-    let trainer = coordinator.trainer(Precision::Int8, false, options(2))?;
+    let trainer = coordinator.trainer(Precision::Int8, false, options())?;
     let mut clustered = fresh_net();
     let mut session = TrainSession::with_trainer(&mut clustered, &train_set, &test_set, trainer)?;
     session.on_event(|event| {
@@ -210,7 +166,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         other => panic!("expected CheckpointReply, got {other:?}"),
     }
 
-    // 4. Drain the cluster: workers leave cleanly and report their share.
+    // 3. Drain the cluster: workers leave cleanly and report their share.
     coordinator.shutdown();
     for (index, handle) in workers.into_iter().enumerate() {
         let report = handle.join().expect("worker thread")?;
