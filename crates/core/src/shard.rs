@@ -1,6 +1,6 @@
-//! The canonical decomposition of one FF training step into row shards and
-//! layer stages — the determinism contract shared by the sequential
-//! [`crate::FfTrainer`] and the `ff-dist` distributed trainers.
+//! The canonical decomposition of one FF training step into row shards —
+//! the determinism contract shared by the sequential [`crate::FfTrainer`]
+//! and the `ff-dist` data-parallel trainer.
 //!
 //! # Why a *canonical* decomposition
 //!
@@ -36,11 +36,6 @@
 //!   when `λ > 0` and a layer sits upstream; every other backward call is
 //!   `Layer::backward_params_only`, which accumulates bit-identical
 //!   parameter gradients and skips the dead product.
-//! - [`ff_stage_pass`] and [`step_layers`] are the layer-stage analogues
-//!   used by pipeline parallelism: each stage replays exactly the
-//!   per-layer operation sequence of the sequential trainer (forward,
-//!   own-goodness backward, step), so the pipeline run is bit-identical to
-//!   the λ = 0 sequential run.
 
 use crate::config::Precision;
 use crate::goodness::{ff_loss_scaled, goodness, goodness_gradient, FfLossKind};
@@ -415,72 +410,6 @@ pub fn accumulate_ff_pass(
         }
     }
     Ok(total_loss)
-}
-
-/// One side of the FF objective over a **contiguous layer stage** — the
-/// pipeline-parallel unit of work. λ must be 0 (the look-ahead relay
-/// crosses stage boundaries and is rejected by the pipeline constructor).
-///
-/// Runs the stage's forwards (deriving each layer's rounding stream from
-/// its *global* index `first_layer_index + i`, identical to the sequential
-/// derivation), accumulates each trainable layer's own-goodness gradient
-/// via its backward pass, and returns this stage's loss partial plus the
-/// activation that feeds the next stage (row-normalised after trainable
-/// layers, raw otherwise — exactly what the sequential forward chain
-/// produces).
-///
-/// Per layer, the operation sequence (forward, backward-with-own-grad) and
-/// every operand are identical to [`accumulate_ff_pass`] at λ = 0; only
-/// the interleaving *across* layers differs, which cannot change any value
-/// because each layer's backward depends only on its own cached forward
-/// state. Summing stage partials in ascending stage order reproduces the
-/// sequential loss fold bit-for-bit.
-///
-/// # Errors
-///
-/// Propagates layer and tensor errors.
-pub fn ff_stage_pass(
-    layers: &mut [Box<dyn Layer>],
-    first_layer_index: usize,
-    input: &Tensor,
-    kind: FfLossKind,
-    theta: f32,
-    pass: PassMode,
-    loss_divisor: usize,
-) -> Result<(f32, Tensor)> {
-    let mut outputs: Vec<Tensor> = Vec::with_capacity(layers.len());
-    let mut x = input.clone();
-    for (i, layer) in layers.iter_mut().enumerate() {
-        let y = layer.forward(&x, pass.for_layer(first_layer_index + i))?;
-        x = if layer.param_count() > 0 {
-            normalize_activations(&y)?
-        } else {
-            y.clone()
-        };
-        outputs.push(y);
-    }
-    let mut total_loss = 0.0f32;
-    let mut own_grads: Vec<Option<Tensor>> = Vec::with_capacity(layers.len());
-    for (layer, output) in layers.iter_mut().zip(&outputs) {
-        if layer.param_count() == 0 {
-            own_grads.push(None);
-            continue;
-        }
-        let rows = output.rows();
-        let flat = output.reshape(&[rows, output.cols()])?;
-        let g = goodness(&flat);
-        let (loss, dg) = ff_loss_scaled(&g, theta, kind, loss_divisor);
-        total_loss += loss;
-        let grad_flat = goodness_gradient(&flat, &dg);
-        own_grads.push(Some(grad_flat.reshape(output.shape())?));
-    }
-    // λ = 0: no stage consumes an input gradient.
-    for i in (0..layers.len()).rev() {
-        if let Some(own_grad) = own_grads[i].take() {
-            layers[i].backward_params_only(&own_grad)?;
-        }
-    }
-    Ok((total_loss, x))
 }
 
 /// Applies one optimizer step per layer and clears the gradients — the

@@ -16,11 +16,7 @@
 //! `cargo test -p ff-core --test golden -- --nocapture` and copy the printed
 //! `observed` lines.
 
-use ff_core::shard::{ff_stage_pass, step_layers, PassMode};
-use ff_core::{
-    first_layer_is_dense, Algorithm, AnyOptimizer, FfLossKind, FfTrainer, Precision,
-    SessionControl, SessionStatus, TrainEvent, TrainOptions, TrainSession,
-};
+use ff_core::{Algorithm, SessionControl, SessionStatus, TrainEvent, TrainOptions, TrainSession};
 use ff_data::{synthetic_cifar10, synthetic_mnist, Dataset, SyntheticConfig};
 use ff_models::{small_cnn, small_mlp, small_resnet, SmallModelConfig};
 use ff_nn::Sequential;
@@ -132,64 +128,6 @@ fn algorithm_run(
         }
     }
     let losses = losses.borrow().clone();
-    (losses, weight_checksum(&mut net))
-}
-
-/// The layer-pipeline decomposition at λ = 0: per batch, each contiguous
-/// stage runs `ff_stage_pass` for the positive then the negative side and
-/// steps its own layers, exactly as `ff-dist`'s stage threads do.
-fn pipeline_run(steps: usize, stage_sizes: &[usize]) -> (Vec<u32>, u64) {
-    let options = options(16, 0.0, 1);
-    let (train_set, _) = dataset(false, steps * options.batch_size);
-    let mut net = mlp(&[40, 24]);
-    let mut trainer = FfTrainer::new(Precision::Int8, false, options.clone());
-    trainer.ensure_optimizers(net.len());
-    let mut optimizers: Vec<AnyOptimizer> = std::mem::take(trainer.optimizers_mut());
-    let dense_first = first_layer_is_dense(&net);
-    let mut losses = Vec::new();
-    for step in 0..steps {
-        let rows: Vec<usize> =
-            (step * options.batch_size..(step + 1) * options.batch_size).collect();
-        let images = train_set.images().select_rows(&rows).unwrap();
-        let labels: Vec<usize> = rows.iter().map(|&i| train_set.labels()[i]).collect();
-        let prepared = trainer
-            .prepare_batch(&images, &labels, 10, dense_first)
-            .unwrap();
-        let pos_pass = PassMode::from_seed(Precision::Int8, prepared.pos_seed);
-        let neg_pass = PassMode::from_seed(Precision::Int8, prepared.neg_seed);
-        let (mut pos, mut neg) = (prepared.pos, prepared.neg);
-        let mut loss = 0.0f32;
-        let mut first = 0;
-        for &size in stage_sizes {
-            let layers = &mut net.layers_mut()[first..first + size];
-            let (loss_pos, pos_out) = ff_stage_pass(
-                layers,
-                first,
-                &pos,
-                FfLossKind::Positive,
-                options.theta,
-                pos_pass,
-                options.batch_size,
-            )
-            .unwrap();
-            let (loss_neg, neg_out) = ff_stage_pass(
-                layers,
-                first,
-                &neg,
-                FfLossKind::Negative,
-                options.theta,
-                neg_pass,
-                options.batch_size,
-            )
-            .unwrap();
-            step_layers(layers, &mut optimizers[first..first + size]);
-            loss += loss_pos;
-            loss += loss_neg;
-            (pos, neg) = (pos_out, neg_out);
-            first += size;
-        }
-        losses.push(loss.to_bits());
-    }
     (losses, weight_checksum(&mut net))
 }
 
@@ -308,15 +246,5 @@ fn conv_fp32_lookahead() {
         ),
         &[0x40d7defb, 0x40d7c33b],
         0x8f58_15f9_20c4_fc3d,
-    );
-}
-
-#[test]
-fn pipeline_stage_pass() {
-    check(
-        "pipeline [1,2]",
-        pipeline_run(3, &[1, 2]),
-        &[0x40cfebd5, 0x40cf4120, 0x40ccec62],
-        0x9f1e_548f_5a5d_7374,
     );
 }
