@@ -6,7 +6,7 @@ use crate::optimizer::AnyOptimizer;
 use crate::session::{elapsed_ns, StepSpans, StepStats, TrainSession, TrainerCore, TrainerState};
 use crate::shard::{
     accumulate_ff_pass, compute_shard, normalize_activations, reduce_shard_grads,
-    reshape_for_input, shard_tasks, step_layers, PassMode, PreparedBatch, ShardGrads,
+    reshape_for_input, shard_tasks, PassMode, PreparedBatch, ShardGrads,
 };
 use crate::{CoreError, Result};
 use ff_data::{positive_negative_sets, Batch, Dataset};
@@ -136,9 +136,7 @@ impl FfTrainer {
     ///
     /// Distributed trainers call this on the coordinator, then cut the
     /// result into [`crate::shard::ShardTask`]s; `first_is_dense` is
-    /// [`first_layer_is_dense`] of the target network, passed as a flag so
-    /// the network can be borrowed elsewhere (pipeline stages) while
-    /// batches are prepared.
+    /// [`first_layer_is_dense`] of the target network.
     ///
     /// # Errors
     ///
@@ -297,28 +295,6 @@ impl FfTrainer {
         Ok(())
     }
 
-    /// Grows the per-layer optimizer list to `layer_count` entries (the
-    /// lazy construction [`FfTrainer`] itself performs on the first step),
-    /// so callers that split the optimizers across pipeline stages see a
-    /// fully materialised list.
-    pub fn ensure_optimizers(&mut self, layer_count: usize) {
-        let lr = self.options.learning_rate;
-        let momentum = self.options.momentum;
-        while self.optimizers.len() < layer_count {
-            self.optimizers
-                .push(AnyOptimizer::new(self.options.optimizer, lr, momentum));
-        }
-    }
-
-    /// Mutable access to the per-layer optimizers (index `i` steps layer
-    /// `i`). Pipeline trainers temporarily take this list, split it across
-    /// stage threads in lockstep with the layer slices, and restore it —
-    /// checkpoint export reads optimizer state from here, so the list must
-    /// be back in place before [`TrainerCore::export_state`].
-    pub fn optimizers_mut(&mut self) -> &mut Vec<AnyOptimizer> {
-        &mut self.optimizers
-    }
-
     /// Applies one optimizer step per layer and clears the gradients.
     ///
     /// Stepping writes every parameter through `ParamRefMut`, which bumps
@@ -328,8 +304,28 @@ impl FfTrainer {
     /// many forwards in between (evaluation runs one per candidate label)
     /// all reuse the same packed panels.
     fn step(&mut self, net: &mut Sequential) {
-        self.ensure_optimizers(net.len());
-        step_layers(net.layers_mut(), &mut self.optimizers);
+        // Optimizers are built lazily, one per layer, on the first step.
+        while self.optimizers.len() < net.len() {
+            self.optimizers.push(AnyOptimizer::new(
+                self.options.optimizer,
+                self.options.learning_rate,
+                self.options.momentum,
+            ));
+        }
+        for (layer, optimizer) in net.layers_mut().iter_mut().zip(&mut self.optimizers) {
+            let mut params = layer.params_mut();
+            if !params.is_empty() {
+                optimizer.step(&mut params);
+                // Safety net: an Optimizer impl that forgets mark_updated
+                // would otherwise leave layers serving stale packed weight
+                // plans. An extra bump is free (plans rebuild at most once
+                // per step, on the next INT8 forward).
+                for p in &mut params {
+                    p.mark_updated();
+                }
+            }
+            layer.zero_grad();
+        }
     }
 
     /// Goodness-based classification accuracy on (a capped prefix of) a

@@ -71,7 +71,7 @@ pub use ff_trainer::{first_layer_is_dense, FfTrainer};
 pub use goodness::{
     ff_loss, ff_loss_scaled, goodness, goodness_gradient, goodness_sum, FfLossKind, GoodnessSweep,
 };
-pub use optimizer::{AnyOptimizer, OptimizerSlot};
+pub use optimizer::OptimizerSlot;
 pub use session::{
     AutoCheckpoint, EvalSplit, SessionControl, SessionStatus, StepSpans, StepStats, TrainEvent,
     TrainSession, TrainerCore, TrainerState,

@@ -2,11 +2,9 @@
 //!
 //! The trainers pick their optimizer family from
 //! [`TrainOptions::optimizer`](crate::TrainOptions) and step parameters
-//! through [`AnyOptimizer`], a closed enum over the `ff-nn`
-//! optimizers (public so distributed trainers can step pipeline stages
-//! with exactly the trainer's dispatch). Each
-//! optimizer's mutable state has a matching serializable form,
-//! [`OptimizerSlot`], which `FF8C` checkpoints persist:
+//! through `AnyOptimizer`, a crate-private closed enum over the `ff-nn`
+//! optimizers. Each optimizer's mutable state has a matching serializable
+//! form, [`OptimizerSlot`], which `FF8C` checkpoints persist:
 //!
 //! - SGD: the per-parameter momentum buffers;
 //! - Adam: the first/second moment estimates **and** the bias-correction
@@ -137,11 +135,9 @@ pub(crate) fn check_buffer_shapes(
 /// The closed set of optimizers the trainers dispatch over.
 ///
 /// A thin enum (instead of `Box<dyn Optimizer>`) so state can be exported
-/// and imported without downcasting. Public so distributed trainers
-/// (pipeline stage workers, data-parallel coordinators) can step layers
-/// with the exact same dispatch the sequential [`crate::FfTrainer`] uses.
+/// and imported without downcasting.
 #[derive(Debug, Clone)]
-pub enum AnyOptimizer {
+pub(crate) enum AnyOptimizer {
     /// Plain SGD with momentum.
     Sgd(Sgd),
     /// Adam with bias correction.

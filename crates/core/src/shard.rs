@@ -39,9 +39,8 @@
 
 use crate::config::Precision;
 use crate::goodness::{ff_loss_scaled, goodness, goodness_gradient, FfLossKind};
-use crate::optimizer::AnyOptimizer;
 use crate::{CoreError, Result};
-use ff_nn::{ForwardMode, Layer, Sequential};
+use ff_nn::{ForwardMode, Sequential};
 use ff_quant::Rounding;
 use ff_tensor::Tensor;
 use rand::rngs::StdRng;
@@ -170,8 +169,8 @@ pub struct ShardGrads {
 /// vector's positions coincide with shard indices.
 ///
 /// This is the **canonical split**: every execution of a `grad_shards = W`
-/// step — local, pipelined, or data-parallel — must cut the batch exactly
-/// here, or runs stop being comparable bit-for-bit.
+/// step — local or data-parallel — must cut the batch exactly here, or
+/// runs stop being comparable bit-for-bit.
 pub fn shard_ranges(rows: usize, shards: usize) -> Vec<(usize, usize)> {
     let shards = shards.max(1);
     let base = rows / shards;
@@ -410,29 +409,6 @@ pub fn accumulate_ff_pass(
         }
     }
     Ok(total_loss)
-}
-
-/// Applies one optimizer step per layer and clears the gradients — the
-/// per-layer body of [`crate::FfTrainer`]'s step, factored out so pipeline
-/// stages can step their own layer slice with their own optimizer slice.
-///
-/// Stepping writes every parameter through `ParamRefMut::mark_updated`,
-/// which is what invalidates cached packed INT8 weight plans.
-pub fn step_layers(layers: &mut [Box<dyn Layer>], optimizers: &mut [AnyOptimizer]) {
-    for (layer, optimizer) in layers.iter_mut().zip(optimizers) {
-        let mut params = layer.params_mut();
-        if !params.is_empty() {
-            optimizer.step(&mut params);
-            // Safety net: an Optimizer impl that forgets mark_updated
-            // would otherwise leave layers serving stale packed weight
-            // plans. An extra bump is free (plans rebuild at most once
-            // per step, on the next INT8 forward).
-            for p in &mut params {
-                p.mark_updated();
-            }
-        }
-        layer.zero_grad();
-    }
 }
 
 /// Row-normalises activations (flattened per sample) before they feed the
