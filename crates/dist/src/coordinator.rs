@@ -103,6 +103,10 @@ enum Pulse {
 /// atomic adds with no registry lock or name formatting. Counters exist
 /// (and stay coherent) even with no registry configured; registration
 /// under `dist.wire.<kind>.{frames,bytes}` happens only when one is.
+///
+/// An outgoing frame is accounted once encoded, before its send, so a peer
+/// holding the frame already sees it counted; a frame whose write then
+/// fails stays counted.
 #[derive(Debug)]
 struct WireCounters {
     frames: Vec<Counter>,
@@ -154,16 +158,23 @@ impl Shared {
         }
     }
 
-    /// Writes `msg` and accounts the frame under its kind.
+    /// Encodes `msg`, accounts the frame under its kind, then writes it.
     fn wire_write(&self, stream: &mut TcpStream, msg: &TrainMsg) -> Result<()> {
-        let n = write_msg(stream, msg)?;
-        self.wire.account(msg.kind_index(), n as u64);
+        self.send_encoded(stream, msg.kind_index(), &encode_msg(msg))
+    }
+
+    /// Accounts one pre-encoded frame of `kind_index` (4-byte length
+    /// prefix included), then writes it.
+    fn send_encoded(&self, stream: &mut TcpStream, kind_index: usize, bytes: &[u8]) -> Result<()> {
+        self.wire.account(kind_index, bytes.len() as u64 + 4);
+        write_msg_bytes(stream, bytes)?;
         Ok(())
     }
 
-    /// Sends a coded [`TrainMsg::Error`] reply (best effort) and bumps its
-    /// `dist.coord.errors.<code>` counter.
+    /// Bumps the `dist.coord.errors.<code>` counter, then sends a coded
+    /// [`TrainMsg::Error`] reply (best effort).
     fn send_error(&self, stream: &mut TcpStream, code: ErrorCode, message: &str) {
+        self.errors[CODES.index(code)].inc();
         let _ = self.wire_write(
             stream,
             &TrainMsg::Error {
@@ -171,7 +182,6 @@ impl Shared {
                 message: message.to_string(),
             },
         );
-        self.errors[CODES.index(code)].inc();
     }
 }
 
@@ -268,13 +278,7 @@ impl Coordinator {
         let kind_index = msg.kind_index();
         let bytes = encode_msg(&msg);
         if let Ok(mut subs) = self.shared.subscribers.lock() {
-            subs.retain_mut(|stream| match write_msg_bytes(stream, &bytes) {
-                Ok(n) => {
-                    self.shared.wire.account(kind_index, n as u64);
-                    true
-                }
-                Err(_) => false,
-            });
+            subs.retain_mut(|stream| self.shared.send_encoded(stream, kind_index, &bytes).is_ok());
         }
         self.shared.count("dist.coord.events_broadcast", 1);
     }
@@ -578,15 +582,12 @@ impl DistTrainer {
                 let wrote = link
                     .stream
                     .lock()
-                    .map(|mut s| write_msg_bytes(&mut *s, &bytes))
+                    .map(|mut s| self.shared.send_encoded(&mut s, sync_kind, &bytes))
                     .unwrap_or(Err(DistError::Protocol {
                         message: "worker stream lock poisoned".to_string(),
                     }));
                 match wrote {
-                    Ok(n) => {
-                        self.shared.wire.account(sync_kind, n as u64);
-                        synced.push(link);
-                    }
+                    Ok(()) => synced.push(link),
                     Err(_) => link.alive.store(false, Ordering::SeqCst),
                 }
             }
