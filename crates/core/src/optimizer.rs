@@ -147,7 +147,7 @@ pub(crate) enum AnyOptimizer {
 impl AnyOptimizer {
     /// Builds a fresh optimizer of `kind` from the trainer's
     /// hyperparameters.
-    pub fn new(kind: OptimizerKind, learning_rate: f32, momentum: f32) -> Self {
+    pub(crate) fn new(kind: OptimizerKind, learning_rate: f32, momentum: f32) -> Self {
         match kind {
             OptimizerKind::Sgd => AnyOptimizer::Sgd(Sgd::new(learning_rate, momentum)),
             OptimizerKind::Adam => AnyOptimizer::Adam(Adam::new(learning_rate)),
@@ -155,7 +155,7 @@ impl AnyOptimizer {
     }
 
     /// Applies one update step (see [`Optimizer::step`]).
-    pub fn step(&mut self, params: &mut [ParamRefMut<'_>]) {
+    pub(crate) fn step(&mut self, params: &mut [ParamRefMut<'_>]) {
         match self {
             AnyOptimizer::Sgd(o) => o.step(params),
             AnyOptimizer::Adam(o) => o.step(params),
@@ -163,7 +163,7 @@ impl AnyOptimizer {
     }
 
     /// Overrides the learning rate (UI8's deviation-counteractive scaling).
-    pub fn set_learning_rate(&mut self, lr: f32) {
+    pub(crate) fn set_learning_rate(&mut self, lr: f32) {
         match self {
             AnyOptimizer::Sgd(o) => o.set_learning_rate(lr),
             AnyOptimizer::Adam(o) => o.set_learning_rate(lr),
@@ -171,7 +171,7 @@ impl AnyOptimizer {
     }
 
     /// Captures this optimizer's mutable state for a checkpoint.
-    pub fn export(&self) -> OptimizerSlot {
+    pub(crate) fn export(&self) -> OptimizerSlot {
         match self {
             AnyOptimizer::Sgd(o) => OptimizerSlot::Sgd {
                 velocity: o.velocity().to_vec(),
@@ -193,7 +193,7 @@ impl AnyOptimizer {
     /// by a different optimizer family (e.g. an Adam checkpoint resumed
     /// into an SGD-configured trainer) or a buffer shape disagrees with its
     /// parameter.
-    pub fn import(
+    pub(crate) fn import(
         kind: OptimizerKind,
         learning_rate: f32,
         momentum: f32,

@@ -185,7 +185,7 @@ impl Shared {
     }
 }
 
-/// The serving half of the data-parallel tier. See the module docs.
+/// The serving half of the data-parallel cluster. See the module docs.
 #[derive(Debug)]
 pub struct Coordinator {
     addr: SocketAddr,
